@@ -1,14 +1,13 @@
-"""repro.chaos — deterministic I/O fault injection and crash campaigns.
+"""repro.chaos — deterministic fault injection and crash campaigns.
 
 Three pieces, layered so the hook sits below the writers it
 instruments:
 
-* :mod:`repro.chaos.plan` — the io fault schedule
-  (:class:`IoInjection` / :class:`IoFaultPlan`), the ``io`` section of
-  the faultplan v2 format;
-* :mod:`repro.chaos.sites` — the write-site registry
-  (:data:`WRITE_SITES`) and the process-wide :func:`fire` hook every
-  durable writer calls;
+* :mod:`repro.chaos.plan` — the fault schedule (:class:`Injection` /
+  :class:`FaultPlan`) and its ``repro/faultplan`` v1/v2 loader;
+* :mod:`repro.chaos.sites` — the site registry (:data:`WRITE_SITES`,
+  :data:`TASK_SITES`) and the process-wide :func:`fire` hook every
+  durable writer and the batch runner's task protocol call;
 * :mod:`repro.chaos.campaign` — the crash-campaign driver behind
   ``repro-layout chaos run``: enumerate crash points in a real batch,
   inject one fault per point, and verify the recovery contract
@@ -22,12 +21,15 @@ not drag the whole runner in.
 """
 
 from repro.chaos.plan import (
-    IO_ERROR_KINDS,
-    IO_POINTS,
-    IoFaultPlan,
-    IoInjection,
+    ERROR_KINDS,
+    POINTS,
+    TASK_POINTS,
+    FaultPlan,
+    Injection,
+    load_plan,
 )
 from repro.chaos.sites import (
+    TASK_SITES,
     WRITE_SITES,
     active,
     fire,
@@ -38,15 +40,18 @@ from repro.chaos.sites import (
 )
 
 __all__ = [
-    "IO_ERROR_KINDS",
-    "IO_POINTS",
-    "IoFaultPlan",
-    "IoInjection",
+    "ERROR_KINDS",
+    "FaultPlan",
+    "Injection",
+    "POINTS",
+    "TASK_POINTS",
+    "TASK_SITES",
     "WRITE_SITES",
     "active",
     "fire",
     "install",
     "installed",
+    "load_plan",
     "recording",
     "uninstall",
 ]

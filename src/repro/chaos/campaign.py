@@ -6,7 +6,7 @@ under :func:`repro.chaos.sites.recording` to enumerate every write-site
 firing — the campaign's address space — then picks crash points
 (stratified across site families so the store does not drown out the
 journal), and replays the run once per point with a single scheduled
-:class:`~repro.chaos.plan.IoInjection` installed.
+:class:`~repro.chaos.plan.Injection` installed.
 
 After each simulated crash the driver re-opens the tree and asserts
 the contract:
@@ -35,7 +35,7 @@ from repro import obs
 from repro.analysis.crash_audit import audit_crash_scene, find_stale_tmp
 from repro.analysis.findings import Finding, Location, Severity, sort_findings
 from repro.chaos import sites
-from repro.chaos.plan import IO_ERROR_KINDS, IoFaultPlan, IoInjection
+from repro.chaos.plan import ERROR_KINDS, FaultPlan, Injection
 from repro.errors import ChaosError, ReproError, SimulatedKill
 from repro.io import atomic_write_text
 from repro.resilience import best_effort, null_sleep
@@ -45,6 +45,10 @@ from repro.workloads.spec import clear_trace_memo
 
 FINDINGS_FORMAT = "repro/chaos-campaign"
 FINDINGS_VERSION = 1
+
+#: The error kinds a campaign rotates through by default: the ways a
+#: write can fail.
+CRASH_ERRORS = ("enospc", "eio", "torn", "kill", "crash")
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ def select_crash_points(
     events: Sequence[tuple[str, str]],
     points: int,
     seed: int,
-    errors: Sequence[str] = IO_ERROR_KINDS,
+    errors: Sequence[str] = CRASH_ERRORS,
 ) -> tuple[CrashPoint, ...]:
     """Choose up to *points* crash points from recorded firings.
 
@@ -147,10 +151,10 @@ def select_crash_points(
     if not errors:
         raise ChaosError("campaign needs at least one error kind")
     for kind in errors:
-        if kind not in IO_ERROR_KINDS:
+        if kind not in ERROR_KINDS:
             raise ChaosError(
-                f"unknown io error kind {kind!r}; "
-                f"expected one of {IO_ERROR_KINDS}"
+                f"unknown injection error {kind!r}; "
+                f"expected one of {ERROR_KINDS}"
             )
     counts: dict[tuple[str, str], int] = {}
     families: dict[str, list[tuple[str, str, int]]] = {}
@@ -216,7 +220,7 @@ def run_campaign(
     command: str,
     points: int = 20,
     seed: int = 0,
-    errors: Sequence[str] = IO_ERROR_KINDS,
+    errors: Sequence[str] = CRASH_ERRORS,
     echo: Callable[[str], None] | None = None,
     keep: bool = False,
 ) -> CampaignResult:
@@ -264,6 +268,8 @@ def run_campaign(
             f"{len(baseline.pending)} pending); a campaign needs a "
             "clean run to crash"
         )
+    # Campaigns crash writes; the runner's task site is not one.
+    events = [event for event in events if event[0] in sites.WRITE_SITES]
     say(
         f"chaos: recorded {len(events)} write-site firings across "
         f"{len({site for site, _ in events})} sites"
@@ -279,9 +285,9 @@ def run_campaign(
         ckpt = point_dir / "ckpt"
         store_dir = point_dir / "store"
         run_file = point_dir / "run.jsonl"
-        plan = IoFaultPlan(
+        plan = FaultPlan(
             [
-                IoInjection(
+                Injection(
                     site=cp.site,
                     point=cp.point,
                     error=cp.error,

@@ -1,8 +1,9 @@
-"""The write-site registry and the process-wide fault hook.
+"""The site registry and the process-wide fault hook.
 
 Every durable write in the repo is tagged with a **stable site id**
-from :data:`WRITE_SITES`, so io fault plans address writes
-symbolically ("the store's index replace") instead of by call stack.
+from :data:`WRITE_SITES`, so fault plans address writes symbolically
+("the store's index replace") instead of by call stack.  The batch
+runner's task protocol is one more site, in :data:`TASK_SITES`.
 The ``conc/unregistered-write-site`` lint rule keeps the registry and
 the code in sync: any ``repro.io`` writer call that does not pass a
 registered literal ``site=`` is a finding.
@@ -10,10 +11,11 @@ registered literal ``site=`` is a finding.
 At runtime this module is a near-zero-cost hook: :func:`fire` is
 called at each write-protocol point and does nothing unless a plan is
 installed (fault injection) or a recorder is active (campaign
-enumeration).  It deliberately imports nothing above
-:mod:`repro.errors` — the hook sits *below* ``repro.io`` and
-``repro.obs`` in the layering, so it cannot emit metrics or perform
-I/O of its own.
+enumeration).  The batch runner installs its plan once per run; forked
+pool workers inherit it with the rest of the process.  It
+deliberately imports nothing above :mod:`repro.errors` — the hook sits
+*below* ``repro.io`` and ``repro.obs`` in the layering, so it cannot
+emit metrics or perform I/O of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.chaos.plan import IoFaultPlan
+from repro.chaos.plan import FaultPlan
 from repro.errors import ChaosError
 
 #: Stable id -> human description of every registered write site.
@@ -42,48 +44,53 @@ WRITE_SITES: dict[str, str] = {
     "workloads.spec": "custom workload spec JSON (save_workload)",
 }
 
+#: Sites that are not writes, fired with the task key.
+TASK_SITES: dict[str, str] = {
+    "runner.task": "batch task attempt entry (start) and body exit (finish)",
+}
+
 _GLOB_CHARS = "*?["
 
-_PLAN: IoFaultPlan | None = None
+_PLAN: FaultPlan | None = None
 _RECORDER: list[tuple[str, str]] | None = None
 
 
-def active() -> IoFaultPlan | None:
-    """The currently installed io fault plan, if any."""
+def active() -> FaultPlan | None:
+    """The currently installed fault plan, if any."""
     return _PLAN
 
 
-def install(plan: IoFaultPlan | None) -> None:
-    """Install *plan* as the process-wide io fault plan.
+def install(plan: FaultPlan | None) -> None:
+    """Install *plan* as the process-wide fault plan.
 
-    Literal (non-glob) injection sites must name a registered write
-    site — a typo in a fault plan should fail loudly, not silently
-    never fire.
+    Literal (non-glob) injection sites must name a registered site — a
+    typo in a fault plan should fail loudly, not silently never fire.
     """
     global _PLAN
     if plan is not None:
-        if not isinstance(plan, IoFaultPlan):
+        if not isinstance(plan, FaultPlan):
             raise ChaosError(
-                f"install expects an IoFaultPlan, not {type(plan).__name__}"
+                f"install expects a FaultPlan, not {type(plan).__name__}"
             )
+        registered = WRITE_SITES.keys() | TASK_SITES.keys()
         for spec in plan.injections:
             is_glob = any(ch in spec.site for ch in _GLOB_CHARS)
-            if not is_glob and spec.site not in WRITE_SITES:
+            if not is_glob and spec.site not in registered:
                 raise ChaosError(
-                    f"unknown write site {spec.site!r}; registered sites: "
-                    + ", ".join(sorted(WRITE_SITES))
+                    f"unknown site {spec.site!r}; registered sites: "
+                    + ", ".join(sorted(registered))
                 )
     _PLAN = plan
 
 
 def uninstall() -> None:
-    """Remove any installed io fault plan."""
+    """Remove any installed fault plan."""
     global _PLAN
     _PLAN = None
 
 
 @contextmanager
-def installed(plan: IoFaultPlan | None) -> Iterator[IoFaultPlan | None]:
+def installed(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
     """Install *plan* for the duration of the block.
 
     ``installed(None)`` is an explicit no-op that leaves any already
@@ -125,14 +132,16 @@ def fire(
     point: str,
     handle: Any = None,
     payload: str | bytes | None = None,
+    key: str | None = None,
 ) -> None:
-    """Notify the chaos hook of a write-protocol point.
+    """Notify the chaos hook of a site protocol point.
 
     No-op unless a recorder or plan is active.  *handle* and *payload*
     are forwarded so ``torn`` injections can corrupt the in-flight
-    write; see :meth:`repro.chaos.plan.IoFaultPlan.fire`.
+    write, *key* so task-filtered injections can match; see
+    :meth:`repro.chaos.plan.FaultPlan.fire`.
     """
     if _RECORDER is not None:
         _RECORDER.append((site, point))
     if _PLAN is not None:
-        _PLAN.fire(site, point, handle=handle, payload=payload)
+        _PLAN.fire(site, point, handle=handle, payload=payload, key=key)

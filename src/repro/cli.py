@@ -221,8 +221,8 @@ def _wants_batch(args: argparse.Namespace) -> bool:
 
 def _run_batch(args: argparse.Namespace, batch, store=None) -> int:
     """Execute a batch through :func:`repro.service.execute_batch`."""
+    from repro.chaos.plan import load_plan
     from repro.errors import RunnerError
-    from repro.runner import load_plan
 
     if not args.checkpoint:
         raise RunnerError(
@@ -311,25 +311,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         workload = _workload(args)
         config = _cache_from_args(args)
         store = _store_from_args(args)
-        if _wants_batch(args):
-            batch = service.build_compare_batch(
-                workload,
-                config,
-                runs=args.runs,
-                fast=args.fast,
-                store=store,
-            )
-            return _run_batch(args, batch, store)
-        service.run_compare(
-            service.CompareRequest(
-                workload=workload,
-                config=config,
-                runs=args.runs,
-                store=store,
-                trg_method=args.trg_method,
-            ),
-            echo=print,
+        request = service.CompareRequest(
+            workload=workload,
+            config=config,
+            runs=args.runs,
+            fast=args.fast,
+            store=store,
+            trg_method=args.trg_method,
         )
+        if _wants_batch(args):
+            batch = service.build_compare_batch(request)
+            return _run_batch(args, batch, store)
+        service.run_compare(request, echo=print)
     return 0
 
 
@@ -337,20 +330,16 @@ def cmd_table1(args: argparse.Namespace) -> int:
     with _obs_session(args, "table1"):
         config = _cache_from_args(args)
         store = _store_from_args(args)
-        if _wants_batch(args):
-            batch = service.build_table1_batch(
-                config, fast=args.fast, store=store
-            )
-            return _run_batch(args, batch, store)
-        rows = service.run_table1(
-            service.Table1Request(
-                config=config,
-                fast=args.fast,
-                store=store,
-                trg_method=args.trg_method,
-            )
+        request = service.Table1Request(
+            config=config,
+            fast=args.fast,
+            store=store,
+            trg_method=args.trg_method,
         )
-        print(format_table1(rows))
+        if _wants_batch(args):
+            batch = service.build_table1_batch(request)
+            return _run_batch(args, batch, store)
+        print(format_table1(service.run_table1(request)))
     return 0
 
 
@@ -696,13 +685,14 @@ def cmd_cache_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos_sites(_: argparse.Namespace) -> int:
-    from repro.chaos import IO_ERROR_KINDS, IO_POINTS, WRITE_SITES
+    from repro.chaos import ERROR_KINDS, POINTS, TASK_SITES, WRITE_SITES
 
-    print("registered write sites:")
-    for site in sorted(WRITE_SITES):
-        print(f"  {site:<16} {WRITE_SITES[site]}")
-    print(f"write-protocol points: {', '.join(IO_POINTS)}")
-    print(f"injectable error kinds: {', '.join(IO_ERROR_KINDS)}")
+    print("registered sites:")
+    registered = {**WRITE_SITES, **TASK_SITES}
+    for site in sorted(registered):
+        print(f"  {site:<16} {registered[site]}")
+    print(f"points: {', '.join(POINTS)}")
+    print(f"injectable error kinds: {', '.join(ERROR_KINDS)}")
     return 0
 
 
@@ -711,33 +701,26 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
 
     config = _cache_from_args(args)
     if args.target == "compare":
-        from repro.runner import compare_batch
-
         workload = _workload(args)
 
         def batch_factory(store):
-            return compare_batch(
-                workload,
-                config,
-                runs=args.runs,
-                extra_config={"fast": args.fast},
-                store=store,
+            return service.build_compare_batch(
+                service.CompareRequest(
+                    workload=workload,
+                    config=config,
+                    runs=args.runs,
+                    fast=args.fast,
+                    store=store,
+                )
             )
 
     else:
-        from repro.runner import table1_batch
-
-        workloads = [
-            workload.scaled(0.25) if args.fast else workload
-            for workload in SUITE
-        ]
 
         def batch_factory(store):
-            return table1_batch(
-                workloads,
-                config,
-                extra_config={"fast": args.fast},
-                store=store,
+            return service.build_table1_batch(
+                service.Table1Request(
+                    config=config, fast=args.fast, store=store
+                )
             )
 
     errors = None
@@ -1429,10 +1412,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     resume hint and no traceback: the checkpoint journal is fsynced
     after every task, so whatever completed before the interrupt is
     already durable.  The fault harness's simulated ``SIGKILL``
-    (:class:`repro.runner.SimulatedKill`) maps to 137 (128 + SIGKILL)
+    (:class:`repro.errors.SimulatedKill`) maps to 137 (128 + SIGKILL)
     so in-process CLI tests can observe kill semantics.
     """
-    from repro.runner.faults import SimulatedKill
+    from repro.errors import SimulatedKill
 
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -4,6 +4,7 @@ from repro.eval.experiment import (
     AlgorithmOutcome,
     ExperimentResult,
     build_context,
+    place_and_simulate,
     run_experiment,
     run_workload_experiment,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "page_stats",
     "pearson_r",
     "perturbation_sweep",
+    "place_and_simulate",
     "reuse_distance_histogram",
     "run_experiment",
     "run_workload_experiment",

@@ -17,7 +17,7 @@ from typing import Sequence
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate
 from repro.errors import ConfigError
-from repro.eval.experiment import build_context
+from repro.eval.experiment import build_context, place_and_simulate
 from repro.placement.base import PlacementAlgorithm
 from repro.trace.callgraph import CallGraphModel
 from repro.trace.generator import TraceInput, generate_trace
@@ -85,17 +85,14 @@ def input_transfer_matrix(
         raise ConfigError("trace inputs must have unique names")
 
     traces = {inp.name: generate_trace(graph, inp) for inp in inputs}
-    layouts = {}
-    for inp in inputs:
-        context = build_context(
-            traces[inp.name], config, **context_kwargs
-        )
-        layouts[inp.name] = algorithm.place(context)
-
     miss_rates: dict[tuple[str, str], float] = {}
     for train in names:
+        context = build_context(traces[train], config, **context_kwargs)
+        native = place_and_simulate(context, traces[train], algorithm)
         for test in names:
-            miss_rates[(train, test)] = simulate(
-                layouts[train], traces[test], config
-            ).miss_rate
+            miss_rates[(train, test)] = (
+                native.miss_rate
+                if test == train
+                else simulate(native.layout, traces[test], config).miss_rate
+            )
     return TransferMatrix(inputs=tuple(names), miss_rates=miss_rates)

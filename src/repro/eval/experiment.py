@@ -3,7 +3,8 @@
 This is the harness behind every number in Section 5: build the
 profile structures from the *training* trace, run one or more placement
 algorithms, then simulate the resulting layouts on the *testing*
-trace.
+trace.  :func:`place_and_simulate` is that one operation; the sweeps,
+grids, cross-validation and service entry points are folds over it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from repro.core.popular import (
 )
 from repro.placement.base import PlacementAlgorithm, PlacementContext
 from repro.profiles.pairdb import get_or_build_pair_database
-from repro.eval.randomization import SEED_STRIDE
-from repro.profiles.perturb import PAPER_SCALE
 from repro.profiles.trg import DEFAULT_Q_MULTIPLIER, get_or_build_trgs
 from repro.profiles.wcg import get_or_build_wcg
 from repro.program.layout import Layout
@@ -138,6 +137,26 @@ class ExperimentResult:
         return min(self.outcomes, key=lambda o: o.miss_rate)
 
 
+def place_and_simulate(
+    context: PlacementContext,
+    test_trace: Trace,
+    algorithm: PlacementAlgorithm,
+) -> AlgorithmOutcome:
+    """Place with *algorithm* on *context*, then simulate the layout on
+    *test_trace*.
+
+    The only code that runs a placement, so every entry point records
+    one ``place`` span per layout.  Perturbing the profile is the
+    caller's job: pass a perturbed context.
+    """
+    with obs.span("place", algorithm=algorithm.name):
+        layout = algorithm.place(context)
+    stats = simulate(layout, test_trace, context.config)
+    return AlgorithmOutcome(
+        algorithm=algorithm.name, layout=layout, stats=stats
+    )
+
+
 def run_experiment(
     context: PlacementContext,
     test_trace: Trace,
@@ -145,75 +164,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Place with every algorithm and simulate each layout on the test
     trace."""
-    outcomes = []
-    for algorithm in algorithms:
-        with obs.span("place", algorithm=algorithm.name):
-            layout = algorithm.place(context)
-        stats = simulate(layout, test_trace, context.config)
-        outcomes.append(
-            AlgorithmOutcome(
-                algorithm=algorithm.name, layout=layout, stats=stats
-            )
+    return ExperimentResult(
+        tuple(
+            place_and_simulate(context, test_trace, algorithm)
+            for algorithm in algorithms
         )
-    return ExperimentResult(tuple(outcomes))
-
-
-# ----------------------------------------------------------------------
-# Task decomposition hooks (repro.runner)
-# ----------------------------------------------------------------------
-
-#: Seed stride between perturbed runs — shared with
-#: :func:`repro.eval.randomization.perturbation_sweep` so grid cell
-#: ``p<i>`` sees the same noise stream as sweep run ``i``.
-PERTURBATION_SEED_STRIDE = SEED_STRIDE
-
-
-def profile_summary(
-    context: PlacementContext, train_events: int
-) -> dict[str, Any]:
-    """JSON-able witness of a profiling task's completion.
-
-    The heavy profile structures themselves stay in-process (they are
-    deterministic derived data); the batch runner journals only this
-    summary, which the final report and the checkpoint auditor read.
-    """
-    return {
-        "procedures": len(context.program),
-        "popular": len(context.popular),
-        "train_events": train_events,
-    }
-
-
-def evaluate_cell(
-    context: PlacementContext,
-    test_trace: Trace,
-    algorithm: PlacementAlgorithm,
-    seed: int | None = None,
-    scale: float = PAPER_SCALE,
-) -> dict[str, Any]:
-    """One comparison-grid cell: place (optionally on a perturbed
-    profile) and simulate on the test trace.
-
-    ``seed=None`` is the clean, unperturbed cell; integer seeds follow
-    the Figure 5 convention (``PERTURBATION_SEED_STRIDE * seed``), so
-    cell results are reproducible in isolation and independent of
-    execution order.
-    """
-    cell_context = (
-        context
-        if seed is None
-        else context.perturbed(scale, PERTURBATION_SEED_STRIDE * seed)
     )
-    with obs.span("place", algorithm=algorithm.name):
-        layout = algorithm.place(cell_context)
-    stats = simulate(layout, test_trace, context.config)
-    return {
-        "algorithm": algorithm.name,
-        "seed": seed,
-        "miss_rate": stats.miss_rate,
-        "misses": stats.misses,
-        "fetches": stats.fetches,
-    }
 
 
 def run_workload_experiment(

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.cache.simulator import simulate
 from repro.errors import ConfigError
+from repro.eval.experiment import place_and_simulate
 from repro.placement.base import PlacementAlgorithm, PlacementContext
 from repro.profiles.perturb import PAPER_SCALE
 from repro.trace.trace import Trace
@@ -83,18 +83,16 @@ def perturbation_sweep(
         for run in range(runs)
     ]
     for algorithm in algorithms:
-        rates = []
-        for perturbed_context in perturbed_contexts:
-            layout = algorithm.place(perturbed_context)
-            stats = simulate(layout, test_trace, context.config)
-            rates.append(stats.miss_rate)
-        clean_layout = algorithm.place(context)
-        clean = simulate(clean_layout, test_trace, context.config).miss_rate
+        rates = [
+            place_and_simulate(cell, test_trace, algorithm).miss_rate
+            for cell in perturbed_contexts
+        ]
+        clean = place_and_simulate(context, test_trace, algorithm)
         results.append(
             SweepResult(
                 algorithm=algorithm.name,
                 miss_rates=tuple(sorted(rates)),
-                unperturbed=clean,
+                unperturbed=clean.miss_rate,
             )
         )
     return results

@@ -10,9 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from repro.cache.simulator import simulate
 from repro.eval.asciiplot import ascii_bars
 from repro.eval.randomization import SweepResult
 from repro.obs import format_duration
+from repro.placement.base import PlacementContext
+from repro.program.layout import Layout
+from repro.trace.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,33 @@ class Table1Row:
     test_events: int
     default_miss_rate: float
     avg_q_size: float
+
+
+def table1_row(
+    name: str,
+    context: PlacementContext,
+    train_events: int,
+    test_trace: Trace,
+) -> Table1Row:
+    """Measure one Table 1 row: program and profile sizes plus the
+    default layout's miss rate on the test trace (nothing is placed)."""
+    program = context.program
+    default_stats = simulate(
+        Layout.default(program), test_trace, context.config
+    )
+    return Table1Row(
+        name=name,
+        total_size=program.total_size,
+        total_count=len(program),
+        popular_size=program.subset_size(context.popular),
+        popular_count=len(context.popular),
+        train_events=train_events,
+        test_events=len(test_trace),
+        default_miss_rate=default_stats.miss_rate,
+        avg_q_size=(
+            context.trgs.select_stats.avg_q_entries if context.trgs else 0.0
+        ),
+    )
 
 
 TABLE1_HEADER = (

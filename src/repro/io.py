@@ -64,7 +64,10 @@ class SerializationError(ReproError):
 
 @contextmanager
 def atomic_writer(
-    path: str | Path, mode: str = "w", site: str = "io.atomic_writer"
+    path: str | Path,
+    mode: str = "w",
+    site: str = "io.atomic_writer",
+    key: str | None = None,
 ) -> Iterator[Any]:
     """Write a file atomically: temp file, fsync, then ``os.replace``.
 
@@ -82,7 +85,8 @@ def atomic_writer(
 
     *site* is the chaos write-site id this write fires under; callers
     owning a registered surface pass their own id (lint-enforced, see
-    ``conc/unregistered-write-site``).
+    ``conc/unregistered-write-site``).  *key* (a batch task key) is
+    passed to the hook with every point, for task-filtered injections.
     """
     if mode not in ("w", "wb"):
         raise SerializationError(
@@ -90,7 +94,7 @@ def atomic_writer(
         )
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    _chaos_fire(site, "before")
+    _chaos_fire(site, "before", key=key)
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
     )
@@ -99,17 +103,17 @@ def atomic_writer(
             fd, mode, encoding="utf-8" if mode == "w" else None
         ) as handle:
             yield handle
-            _chaos_fire(site, "data", handle=handle)
+            _chaos_fire(site, "data", handle=handle, key=key)
             handle.flush()
-            _chaos_fire(site, "fsync")
+            _chaos_fire(site, "fsync", key=key)
             os.fsync(handle.fileno())
-        _chaos_fire(site, "replace")
+        _chaos_fire(site, "replace", key=key)
         os.replace(tmp_name, target)
     except BaseException as error:
         if not isinstance(error, SimulatedCrash):
             best_effort(os.unlink, tmp_name)
         raise
-    _chaos_fire(site, "after")
+    _chaos_fire(site, "after", key=key)
 
 
 def atomic_write_text(

@@ -12,12 +12,12 @@ zero:
 * :mod:`~repro.runner.guard` — per-task failure boundary: structured
   :class:`TaskFailure` records, bounded deterministic retry for
   transient errors, soft deadlines;
-* :mod:`~repro.runner.faults` — a deterministic fault-injection
-  harness (transient / permanent / timeout / interrupt / simulated
-  ``SIGKILL``) used by the tier-1 tests and CI;
 * :mod:`~repro.runner.engine` — :class:`BatchRunner`: executes a
   batch, checkpoints each task, resumes idempotently
   (``--resume``) and finishes in degraded mode with a failure table;
+  it installs a :class:`~repro.chaos.plan.FaultPlan` (re-exported
+  here) for the run, whose task injections fire at the
+  ``runner.task`` site;
 * :mod:`~repro.runner.pool` — the worker half of
   ``BatchRunner(workers=N)``: independent tasks run in a ``fork``
   process pool and return picklable :class:`WorkerResult` shards,
@@ -34,20 +34,19 @@ Usage::
     sys.exit(outcome.exit_code)
 """
 
+from repro.chaos.plan import (
+    ERROR_KINDS,
+    FAULTPLAN_FORMAT,
+    FAULTPLAN_VERSION,
+    FaultPlan,
+    Injection,
+    load_plan,
+)
+from repro.errors import SimulatedKill
 from repro.runner.engine import (
     BatchOutcome,
     BatchRunner,
     format_failure_table,
-)
-from repro.runner.faults import (
-    ERROR_KINDS,
-    FAULTPLAN_FORMAT,
-    FAULTPLAN_VERSION,
-    POINTS,
-    FaultPlan,
-    Injection,
-    SimulatedKill,
-    load_plan,
 )
 from repro.runner.grids import (
     compare_batch,
@@ -94,7 +93,6 @@ __all__ = [
     "Injection",
     "JOURNAL_NAME",
     "JournalState",
-    "POINTS",
     "RunnerEnv",
     "SimulatedKill",
     "TaskFailure",

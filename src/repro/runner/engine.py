@@ -15,8 +15,11 @@ through to a report the way a database drives a transaction log:
   degraded mode with a failure table, and previously-failed tasks are
   retried on the next resume;
 * ``KeyboardInterrupt`` and the fault harness's
-  :class:`~repro.runner.faults.SimulatedKill` propagate — the journal
-  is already durable, so the process can die at any instant;
+  :class:`~repro.errors.SimulatedKill` propagate — the journal is
+  already durable, so the process can die at any instant;
+* a :class:`~repro.chaos.plan.FaultPlan` is installed process-wide
+  for the run, so its injections fire at the ``runner.task`` and
+  write sites of this process and of forked pool workers alike;
 * ``workers=N`` fans independent tasks out to a ``fork`` process pool
   (:mod:`~repro.runner.pool`) while this parent stays the **single
   writer** of the journal and every artifact.  Results are consumed
@@ -33,12 +36,12 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro import obs
-from repro.chaos.sites import installed as _io_faults_installed
-from repro.errors import RunnerError, SimulatedCrash
+from repro.chaos import sites
+from repro.chaos.plan import FaultPlan
+from repro.errors import RunnerError, SimulatedCrash, SimulatedKill
 from repro.io import atomic_writer
 from repro.obs.clock import wall_time
 from repro.resilience import best_effort
-from repro.runner.faults import FaultPlan, SimulatedKill
 from repro.runner.guard import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
@@ -207,30 +210,21 @@ class BatchRunner:
     def _write_artifact(
         self, spec: TaskSpec, payload: dict[str, Any]
     ) -> None:
-        """Atomically persist a task payload, with the fault harness's
-        ``artifact`` injection point sitting *inside* the write — a
-        kill there leaves partial bytes only in the doomed temp file."""
+        """Atomically persist a task payload under the task's key, so a
+        task-filtered ``runner.artifact`` injection fires *inside* the
+        write — a kill there leaves partial bytes only in the doomed
+        temp file."""
         path = self.directory / spec.artifact
         text = json.dumps(payload, indent=2, sort_keys=True)
-        with atomic_writer(path, "w", site="runner.artifact") as handle:
+        with atomic_writer(
+            path, "w", site="runner.artifact", key=spec.key
+        ) as handle:
             handle.write(text)
             handle.write("\n")
-            if self.plan is not None:
-                self.plan.fire(spec.key, "artifact")
 
     def _attempt(self, spec: TaskSpec, env: RunnerEnv):
         def attempt_fn(attempt: int) -> dict[str, Any]:
-            if self.plan is not None:
-                self.plan.fire(spec.key, "start")
-            payload = spec.run(env)
-            if not isinstance(payload, dict):
-                raise RunnerError(
-                    f"task {spec.key} returned "
-                    f"{type(payload).__name__}, expected a JSON-able "
-                    "dict payload"
-                )
-            if self.plan is not None:
-                self.plan.fire(spec.key, "finish")
+            payload = spec.execute(env)
             if spec.artifact is not None:
                 self._write_artifact(spec, payload)
             return payload
@@ -426,7 +420,6 @@ class BatchRunner:
             initializer=initialize_worker,
             initargs=(
                 self.batch,
-                self.plan,
                 self.retries,
                 self.backoff_base,
                 self.deadline,
@@ -459,8 +452,8 @@ class BatchRunner:
                     if failure is None and spec.artifact is not None:
                         # The single-writer invariant: artifacts are
                         # written here, under their own guard, so the
-                        # plan's ``artifact`` injection point and
-                        # write-retry semantics live in the parent.
+                        # ``runner.artifact`` site and write-retry
+                        # semantics live in the parent.
                         persisted = self._task_guard(spec).run(
                             self._artifact_attempt(spec, value)
                         )
@@ -552,9 +545,8 @@ class BatchRunner:
         cached = 0
         journal = CheckpointJournal(self.journal_path)
         env = RunnerEnv()
-        io_plan = self.plan.io_plan if self.plan is not None else None
         try:
-            with _io_faults_installed(io_plan), obs.span(
+            with sites.installed(self.plan), obs.span(
                 "runner.batch",
                 command=self.batch.command,
                 grid=self.batch.grid_id,

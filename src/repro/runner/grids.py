@@ -17,23 +17,19 @@ any mixture of freshly-computed and checkpoint-loaded payloads.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
-from repro.cache.simulator import simulate
 from repro.core.gbsc import GBSCPlacement
-from repro.eval.experiment import (
-    build_context,
-    evaluate_cell,
-    profile_summary,
-)
-from repro.eval.randomization import SweepResult, summarize
-from repro.eval.reporting import Table1Row, format_table1
+from repro.eval.experiment import build_context, place_and_simulate
+from repro.eval.randomization import SEED_STRIDE, SweepResult, summarize
+from repro.eval.reporting import Table1Row, format_table1, table1_row
 from repro.placement.base import PlacementAlgorithm
 from repro.placement.hkc import HashemiKaeliCalderPlacement
 from repro.placement.identity import DefaultPlacement
 from repro.placement.ph import PettisHansenPlacement
-from repro.program.layout import Layout
+from repro.profiles.perturb import PAPER_SCALE
 from repro.runner.tasks import Batch, RunnerEnv, TaskSpec, grid_fingerprint
 from repro.workloads.spec import Workload
 
@@ -53,6 +49,7 @@ def _shared_profile(
     workload: Workload,
     config: CacheConfig,
     store: Any = None,
+    trg_method: str = "fast",
 ) -> dict[str, Any]:
     """Process-local profile state for one workload: context + traces.
 
@@ -60,18 +57,20 @@ def _shared_profile(
     first pending task that needs it, never checkpointed.  With
     *store* the traces and profile structures come from the
     persistent artifact cache when available; since the data is
-    deterministic either way, cache state never changes results.
+    deterministic either way, cache state never changes results, and
+    neither does *trg_method* (bit-exact twins).
     """
 
     def build() -> dict[str, Any]:
         train = workload.trace("train", store=store)
         test = workload.trace("test", store=store)
-        context = build_context(train, config, store=store)
+        context = build_context(
+            train, config, store=store, trg_method=trg_method
+        )
         return {
             "context": context,
             "test": test,
             "train_events": len(train),
-            "test_events": len(test),
         }
 
     return env.get(f"profile-state:{workload.name}", build)
@@ -93,12 +92,16 @@ def compare_batch(
     algorithms: Sequence[PlacementAlgorithm] | None = None,
     extra_config: Mapping[str, Any] | None = None,
     store: Any = None,
+    trg_method: str = "fast",
 ) -> Batch:
     """Decompose ``repro-layout compare`` into addressable tasks.
 
-    *store* is deliberately **not** part of the grid fingerprint:
-    cache state is an execution detail, so cached and uncached runs
-    share checkpoints and must render identical reports.
+    *store* and *trg_method* are deliberately **not** part of the grid
+    fingerprint: cache state and the choice between bit-exact TRG
+    pipelines are execution details, so such runs share checkpoints
+    and must render identical reports.  Cell ``p<i>`` places on the
+    profile perturbed with seed ``SEED_STRIDE * i``, the noise stream
+    of run *i* of a sweep at ``base_seed=0``.
     """
     algorithms = (
         list(algorithms) if algorithms is not None else default_algorithms()
@@ -117,9 +120,19 @@ def compare_batch(
     seeds: list[int | None] = [None, *range(runs)]
     tasks: list[TaskSpec] = []
 
+    def shared_profile(env: RunnerEnv) -> dict[str, Any]:
+        return _shared_profile(env, workload, config, store, trg_method)
+
     def profile_run(env: RunnerEnv) -> dict[str, Any]:
-        shared = _shared_profile(env, workload, config, store)
-        return profile_summary(shared["context"], shared["train_events"])
+        # Only this summary is journaled; the profile itself stays
+        # in-process as deterministic derived data.
+        shared = shared_profile(env)
+        context = shared["context"]
+        return {
+            "procedures": len(context.program),
+            "popular": len(context.popular),
+            "train_events": shared["train_events"],
+        }
 
     profile_key = f"profile:{workload.name}"
     tasks.append(
@@ -135,10 +148,20 @@ def compare_batch(
         algorithm: PlacementAlgorithm, seed: int | None
     ) -> TaskSpec:
         def cell_run(env: RunnerEnv) -> dict[str, Any]:
-            shared = _shared_profile(env, workload, config, store)
-            return evaluate_cell(
-                shared["context"], shared["test"], algorithm, seed=seed
-            )
+            shared = shared_profile(env)
+            context = shared["context"]
+            if seed is not None:
+                context = context.perturbed(PAPER_SCALE, SEED_STRIDE * seed)
+            stats = place_and_simulate(
+                context, shared["test"], algorithm
+            ).stats
+            return {
+                "algorithm": algorithm.name,
+                "seed": seed,
+                "miss_rate": stats.miss_rate,
+                "misses": stats.misses,
+                "fetches": stats.fetches,
+            }
 
         tag = _cell_tag(seed)
         return TaskSpec(
@@ -219,12 +242,13 @@ def table1_batch(
     config: CacheConfig,
     extra_config: Mapping[str, Any] | None = None,
     store: Any = None,
+    trg_method: str = "fast",
 ) -> Batch:
     """Decompose ``repro-layout table1`` into one row task per
     workload.
 
-    As with :func:`compare_batch`, *store* never enters the grid
-    fingerprint — cached and uncached runs are interchangeable.
+    As with :func:`compare_batch`, *store* and *trg_method* never
+    enter the grid fingerprint.
     """
     workloads = list(workloads)
     names = [workload.name for workload in workloads]
@@ -240,27 +264,17 @@ def table1_batch(
 
     def make_row(workload: Workload) -> TaskSpec:
         def row_run(env: RunnerEnv) -> dict[str, Any]:
-            shared = _shared_profile(env, workload, config, store)
-            context = shared["context"]
-            program = workload.program
-            default_stats = simulate(
-                Layout.default(program), shared["test"], config
+            shared = _shared_profile(
+                env, workload, config, store, trg_method
             )
-            return {
-                "name": workload.name,
-                "total_size": program.total_size,
-                "total_count": len(program),
-                "popular_size": program.subset_size(context.popular),
-                "popular_count": len(context.popular),
-                "train_events": shared["train_events"],
-                "test_events": shared["test_events"],
-                "default_miss_rate": default_stats.miss_rate,
-                "avg_q_size": (
-                    context.trgs.select_stats.avg_q_entries
-                    if context.trgs
-                    else 0.0
-                ),
-            }
+            return asdict(
+                table1_row(
+                    workload.name,
+                    shared["context"],
+                    shared["train_events"],
+                    shared["test"],
+                )
+            )
 
         return TaskSpec(
             key=f"row:{workload.name}",

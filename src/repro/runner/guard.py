@@ -17,7 +17,7 @@ result is discarded and recorded as a :class:`~repro.errors.TaskTimeout`
 failure instead).
 
 ``BaseException`` subclasses — ``KeyboardInterrupt`` and the fault
-harness's :class:`~repro.runner.faults.SimulatedKill` — deliberately
+harness's :class:`~repro.errors.SimulatedKill` — deliberately
 pass through: they model the process dying, which no guard survives.
 """
 

@@ -25,17 +25,17 @@ gives each worker one private :class:`~repro.runner.tasks.RunnerEnv`,
 so heavy derived state (profiled contexts, loaded traces) is built at
 most once per worker and memoised across every task that worker runs.
 
-Fault-plan semantics under the pool: the ``start`` and ``finish``
-injection points fire inside workers (each worker inherited its own
-copy of the plan — a task-addressed injection behaves exactly as in a
-serial run, since each task executes in exactly one process), while
-the ``artifact`` point fires in the parent, which performs all
-artifact writes.  Process-death faults (``KeyboardInterrupt``,
-:class:`~repro.runner.faults.SimulatedKill`) cannot cross the pickle
-boundary as exceptions without losing their type, so workers catch
-them and return a ``died`` marker; the parent re-raises the original
-type after tearing the pool down, keeping the CLI exit codes (130 /
-137) identical to serial runs.
+Fault-plan semantics under the pool: the parent installs its plan
+before forking, so each worker inherits its own copy.  The
+``runner.task`` site fires inside workers (a task-addressed injection
+behaves exactly as in a serial run, since each task executes in
+exactly one process), while ``runner.artifact`` fires in the parent,
+which performs all artifact writes.  Process-death faults
+(``KeyboardInterrupt``, :class:`~repro.errors.SimulatedKill`) cannot
+cross the pickle boundary as exceptions without losing their type, so
+workers catch them and return a ``died`` marker; the parent re-raises
+the original type after tearing the pool down, keeping the CLI exit
+codes (130 / 137) identical to serial runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import Any, Callable
 
 from repro.errors import RunnerError
 from repro.obs import runtime as obs_runtime
-from repro.runner.faults import FaultPlan
 from repro.runner.guard import TaskFailure, TaskGuard
 from repro.runner.tasks import Batch, RunnerEnv
 
@@ -96,7 +95,6 @@ def fork_context():
 
 def initialize_worker(
     batch: Batch,
-    plan: FaultPlan | None,
     retries: int,
     backoff_base: float,
     deadline: float | None,
@@ -110,7 +108,6 @@ def initialize_worker(
     obs_runtime.disable()
     _WORKER["batch"] = batch
     _WORKER["env"] = RunnerEnv()
-    _WORKER["plan"] = plan
     _WORKER["retries"] = retries
     _WORKER["backoff_base"] = backoff_base
     _WORKER["deadline"] = deadline
@@ -139,23 +136,7 @@ def execute_task(key: str) -> WorkerResult:
     """
     batch: Batch = _WORKER["batch"]
     spec = batch.spec(key)
-    plan: FaultPlan | None = _WORKER["plan"]
     env: RunnerEnv = _WORKER["env"]
-
-    def attempt_fn(attempt: int) -> dict[str, Any]:
-        if plan is not None:
-            plan.fire(spec.key, "start")
-        payload = spec.run(env)
-        if not isinstance(payload, dict):
-            raise RunnerError(
-                f"task {spec.key} returned "
-                f"{type(payload).__name__}, expected a JSON-able "
-                "dict payload"
-            )
-        if plan is not None:
-            plan.fire(spec.key, "finish")
-        return payload
-
     guard = TaskGuard(
         spec.key,
         retries=(
@@ -176,7 +157,7 @@ def execute_task(key: str) -> WorkerResult:
         with obs_runtime.span(
             "runner.task", key=spec.key, kind=spec.kind
         ):
-            outcome = guard.run(attempt_fn)
+            outcome = guard.run(lambda attempt: spec.execute(env))
     except BaseException as error:  # KeyboardInterrupt / SimulatedKill
         return WorkerResult(
             key=key,

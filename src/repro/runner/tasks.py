@@ -17,6 +17,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.chaos.sites import fire as _chaos_fire
+from repro.errors import RunnerError
+
 
 class RunnerEnv:
     """Lazily-built shared state for task bodies within one process."""
@@ -42,6 +45,20 @@ class TaskSpec:
     artifact: str | None = None
     retries: int | None = None
     deadline: float | None = None
+
+    def execute(self, env: RunnerEnv) -> dict[str, Any]:
+        """One attempt at the task body, between the ``runner.task``
+        site's ``start`` and ``finish`` points."""
+        _chaos_fire("runner.task", "start", key=self.key)
+        payload = self.run(env)
+        if not isinstance(payload, dict):
+            raise RunnerError(
+                f"task {self.key} returned "
+                f"{type(payload).__name__}, expected a JSON-able "
+                "dict payload"
+            )
+        _chaos_fire("runner.task", "finish", key=self.key)
+        return payload
 
 
 @dataclass(frozen=True)

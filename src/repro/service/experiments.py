@@ -14,12 +14,10 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import obs
-from repro.cache.simulator import simulate
 from repro.cache.stats import MissStats
-from repro.eval.experiment import build_context
+from repro.eval.experiment import build_context, place_and_simulate
 from repro.eval.randomization import perturbation_sweep, summarize
-from repro.eval.reporting import Table1Row
-from repro.program.layout import Layout
+from repro.eval.reporting import Table1Row, table1_row
 from repro.runner import (
     BatchOutcome,
     BatchRunner,
@@ -31,7 +29,6 @@ from repro.runner import (
 from repro.runner.tasks import Batch
 from repro.service.requests import CompareRequest, Table1Request
 from repro.store import ArtifactStore
-from repro.workloads.spec import Workload
 from repro.workloads.suite import SUITE
 
 __all__ = [
@@ -47,6 +44,11 @@ Echo = Callable[[str], None]
 
 def _silent(_line: str) -> None:
     return None
+
+
+def _suite(fast: bool):
+    """The Table 1 suite, 4x shorter under *fast*."""
+    return [workload.scaled(0.25) if fast else workload for workload in SUITE]
 
 
 def run_compare(
@@ -86,11 +88,9 @@ def run_compare(
         return summary
     scored: list[tuple[str, MissStats]] = []
     for algorithm in algorithms:
-        with obs.span("place", algorithm=algorithm.name):
-            layout = algorithm.place(context)
-        stats = simulate(layout, test, request.config)
-        emit(f"{algorithm.name:<10} miss rate {stats.miss_rate:.4%}")
-        scored.append((algorithm.name, stats))
+        outcome = place_and_simulate(context, test, algorithm)
+        emit(f"{outcome.algorithm:<10} miss rate {outcome.miss_rate:.4%}")
+        scored.append((outcome.algorithm, outcome.stats))
     return scored
 
 
@@ -101,11 +101,8 @@ def run_table1(
     request.validate()
     del echo  # the direct path narrates through obs spans only
     rows: list[Table1Row] = []
-    for workload in SUITE:
-        if request.fast:
-            workload = workload.scaled(0.25)
+    for workload in _suite(request.fast):
         with obs.span("workload", workload=workload.name):
-            program = workload.program
             train = workload.trace("train", store=request.store)
             test = workload.trace("test", store=request.store)
             context = build_context(
@@ -114,62 +111,37 @@ def run_table1(
                 store=request.store,
                 trg_method=request.trg_method,
             )
-            default_stats = simulate(
-                Layout.default(program), test, request.config
-            )
-        popular_size = program.subset_size(context.popular)
-        rows.append(
-            Table1Row(
-                name=workload.name,
-                total_size=program.total_size,
-                total_count=len(program),
-                popular_size=popular_size,
-                popular_count=len(context.popular),
-                train_events=len(train),
-                test_events=len(test),
-                default_miss_rate=default_stats.miss_rate,
-                avg_q_size=(
-                    context.trgs.select_stats.avg_q_entries
-                    if context.trgs
-                    else 0.0
-                ),
-            )
-        )
+            rows.append(table1_row(workload.name, context, len(train), test))
     return rows
 
 
-def build_compare_batch(
-    workload: Workload,
-    config,
-    *,
-    runs: int = 0,
-    fast: bool = False,
-    store: ArtifactStore | None = None,
-) -> Batch:
-    """The ``compare`` grid, exactly as the CLI shells it out."""
+def build_compare_batch(request: CompareRequest) -> Batch:
+    """The ``compare`` grid, exactly as the CLI shells it out.
+
+    Validates like :func:`run_compare`, so both paths reject the same
+    requests with the same message.
+    """
+    request.validate()
     return compare_batch(
-        workload,
-        config,
-        runs=runs,
-        extra_config={"fast": fast},
-        store=store,
+        request.resolve_workload(),
+        request.config,
+        runs=request.runs,
+        extra_config={"fast": request.fast},
+        store=request.store,
+        trg_method=request.trg_method,
     )
 
 
-def build_table1_batch(
-    config,
-    *,
-    fast: bool = False,
-    store: ArtifactStore | None = None,
-) -> Batch:
+def build_table1_batch(request: Table1Request) -> Batch:
     """The ``table1`` grid over the (optionally fast-scaled) suite."""
-    workloads = [
-        workload.scaled(0.25) if fast else workload for workload in SUITE
-    ]
+    request.validate()
     return table1_batch(
-        workloads, config, extra_config={"fast": fast}, store=store
+        _suite(request.fast),
+        request.config,
+        extra_config={"fast": request.fast},
+        store=request.store,
+        trg_method=request.trg_method,
     )
-
 
 def execute_batch(
     batch: Batch,

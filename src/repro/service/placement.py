@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
-from repro.cache.simulator import simulate
 from repro.cache.stats import MissStats
 from repro.errors import TaskTimeout
-from repro.eval.experiment import build_context
+from repro.eval.experiment import build_context, place_and_simulate
 from repro.placement.base import PlacementContext
 from repro.program.layout import Layout
 from repro.runner import TaskGuard
@@ -57,17 +56,17 @@ def _place_once(request: PlacementRequest) -> dict[str, Any]:
         store=request.store,
         trg_method=request.trg_method,
     )
-    algorithm = make_algorithm(request.algorithm)
-    with obs.span("place", algorithm=algorithm.name):
-        layout = algorithm.place(context)
+    # The layout is scored on the trace it was trained on.
+    outcome = place_and_simulate(
+        context, trace, make_algorithm(request.algorithm)
+    )
     obs.set_gauge("place.procedures", len(context.program))
-    train_stats = simulate(layout, trace, request.config)
     return {
-        "algorithm": algorithm.name,
-        "layout": layout,
+        "algorithm": outcome.algorithm,
+        "layout": outcome.layout,
         "context": context,
         "trace": trace,
-        "train_stats": train_stats,
+        "train_stats": outcome.stats,
     }
 
 

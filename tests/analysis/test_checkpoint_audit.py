@@ -64,7 +64,7 @@ class TestHealthyCheckpoints:
         assert audit_checkpoint(checkpoint / JOURNAL_NAME) == []
 
     def test_degraded_run_is_still_clean(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:2", error="permanent")])
+        plan = FaultPlan([Injection("runner.task", "start", "permanent", task="t:2")])
         outcome = BatchRunner(
             make_batch(), tmp_path / "ck", plan=plan
         ).run()

@@ -77,7 +77,7 @@ GOLDEN_STATIC = {
     "program": {"cache", "errors"},
     "resilience": {"errors"},
     "runner": {"cache", "chaos", "core", "errors", "eval", "io", "obs",
-               "placement", "program", "resilience", "workloads"},
+               "placement", "profiles", "resilience", "workloads"},
     "serve": {"cache", "errors", "io", "obs", "service", "store"},
     "service": {"cache", "core", "errors", "eval", "obs", "placement",
                 "program", "runner", "store", "trace", "workloads"},
@@ -92,7 +92,7 @@ GOLDEN_STATIC = {
 GOLDEN_LAZY = {
     "analysis": {"io", "obs"},
     "cli": {"analysis", "chaos", "errors", "eval", "io", "obs",
-            "runner", "serve", "store", "workloads"},
+            "serve", "store", "workloads"},
     "eval": {"store"},
     "service": {"io", "placement"},
     "profiles": {"store"},

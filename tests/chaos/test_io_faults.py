@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import sites
-from repro.chaos.plan import IoFaultPlan, IoInjection
+from repro.chaos.plan import FaultPlan, Injection
 from repro.errors import (
     ObservabilityError,
     PerfError,
@@ -35,9 +35,9 @@ def clean_hook():
     sites.uninstall()
 
 
-def inject(site: str, point: str, error: str, **kwargs) -> IoFaultPlan:
-    plan = IoFaultPlan(
-        [IoInjection(site=site, point=point, error=error, **kwargs)]
+def inject(site: str, point: str, error: str, **kwargs) -> FaultPlan:
+    plan = FaultPlan(
+        [Injection(site=site, point=point, error=error, **kwargs)]
     )
     sites.install(plan)
     return plan

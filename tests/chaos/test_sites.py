@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos import sites
-from repro.chaos.plan import IoFaultPlan, IoInjection
+from repro.chaos.plan import FaultPlan, Injection
 from repro.errors import ChaosError
 
 
@@ -38,27 +38,27 @@ class TestInstall:
         sites.fire("store.blob", "data")
 
     def test_install_and_fire(self):
-        plan = IoFaultPlan([IoInjection(site="store.blob", error="eio")])
+        plan = FaultPlan([Injection(site="store.blob", error="eio")])
         sites.install(plan)
         assert sites.active() is plan
         with pytest.raises(OSError):
             sites.fire("store.blob", "data")
 
     def test_install_unknown_literal_site_rejected(self):
-        plan = IoFaultPlan([IoInjection(site="store.blog")])
+        plan = FaultPlan([Injection(site="store.blog")])
         with pytest.raises(ChaosError, match="store.blog"):
             sites.install(plan)
 
     def test_install_glob_site_accepted(self):
-        sites.install(IoFaultPlan([IoInjection(site="store.*")]))
+        sites.install(FaultPlan([Injection(site="store.*")]))
         assert sites.active() is not None
 
     def test_install_non_plan_rejected(self):
-        with pytest.raises(ChaosError, match="IoFaultPlan"):
-            sites.install([IoInjection(site="store.blob")])
+        with pytest.raises(ChaosError, match="FaultPlan"):
+            sites.install([Injection(site="store.blob")])
 
     def test_uninstall(self):
-        sites.install(IoFaultPlan([IoInjection(site="store.blob")]))
+        sites.install(FaultPlan([Injection(site="store.blob")]))
         sites.uninstall()
         assert sites.active() is None
         sites.fire("store.blob", "data")
@@ -66,22 +66,22 @@ class TestInstall:
 
 class TestInstalledContext:
     def test_restores_previous_plan(self):
-        outer = IoFaultPlan([IoInjection(site="store.blob")])
-        inner = IoFaultPlan([IoInjection(site="store.index")])
+        outer = FaultPlan([Injection(site="store.blob")])
+        inner = FaultPlan([Injection(site="store.index")])
         sites.install(outer)
         with sites.installed(inner):
             assert sites.active() is inner
         assert sites.active() is outer
 
     def test_restores_on_exception(self):
-        plan = IoFaultPlan([IoInjection(site="store.blob", error="eio")])
+        plan = FaultPlan([Injection(site="store.blob", error="eio")])
         with pytest.raises(OSError):
             with sites.installed(plan):
                 sites.fire("store.blob", "data")
         assert sites.active() is None
 
     def test_none_is_passthrough(self):
-        outer = IoFaultPlan([IoInjection(site="store.blob")])
+        outer = FaultPlan([Injection(site="store.blob")])
         sites.install(outer)
         with sites.installed(None):
             # An optional plan that is absent must not mask an
@@ -112,7 +112,7 @@ class TestRecording:
 
     def test_recording_and_plan_compose(self):
         events: list[tuple[str, str]] = []
-        plan = IoFaultPlan([IoInjection(site="store.blob", error="eio")])
+        plan = FaultPlan([Injection(site="store.blob", error="eio")])
         with sites.recording(events), sites.installed(plan):
             with pytest.raises(OSError):
                 sites.fire("store.blob", "data")

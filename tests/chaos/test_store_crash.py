@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import Severity, audit_crash_scene, audit_store
 from repro.chaos import sites
-from repro.chaos.plan import IoFaultPlan, IoInjection
+from repro.chaos.plan import FaultPlan, Injection
 from repro.errors import SimulatedKill
 from repro.profiles.graph import WeightedGraph
 from repro.store import ArtifactStore, artifact_digest
@@ -65,8 +65,8 @@ class TestKillDuringStoreWrite:
         # An established store: the crash must not damage prior state.
         ArtifactStore(root).get_or_build("wcg", SEED_KEY, build)
         sites.install(
-            IoFaultPlan(
-                [IoInjection(site=site, point=point, error=error)]
+            FaultPlan(
+                [Injection(site=site, point=point, error=error)]
             )
         )
         with pytest.raises(SimulatedKill):
@@ -90,8 +90,8 @@ class TestKillDuringStoreWrite:
     ):
         root = tmp_path / "s"
         sites.install(
-            IoFaultPlan(
-                [IoInjection(site="store.index", point="before",
+            FaultPlan(
+                [Injection(site="store.index", point="before",
                              error="kill")]
             )
         )
@@ -110,8 +110,8 @@ class TestKillDuringStoreWrite:
     def test_gc_sweeps_stranded_temp(self, tmp_path):
         root = tmp_path / "s"
         sites.install(
-            IoFaultPlan(
-                [IoInjection(site="store.blob", point="data",
+            FaultPlan(
+                [Injection(site="store.blob", point="data",
                              error="crash")]
             )
         )

@@ -11,9 +11,12 @@ double-counted), and the checkpoint directory passes
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import repro.profiles.trg
+import repro.service.experiments
 from repro import cli
 from repro.analysis import audit_manifest, load_run_manifest
 from repro.runner import (
@@ -375,3 +378,69 @@ class TestRunnerArgumentErrors:
         code = cli.main(compare_argv(tmp_path / "ck"))
         assert code == 2
         assert "--resume" in capsys.readouterr().err
+
+
+class TestDirectAndBatchParity:
+    """The direct and ``--checkpoint`` paths share request validation,
+    the ``--trg-method`` option and the place-and-simulate kernel."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_negative_runs_rejected_on_both_paths(
+        self, tiny_workload, tmp_path, capsys, batch
+    ):
+        argv = ["compare", "m88ksim", "--runs", "-1"]
+        if batch:
+            argv += ["--checkpoint", str(tmp_path / "ck")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: runs must be >= 0, got -1\n"
+        )
+
+    def test_trg_method_reaches_batch_profiles(
+        self, tiny_workload, tmp_path, monkeypatch, capsys
+    ):
+        methods = []
+        build_trgs = repro.profiles.trg.build_trgs
+
+        def spy(*args, **kwargs):
+            methods.append(kwargs.get("method"))
+            return build_trgs(*args, **kwargs)
+
+        monkeypatch.setattr(repro.profiles.trg, "build_trgs", spy)
+        monkeypatch.setattr(
+            repro.service.experiments, "SUITE", [tiny_workload]
+        )
+        argv = [
+            "table1",
+            "--trg-method",
+            "scalar",
+            "--checkpoint",
+            str(tmp_path / "ck"),
+        ]
+        assert cli.main(argv) == 0
+        assert methods == ["scalar"]
+
+    def test_every_path_attributes_its_placements(
+        self, tiny_workload, tmp_path, capsys
+    ):
+        counts = {}
+        for name, extra in (
+            ("direct", []),
+            ("batch", ["--checkpoint", str(tmp_path / "ck")]),
+        ):
+            run = tmp_path / f"{name}.jsonl"
+            argv = [
+                "compare", "m88ksim", "--runs", "1",
+                "--metrics-out", str(run), *extra,
+            ]
+            assert cli.main(argv) == 0
+            records = [json.loads(line) for line in run.read_text().splitlines()]
+            counts[name] = Counter(
+                record["attributes"]["algorithm"]
+                for record in records
+                if record.get("type") == "span" and record["name"] == "place"
+            )
+        # One span per cell: 4 algorithms x (clean + 1 perturbed run).
+        assert counts["direct"] == counts["batch"] == {
+            "default": 2, "PH": 2, "HKC": 2, "GBSC": 2,
+        }

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.chaos.plan import IoInjection
+from repro.chaos.plan import Injection
 from repro.errors import RunnerError, SimulatedCrash
 from repro.runner import (
     Batch,
@@ -152,7 +152,7 @@ class TestResume:
 
 class TestFaults:
     def test_transient_fault_is_retried(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:2", error="transient")])
+        plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:2")])
         outcome = runner(make_batch(), tmp_path, plan=plan).run()
         assert outcome.ok
         assert plan.exhausted
@@ -161,7 +161,12 @@ class TestFaults:
 
     def test_permanent_fault_degrades(self, tmp_path):
         plan = FaultPlan(
-            [Injection(task="t:2", error="permanent", message="bad")]
+            [
+                Injection(
+                    "runner.task", "start", "permanent",
+                    message="bad", task="t:2",
+                )
+            ]
         )
         outcome = runner(make_batch(), tmp_path, plan=plan).run()
         assert outcome.exit_code == 1
@@ -176,7 +181,7 @@ class TestFaults:
         assert set(outcome.results) == {"t:1", "t:3"}
 
     def test_failed_task_reruns_on_resume(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:2", error="permanent")])
+        plan = FaultPlan([Injection("runner.task", "start", "permanent", task="t:2")])
         degraded = runner(make_batch(), tmp_path, plan=plan).run()
         assert degraded.exit_code == 1
         clean = runner(make_batch(), tmp_path, resume=True).run()
@@ -190,7 +195,7 @@ class TestFaults:
         self, tmp_path
     ):
         plan = FaultPlan(
-            [Injection(task="t:1", error="transient", times=10)]
+            [Injection("runner.task", "start", "transient", times=10, task="t:1")]
         )
         outcome = runner(
             make_batch(), tmp_path, plan=plan, retries=2
@@ -200,7 +205,7 @@ class TestFaults:
         assert failure.retries == 2
 
     def test_max_failures_aborts_batch(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:1", error="permanent")])
+        plan = FaultPlan([Injection("runner.task", "start", "permanent", task="t:1")])
         outcome = runner(
             make_batch(), tmp_path, plan=plan, max_failures=0
         ).run()
@@ -213,7 +218,7 @@ class TestSleeperDefaults:
     def test_fault_plan_defaults_to_null_sleep(self, tmp_path):
         """Injected faults are simulations; their retry backoff must
         not burn real wall time unless a sleeper is passed in."""
-        plan = FaultPlan([Injection(task="t:1", error="transient")])
+        plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:1")])
         engine = BatchRunner(make_batch(), tmp_path, plan=plan)
         assert engine._sleep is null_sleep
 
@@ -222,7 +227,7 @@ class TestSleeperDefaults:
         assert engine._sleep is None
 
     def test_explicit_sleeper_wins_over_plan_default(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:1", error="transient")])
+        plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:1")])
         sleeps: list[float] = []
         outcome = BatchRunner(
             make_batch(), tmp_path, plan=plan, sleep=sleeps.append
@@ -234,7 +239,7 @@ class TestSleeperDefaults:
 class TestKillAndResume:
     def test_kill_mid_batch_then_resume_byte_identical(self, tmp_path):
         reference = runner(make_batch(), tmp_path / "ref").run()
-        plan = FaultPlan([Injection(task="t:2", error="kill")])
+        plan = FaultPlan([Injection("runner.task", "start", "kill", task="t:2")])
         with pytest.raises(SimulatedKill):
             runner(make_batch(), tmp_path / "ck", plan=plan).run()
         state = load_journal(tmp_path / "ck" / "checkpoint.jsonl")
@@ -247,7 +252,7 @@ class TestKillAndResume:
         assert resumed.report == reference.report
 
     def test_interrupt_propagates(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:3", error="interrupt")])
+        plan = FaultPlan([Injection("runner.task", "start", "interrupt", task="t:3")])
         with pytest.raises(KeyboardInterrupt):
             runner(make_batch(), tmp_path, plan=plan).run()
         # Everything before the interrupt is durable.
@@ -258,7 +263,7 @@ class TestKillAndResume:
         self, tmp_path
     ):
         plan = FaultPlan(
-            [Injection(task="t:1", point="artifact", error="kill")]
+            [Injection("runner.artifact", error="kill", task="t:1")]
         )
         with pytest.raises(SimulatedKill):
             runner(make_batch(), tmp_path, plan=plan).run()
@@ -274,7 +279,7 @@ class TestKillAndResume:
         self, tmp_path
     ):
         plan = FaultPlan(
-            [Injection(task="t:1", point="artifact", error="transient")]
+            [Injection("runner.artifact", error="transient", task="t:1")]
         )
         outcome = runner(make_batch(), tmp_path, plan=plan).run()
         assert outcome.ok
@@ -290,7 +295,7 @@ class TestIoFaultPlan:
     ):
         reference = runner(make_batch(), tmp_path / "ref").run()
         plan = FaultPlan(
-            io=[IoInjection(site="runner.artifact", point="data",
+            [Injection(site="runner.artifact", point="data",
                             error="crash", skip=1)]
         )
         with pytest.raises(SimulatedCrash):
@@ -311,7 +316,7 @@ class TestIoFaultPlan:
     ):
         reference = runner(make_batch(), tmp_path / "ref").run()
         plan = FaultPlan(
-            io=[IoInjection(site="runner.journal", point="data",
+            [Injection(site="runner.journal", point="data",
                             error="torn", skip=2)]
         )
         with pytest.raises(SimulatedCrash):
@@ -324,7 +329,7 @@ class TestIoFaultPlan:
 
     def test_torn_journal_header_resumes_fresh(self, tmp_path):
         plan = FaultPlan(
-            io=[IoInjection(site="runner.journal", point="data",
+            [Injection(site="runner.journal", point="data",
                             error="torn")]
         )
         with pytest.raises(SimulatedCrash):
@@ -343,7 +348,7 @@ class TestIoFaultPlan:
         from repro.chaos import sites
 
         plan = FaultPlan(
-            io=[IoInjection(site="runner.journal", error="torn")]
+            [Injection(site="runner.journal", error="torn")]
         )
         with pytest.raises(SimulatedCrash):
             runner(make_batch(), tmp_path, plan=plan).run()

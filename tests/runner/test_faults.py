@@ -1,78 +1,95 @@
-"""Fault plans: validation, deterministic firing, serialisation."""
+"""Fault plans addressed by task key: the v1 ``injections`` shape and
+the ``repro/faultplan`` loader.  Behaviour shared with site-addressed
+entries is pinned over both shapes in ``tests/chaos/test_plan.py``."""
 
 import json
 
 import pytest
 
-from repro.chaos.plan import IoInjection
-from repro.errors import RunnerError, TaskTimeout, TransientTaskError
+from repro.errors import (
+    ChaosError,
+    RunnerError,
+    SimulatedKill,
+    TaskTimeout,
+    TransientTaskError,
+)
 from repro.runner import (
     FAULTPLAN_FORMAT,
     FAULTPLAN_VERSION,
     FaultPlan,
     Injection,
-    SimulatedKill,
     load_plan,
 )
 
 
+def task_fault(task: str, **fields) -> Injection:
+    """A v1 task entry, parsed exactly as a plan file's would be."""
+    return Injection.from_entry({"task": task, **fields}, "injections")
+
+
+def fire_task(plan: FaultPlan, key: str, point: str = "start") -> None:
+    plan.fire("runner.task", point, key=key)
+
+
 class TestInjectionValidation:
     def test_unknown_point_rejected(self):
-        with pytest.raises(RunnerError, match="point"):
-            Injection(task="t:1", point="middle")
+        with pytest.raises(ChaosError, match="point"):
+            task_fault("t:1", point="middle")
 
     def test_unknown_error_rejected(self):
-        with pytest.raises(RunnerError, match="error"):
-            Injection(task="t:1", error="cosmic-ray")
+        with pytest.raises(ChaosError, match="error"):
+            task_fault("t:1", error="cosmic-ray")
 
     def test_zero_times_rejected(self):
-        with pytest.raises(RunnerError, match="times"):
-            Injection(task="t:1", times=0)
+        with pytest.raises(ChaosError, match="times"):
+            task_fault("t:1", times=0)
 
 
 class TestFiring:
     def test_exact_match_fires(self):
-        plan = FaultPlan([Injection(task="t:1", error="transient")])
+        plan = FaultPlan([task_fault("t:1", error="transient")])
         with pytest.raises(TransientTaskError):
-            plan.fire("t:1", "start")
-        assert plan.fired == [("t:1", "start", "transient")]
+            fire_task(plan, "t:1")
+        assert plan.fired == [("runner.task", "start", "transient")]
 
     def test_glob_match_fires(self):
-        plan = FaultPlan([Injection(task="cell:*:GBSC:*")])
+        plan = FaultPlan([task_fault("cell:*:GBSC:*")])
         with pytest.raises(TransientTaskError):
-            plan.fire("cell:perl:GBSC:p003", "start")
+            fire_task(plan, "cell:perl:GBSC:p003")
 
     def test_non_matching_task_is_silent(self):
-        plan = FaultPlan([Injection(task="t:1")])
-        plan.fire("t:2", "start")
+        plan = FaultPlan([task_fault("t:1")])
+        fire_task(plan, "t:2")
+        # A firing without a key never matches a task filter.
+        plan.fire("runner.task", "start")
         assert plan.fired == []
 
     def test_non_matching_point_is_silent(self):
-        plan = FaultPlan([Injection(task="t:1", point="finish")])
-        plan.fire("t:1", "start")
+        plan = FaultPlan([task_fault("t:1", point="finish")])
+        fire_task(plan, "t:1", "start")
         assert plan.fired == []
 
     def test_times_countdown(self):
-        plan = FaultPlan([Injection(task="t:*", times=2)])
+        plan = FaultPlan([task_fault("t:*", times=2)])
         with pytest.raises(TransientTaskError):
-            plan.fire("t:1", "start")
+            fire_task(plan, "t:1")
         with pytest.raises(TransientTaskError):
-            plan.fire("t:1", "start")
-        plan.fire("t:1", "start")  # spent: silent
+            fire_task(plan, "t:1")
+        fire_task(plan, "t:1")  # spent: silent
         assert len(plan.fired) == 2
         assert plan.exhausted
 
     def test_declaration_order_wins(self):
         plan = FaultPlan(
             [
-                Injection(task="t:*", error="transient"),
-                Injection(task="t:1", error="permanent"),
+                task_fault("t:*", error="transient"),
+                task_fault("t:1", error="permanent"),
             ]
         )
         with pytest.raises(TransientTaskError):
-            plan.fire("t:1", "start")
+            fire_task(plan, "t:1")
         with pytest.raises(RunnerError):
-            plan.fire("t:1", "start")
+            fire_task(plan, "t:1")
 
     def test_empty_plan_is_exhausted(self):
         assert FaultPlan().exhausted
@@ -88,28 +105,30 @@ class TestFiring:
         ],
     )
     def test_error_kinds(self, kind, exc):
-        plan = FaultPlan([Injection(task="t:1", error=kind)])
+        plan = FaultPlan([task_fault("t:1", error=kind)])
         with pytest.raises(exc):
-            plan.fire("t:1", "start")
+            fire_task(plan, "t:1")
 
     def test_custom_message(self):
         plan = FaultPlan(
-            [Injection(task="t:1", error="permanent", message="disk full")]
+            [task_fault("t:1", error="permanent", message="disk full")]
         )
         with pytest.raises(RunnerError, match="disk full"):
-            plan.fire("t:1", "start")
+            fire_task(plan, "t:1")
 
 
 class TestSerialisation:
     def test_roundtrip(self):
         plan = FaultPlan(
             [
-                Injection(task="t:1", point="finish", error="kill"),
-                Injection(task="t:*", times=3, message="m"),
+                task_fault("t:1", point="finish", error="kill"),
+                task_fault("t:*", point="artifact", times=3, message="m"),
             ]
         )
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.injections == plan.injections
+        assert plan.injections[1].site == "runner.artifact"
+        assert plan.to_dict()["injections"][1]["point"] == "artifact"
 
     def test_load_plan(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -126,21 +145,21 @@ class TestSerialisation:
         assert plan.injections[0].task == "t:1"
 
     def test_load_plan_missing_file(self, tmp_path):
-        with pytest.raises(RunnerError, match="cannot read fault plan"):
+        with pytest.raises(ChaosError, match="cannot read fault plan"):
             load_plan(tmp_path / "absent.json")
 
     def test_wrong_format_rejected(self):
-        with pytest.raises(RunnerError, match="faultplan"):
+        with pytest.raises(ChaosError, match="faultplan"):
             FaultPlan.from_dict({"format": "repro/layout", "version": 1})
 
     def test_wrong_version_rejected(self):
-        with pytest.raises(RunnerError, match="version"):
+        with pytest.raises(ChaosError, match="version"):
             FaultPlan.from_dict(
                 {"format": FAULTPLAN_FORMAT, "version": 99}
             )
 
     def test_malformed_entry_rejected(self):
-        with pytest.raises(RunnerError, match="malformed"):
+        with pytest.raises(ChaosError, match="malformed"):
             FaultPlan.from_dict(
                 {
                     "format": FAULTPLAN_FORMAT,
@@ -163,14 +182,12 @@ class TestVersion2IoSection:
                 ],
             }
         )
-        assert plan.io == (
-            IoInjection(site="store.index", point="replace",
-                        error="torn"),
+        assert plan.injections == (
+            Injection(site="store.index", point="replace", error="torn"),
         )
-        assert plan.io_plan is not None
 
     def test_io_section_requires_version_2(self):
-        with pytest.raises(RunnerError, match="version 2"):
+        with pytest.raises(ChaosError, match="version 2"):
             FaultPlan.from_dict(
                 {
                     "format": FAULTPLAN_FORMAT,
@@ -187,11 +204,12 @@ class TestVersion2IoSection:
                 "injections": [{"task": "t:1"}],
             }
         )
-        assert plan.io == ()
-        assert plan.io_plan is None
+        assert plan.injections == (
+            Injection("runner.task", "start", "transient", task="t:1"),
+        )
 
     def test_malformed_io_entry_rejected(self):
-        with pytest.raises(RunnerError, match="io section"):
+        with pytest.raises(ChaosError, match="gremlin"):
             FaultPlan.from_dict(
                 {
                     "format": FAULTPLAN_FORMAT,
@@ -202,10 +220,10 @@ class TestVersion2IoSection:
 
     def test_to_dict_emits_v1_without_io(self):
         # Pre-existing v1 plan files must round-trip byte-identically.
-        assert FaultPlan([Injection(task="t:1")]).to_dict()["version"] == 1
+        assert FaultPlan([task_fault("t:1")]).to_dict()["version"] == 1
 
     def test_to_dict_emits_v2_with_io(self):
-        plan = FaultPlan(io=[IoInjection(site="store.blob")])
+        plan = FaultPlan([Injection(site="store.blob")])
         payload = plan.to_dict()
         assert payload["version"] == FAULTPLAN_VERSION
         assert payload["io"] == [
@@ -213,4 +231,4 @@ class TestVersion2IoSection:
              "times": 1}
         ]
         clone = FaultPlan.from_dict(payload)
-        assert clone.io == plan.io
+        assert clone.injections == plan.injections

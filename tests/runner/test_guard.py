@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import RunnerError, TaskTimeout, TransientTaskError
 from repro.runner import TaskGuard, null_sleep
-from repro.runner.faults import SimulatedKill
+from repro.errors import SimulatedKill
 
 
 def make_guard(**kwargs) -> tuple[TaskGuard, list[float]]:

@@ -126,7 +126,7 @@ class TestPoolParity:
 
     def test_resume_serial_checkpoint_in_parallel(self, tmp_path):
         reference = runner(make_batch(), tmp_path / "ref").run()
-        plan = FaultPlan([Injection(task="t:3", error="kill")])
+        plan = FaultPlan([Injection("runner.task", "start", "kill", task="t:3")])
         with pytest.raises(SimulatedKill):
             runner(make_batch(), tmp_path / "ck", plan=plan).run()
         resumed = runner(
@@ -141,7 +141,7 @@ class TestPoolFaults:
     def test_kill_in_worker_reraised_with_durable_prefix(
         self, tmp_path
     ):
-        plan = FaultPlan([Injection(task="t:3", error="kill")])
+        plan = FaultPlan([Injection("runner.task", "start", "kill", task="t:3")])
         with pytest.raises(SimulatedKill):
             runner(
                 make_batch(), tmp_path, plan=plan, workers=2
@@ -155,7 +155,7 @@ class TestPoolFaults:
         reference = runner(
             make_batch(), tmp_path / "ref", workers=2
         ).run()
-        plan = FaultPlan([Injection(task="t:3", error="kill")])
+        plan = FaultPlan([Injection("runner.task", "start", "kill", task="t:3")])
         with pytest.raises(SimulatedKill):
             runner(
                 make_batch(), tmp_path / "ck", plan=plan, workers=2
@@ -168,7 +168,7 @@ class TestPoolFaults:
         assert resumed.report == reference.report
 
     def test_interrupt_in_worker_propagates(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:4", error="interrupt")])
+        plan = FaultPlan([Injection("runner.task", "start", "interrupt", task="t:4")])
         with pytest.raises(KeyboardInterrupt):
             runner(
                 make_batch(), tmp_path, plan=plan, workers=2
@@ -177,7 +177,7 @@ class TestPoolFaults:
         assert set(state.completed()) == {"t:1", "t:2", "t:3"}
 
     def test_transient_retry_in_worker_is_journaled(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:2", error="transient")])
+        plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:2")])
         outcome = runner(
             make_batch(), tmp_path, plan=plan, workers=2
         ).run()
@@ -186,7 +186,12 @@ class TestPoolFaults:
         assert state.completed()["t:2"]["retries"] == 1
 
     def test_permanent_fault_report_matches_serial(self, tmp_path):
-        plan = [Injection(task="t:2", error="permanent", message="bad")]
+        plan = [
+            Injection(
+                "runner.task", "start", "permanent",
+                message="bad", task="t:2",
+            )
+        ]
         serial = runner(
             make_batch(), tmp_path / "ref", plan=FaultPlan(plan)
         ).run()
@@ -204,7 +209,7 @@ class TestPoolFaults:
 
     def test_artifact_fault_fires_in_parent(self, tmp_path):
         plan = FaultPlan(
-            [Injection(task="t:1", point="artifact", error="transient")]
+            [Injection("runner.artifact", error="transient", task="t:1")]
         )
         outcome = runner(
             make_batch(), tmp_path, plan=plan, workers=2
@@ -222,7 +227,7 @@ class TestPoolFaults:
         self, tmp_path
     ):
         plan = FaultPlan(
-            [Injection(task="t:1", point="artifact", error="kill")]
+            [Injection("runner.artifact", error="kill", task="t:1")]
         )
         with pytest.raises(SimulatedKill):
             runner(
@@ -234,7 +239,7 @@ class TestPoolFaults:
         assert state.completed() == {}
 
     def test_max_failures_aborts_with_pending(self, tmp_path):
-        plan = FaultPlan([Injection(task="t:1", error="permanent")])
+        plan = FaultPlan([Injection("runner.task", "start", "permanent", task="t:1")])
         outcome = runner(
             make_batch(),
             tmp_path,

@@ -122,7 +122,7 @@ class TestBadInputs:
 
     def test_simulated_kill_exits_137(self, monkeypatch):
         from repro import cli
-        from repro.runner.faults import SimulatedKill
+        from repro.errors import SimulatedKill
 
         def killed(_name):
             raise SimulatedKill

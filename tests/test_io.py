@@ -198,7 +198,7 @@ class TestAtomicWrites:
     def test_kill_mid_write_leaves_previous_artifact(self, tmp_path):
         """A process dying inside a write must leave the old file —
         never a truncated new one."""
-        from repro.runner.faults import SimulatedKill
+        from repro.errors import SimulatedKill
 
         path = tmp_path / "out.txt"
         path.write_text("previous contents")
@@ -210,7 +210,7 @@ class TestAtomicWrites:
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_kill_mid_write_leaves_no_new_artifact(self, tmp_path):
-        from repro.runner.faults import SimulatedKill
+        from repro.errors import SimulatedKill
 
         path = tmp_path / "fresh.txt"
         with pytest.raises(SimulatedKill):
@@ -230,7 +230,7 @@ class TestAtomicWrites:
         path = tmp_path / "layout.json"
         save_layout(old, path)
         plan = FaultPlan(
-            [Injection(task="t:1", point="artifact", error="kill")]
+            [Injection("runner.artifact", error="kill", task="t:1")]
         )
         batch = Batch(
             command="test",
@@ -245,7 +245,7 @@ class TestAtomicWrites:
             ),
             render=lambda results: "",
         )
-        from repro.runner.faults import SimulatedKill
+        from repro.errors import SimulatedKill
 
         with pytest.raises(SimulatedKill):
             BatchRunner(batch, tmp_path, plan=plan).run()
