@@ -1,12 +1,10 @@
 """TRG construction — scalar twin vs vectorized kernel wall clock.
 
 Builds both TRGs for every suite workload twice — through the scalar
-Section 3 pipeline (``method="scalar"``) and through the
-:mod:`repro.profiles.fast` array kernel — asserts the results are
-bit-exact, and records the timings in
-``benchmarks/results/BENCH_kernels.json``.  A cold end-to-end
-``table1 --fast --no-cache`` run per method then confirms the printed
-report is byte-identical with the store off.
+Section 3 twin (:func:`repro.profiles.trg.build_trgs_scalar`) and
+through the :mod:`repro.profiles.fast` array kernel — asserts the
+results are bit-exact, and records the timings in
+``benchmarks/results/BENCH_kernels.json``.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup (the tentpole claim) and — mirroring ``BENCH_runner.json``'s
@@ -14,19 +12,13 @@ host-gating caveat — is asserted only under representative conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
-scale records honest numbers without asserting.  The end-to-end cold
-``table1`` times are likewise recorded
-unthresholded: trace generation and simulation bound that ratio from
-above no matter how fast the kernel gets.
+scale records honest numbers without asserting.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 from benchmarks.conftest import (
     RESULTS_DIR,
@@ -43,7 +35,8 @@ from repro.core.popular import (
 )
 from repro.obs.clock import monotonic
 from repro.obs.perf import host_fingerprint
-from repro.profiles.trg import build_trgs
+from repro.profiles.fast import build_trgs_fast
+from repro.profiles.trg import build_trgs_scalar
 
 #: Required aggregate scalar/fast TRG-build speedup.
 SPEEDUP_THRESHOLD = 10.0
@@ -65,26 +58,6 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_cli(args: list[str]) -> tuple[str, float]:
-    """Run one CLI invocation in a fresh interpreter; (stdout, secs)."""
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
-    )
-    start = monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=repo,
-    )
-    elapsed = monotonic() - start
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout, elapsed
-
-
 def _measure_workload(workload) -> dict:
     """Scalar vs fast build_trgs on one workload; asserts parity."""
     train = workload.trace("train")
@@ -95,20 +68,18 @@ def _measure_workload(workload) -> dict:
             max_procedures=DEFAULT_MAX_POPULAR,
         ).procedures
     )
-    def timed(method):
+    def timed(build):
         best = None
         result = None
         for _ in range(REPEATS):
             start = monotonic()
-            result = build_trgs(
-                train, PAPER_CACHE, popular=popular, method=method
-            )
+            result = build(train, PAPER_CACHE, popular=popular)
             elapsed = monotonic() - start
             best = elapsed if best is None else min(best, elapsed)
         return result, best
 
-    scalar, scalar_seconds = timed("scalar")
-    fast, fast_seconds = timed("fast")
+    scalar, scalar_seconds = timed(build_trgs_scalar)
+    fast, fast_seconds = timed(build_trgs_fast)
 
     assert fast.select == scalar.select
     assert fast.place == scalar.place
@@ -141,20 +112,6 @@ def test_kernel_speedup():
         "speedup": total_scalar / total_fast,
     }
 
-    # End-to-end: a cold (store off) table1 run per pipeline must print
-    # the identical report; the wall clock difference is the kernel's
-    # share of the whole command.
-    fast_out, table1_fast_seconds = run_cli(["table1", "--fast", "--no-cache"])
-    scalar_out, table1_scalar_seconds = run_cli(
-        ["table1", "--fast", "--no-cache", "--trg-method", "scalar"]
-    )
-    assert fast_out == scalar_out
-    table1_cold = {
-        "fast_seconds": table1_fast_seconds,
-        "scalar_seconds": table1_scalar_seconds,
-        "speedup": table1_scalar_seconds / table1_fast_seconds,
-    }
-
     record = {
         "bench": "kernels",
         "host": host_fingerprint(),
@@ -163,7 +120,6 @@ def test_kernel_speedup():
         "threshold_enforced": enforced,
         "workloads": workloads,
         "aggregate": aggregate,
-        "table1_cold": table1_cold,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_kernels.json").write_text(
@@ -173,7 +129,6 @@ def test_kernel_speedup():
         "kernels",
         {
             "aggregate": aggregate,
-            "table1_cold": table1_cold,
             "select_edges": sum(
                 w["select_edges"] for w in workloads.values()
             ),
@@ -191,12 +146,6 @@ def test_kernel_speedup():
         f"  {'aggregate':<12} {aggregate['scalar_seconds']:7.2f}s scalar, "
         f"{aggregate['fast_seconds']:6.2f}s fast  "
         f"({aggregate['speedup']:5.1f}x)"
-    )
-    lines.append(
-        "  cold table1 --fast: "
-        f"{table1_cold['scalar_seconds']:.2f}s scalar, "
-        f"{table1_cold['fast_seconds']:.2f}s fast "
-        f"({table1_cold['speedup']:.2f}x, byte-identical report)"
     )
     write_report("kernels", "\n".join(lines))
     if enforced:

@@ -2,11 +2,11 @@
 
 from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY, CacheConfig
 from repro.cache.direct import DirectMappedCache
-from repro.cache.fast import count_direct_mapped_misses, simulate_direct_mapped
-from repro.cache.hierarchy import lru_miss_flags, miss_flags, simulate_hierarchy
+from repro.cache.fast import count_direct_mapped_misses, direct_mapped_miss_flags
+from repro.cache.hierarchy import simulate_hierarchy
 from repro.cache.linetrace import LineStream, line_stream
-from repro.cache.setassoc import SetAssociativeCache, simulate_set_associative
-from repro.cache.simulator import simulate, simulate_stream
+from repro.cache.setassoc import SetAssociativeCache, lru_miss_flags
+from repro.cache.simulator import miss_flags, simulate, simulate_stream
 from repro.cache.stats import MissStats
 
 __all__ = [
@@ -18,12 +18,11 @@ __all__ = [
     "PAPER_CACHE_2WAY",
     "SetAssociativeCache",
     "count_direct_mapped_misses",
+    "direct_mapped_miss_flags",
     "line_stream",
     "lru_miss_flags",
     "miss_flags",
     "simulate",
-    "simulate_direct_mapped",
     "simulate_hierarchy",
-    "simulate_set_associative",
     "simulate_stream",
 ]

@@ -7,7 +7,8 @@ numpy does in ``O(n log n)`` without any Python-level loop:
 
 1. stable-sort access indices by set, preserving trace order in groups;
 2. within each group, compare each line with its predecessor;
-3. a miss is a group head or a line change.
+3. a miss is a group head or a line change;
+4. scatter the flags back to stream order.
 
 The result is bit-exact with :class:`repro.cache.direct.DirectMappedCache`
 (see ``tests/cache/test_fast_equivalence.py``).
@@ -17,11 +18,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.cache.config import CacheConfig
-from repro.cache.stats import MissStats
 from repro.errors import ConfigError
 from repro.fastpath import fast_path
+
+
+@fast_path(scalar="repro.cache.direct.DirectMappedCache")
+def direct_mapped_miss_flags(
+    lines: np.ndarray, config: CacheConfig
+) -> np.ndarray:
+    """Per-access miss booleans, in stream order."""
+    if not config.is_direct_mapped:
+        raise ConfigError(
+            "the vectorized direct-mapped kernel requires associativity "
+            f"1, got {config.associativity}; repro.cache.simulator."
+            "miss_flags picks the LRU model for set-associative geometries"
+        )
+    n = len(lines)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    lines = np.asarray(lines, dtype=np.int64)
+    order = np.argsort(lines % config.num_sets, kind="stable")
+    sorted_lines = lines[order]
+    # Equal lines share a set, so a line change also marks every
+    # group head: no separate set comparison is needed.
+    miss_sorted = np.empty(n, dtype=bool)
+    miss_sorted[0] = True
+    miss_sorted[1:] = sorted_lines[1:] != sorted_lines[:-1]
+    flags = np.empty(n, dtype=bool)
+    flags[order] = miss_sorted
+    return flags
 
 
 @fast_path(scalar="repro.cache.direct.DirectMappedCache")
@@ -29,37 +55,4 @@ def count_direct_mapped_misses(
     lines: np.ndarray, config: CacheConfig
 ) -> int:
     """Number of misses when *lines* is replayed through the cache."""
-    if not config.is_direct_mapped:
-        raise ConfigError(
-            "count_direct_mapped_misses requires associativity 1, got "
-            f"{config.associativity}; set-associative streams go "
-            "through repro.cache.setassoc.simulate_set_associative, "
-            "which routes associativity-1 geometries back to this "
-            "fast path"
-        )
-    n = len(lines)
-    if n == 0:
-        return 0
-    lines = np.asarray(lines, dtype=np.int64)
-    sets = lines % config.num_sets
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = lines[order]
-    miss = np.empty(n, dtype=bool)
-    miss[0] = True
-    miss[1:] = (sorted_sets[1:] != sorted_sets[:-1]) | (
-        sorted_lines[1:] != sorted_lines[:-1]
-    )
-    return int(miss.sum())
-
-
-@fast_path(scalar="repro.cache.direct.DirectMappedCache")
-def simulate_direct_mapped(
-    lines: np.ndarray, fetches: int, config: CacheConfig
-) -> MissStats:
-    """Full statistics for a line stream through a direct-mapped cache."""
-    obs.inc("cache.sim.fast_calls")
-    misses = count_direct_mapped_misses(lines, config)
-    return MissStats(
-        fetches=fetches, line_accesses=len(lines), misses=misses
-    )
+    return int(direct_mapped_miss_flags(lines, config).sum())

@@ -8,74 +8,20 @@ order) form the reference stream of level *i+1* — the standard
 miss-stream composition for non-inclusive hierarchies without
 prefetching.
 
-The level-1 miss stream is extracted from the vectorized direct-mapped
-model by scattering the per-access miss flags back to trace order, so
-the composition costs one extra ``O(n log n)`` pass per level.
+Each level's miss stream comes from the per-access miss flags of
+:func:`repro.cache.simulator.miss_flags`, so a level runs the same model
+``simulate`` would pick for its geometry.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.config import CacheConfig
 from repro.cache.linetrace import line_stream
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.simulator import miss_flags
 from repro.cache.stats import MissStats
 from repro.errors import ConfigError
 from repro.program.layout import Layout
 from repro.trace.trace import Trace
-
-
-def direct_mapped_miss_flags(
-    lines: np.ndarray, config: CacheConfig
-) -> np.ndarray:
-    """Per-access miss booleans, in stream order (vectorized)."""
-    if not config.is_direct_mapped:
-        raise ConfigError(
-            "direct_mapped_miss_flags requires associativity 1"
-        )
-    n = len(lines)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    lines = np.asarray(lines, dtype=np.int64)
-    sets = lines % config.num_sets
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = lines[order]
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    miss_sorted[1:] = (sorted_sets[1:] != sorted_sets[:-1]) | (
-        sorted_lines[1:] != sorted_lines[:-1]
-    )
-    flags = np.empty(n, dtype=bool)
-    flags[order] = miss_sorted
-    return flags
-
-
-def lru_miss_flags(
-    lines: np.ndarray, config: CacheConfig
-) -> np.ndarray:
-    """Per-access miss booleans through the LRU model (stream order).
-
-    Associativity-1 LRU is exactly direct-mapped replacement, so that
-    geometry delegates to the vectorized computation — bit-exact with
-    the scalar loop it shortcuts (``tests/cache/test_setassoc_routing``)
-    — instead of paying the Python-level loop for every access.
-    """
-    if config.is_direct_mapped:
-        return direct_mapped_miss_flags(lines, config)
-    cache = SetAssociativeCache(config)
-    flags = np.empty(len(lines), dtype=bool)
-    for index, line in enumerate(np.asarray(lines).tolist()):
-        flags[index] = cache.touch(int(line))
-    return flags
-
-
-def miss_flags(lines: np.ndarray, config: CacheConfig) -> np.ndarray:
-    """Dispatch to the fastest exact per-access miss computation."""
-    if config.is_direct_mapped:
-        return direct_mapped_miss_flags(lines, config)
-    return lru_miss_flags(lines, config)
 
 
 def simulate_hierarchy(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.errors import LayoutError
 from repro.program.layout import Layout
 from repro.trace.trace import Trace
 
@@ -46,7 +47,9 @@ def line_stream(
     """Expand every trace extent into its sequence of memory lines."""
     if trace.program is not layout.program and trace.program != layout.program:
         # Same-value programs are fine; the arrays below are per-index.
-        raise ValueError("trace and layout must describe the same program")
+        raise LayoutError(
+            "the trace and the layout describe different programs"
+        )
     n_events = len(trace)
     if n_events == 0:
         return LineStream(np.empty(0, dtype=np.int64), 0)

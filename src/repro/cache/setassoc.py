@@ -5,11 +5,8 @@ memory lines in most-recently-used-first order.  With associativity 1
 it degenerates to the direct-mapped model, which the test suite
 verifies against both other implementations.
 
-:func:`simulate_set_associative` is the geometry-aware entry point:
-associativity-1 configurations — typically reached through
-:mod:`repro.cache.hierarchy` levels — are routed to the vectorized
-direct-mapped kernel instead of the stateful Python loop, bit-exactly
-(``tests/cache/test_setassoc_routing.py``).
+:func:`lru_miss_flags` is the model's per-access form, the one
+:mod:`repro.cache.simulator` runs for set-associative geometries.
 """
 
 from __future__ import annotations
@@ -18,9 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.cache.config import CacheConfig
-from repro.cache.fast import simulate_direct_mapped
 from repro.cache.stats import MissStats
 
 
@@ -59,7 +54,6 @@ class SetAssociativeCache:
         self, lines: Iterable[int], fetches: int | None = None
     ) -> MissStats:
         """Replay a line stream; *fetches* defaults to one per touch."""
-        obs.inc("cache.sim.lru_runs")
         for line in lines:
             self.touch(int(line))
         return MissStats(
@@ -81,24 +75,13 @@ class SetAssociativeCache:
         }
 
 
-def simulate_set_associative(
-    lines: Sequence[int] | np.ndarray,
-    fetches: int | None,
-    config: CacheConfig,
-) -> MissStats:
-    """Replay a line stream under *config* with the fastest exact model.
-
-    An associativity-1 set-associative cache *is* a direct-mapped
-    cache, so that geometry dispatches to the vectorized
-    ``O(n log n)`` kernel; everything else runs the stateful LRU loop.
-    Both paths are bit-exact with the scalar reference models.
-    *fetches* defaults to one per line access.
-    """
-    if config.is_direct_mapped:
-        stream = np.asarray(lines, dtype=np.int64)
-        return simulate_direct_mapped(
-            stream,
-            len(stream) if fetches is None else fetches,
-            config,
-        )
-    return SetAssociativeCache(config).run(lines, fetches=fetches)
+def lru_miss_flags(
+    lines: Sequence[int] | np.ndarray, config: CacheConfig
+) -> np.ndarray:
+    """Per-access miss booleans, in stream order, through the LRU model."""
+    cache = SetAssociativeCache(config)
+    return np.fromiter(
+        map(cache.touch, np.asarray(lines).tolist()),
+        dtype=bool,
+        count=len(lines),
+    )

@@ -1,56 +1,59 @@
 """Top-level simulation entry point.
 
 ``simulate(layout, trace, config)`` is the one call the rest of the
-library uses: it derives the fetch stream and dispatches to the fastest
-exact model for the given geometry (vectorized for direct-mapped, the
-LRU model otherwise).
+library uses: it derives the fetch stream and replays it through the
+exact model for the given geometry.  :func:`cache_model` is the only
+place that choice is made — vectorized for direct-mapped, the LRU
+model otherwise — and both :func:`simulate_stream` and
+:func:`repro.cache.hierarchy.simulate_hierarchy` go through it.  The
+scalar :class:`~repro.cache.direct.DirectMappedCache` is the test
+reference for the vectorized kernel, not a runtime option.
 """
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Callable
+
+import numpy as np
 
 from repro import obs
 from repro.cache.config import CacheConfig
-from repro.cache.direct import DirectMappedCache
-from repro.cache.fast import simulate_direct_mapped
+from repro.cache.fast import direct_mapped_miss_flags
 from repro.cache.linetrace import LineStream, line_stream
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.setassoc import lru_miss_flags
 from repro.cache.stats import MissStats
-from repro.errors import ConfigError
 from repro.program.layout import Layout
 from repro.trace.trace import Trace
 
-#: ``auto`` picks the fastest exact model for the geometry; the named
-#: engines *force* a specific implementation — in particular ``lru``
-#: always runs the stateful scalar model, even for associativity-1
-#: geometries, so cross-validation tests can compare it against the
-#: vectorized path (which :func:`~repro.cache.setassoc.
-#: simulate_set_associative` and the hierarchy level dispatch use).
-Engine = Literal["auto", "fast", "reference", "lru"]
+#: ``(lines, config) -> per-access miss booleans`` in stream order.
+MissFlags = Callable[[np.ndarray, CacheConfig], np.ndarray]
 
 
-def simulate_stream(
-    stream: LineStream, config: CacheConfig, engine: Engine = "auto"
-) -> MissStats:
-    """Replay a pre-computed line stream through the chosen model."""
-    if engine == "auto":
-        engine = "fast" if config.is_direct_mapped else "lru"
+def cache_model(config: CacheConfig) -> tuple[str, MissFlags]:
+    """The exact model for *config*'s geometry, with its span name.
+
+    Associativity 1 runs the vectorized direct-mapped kernel
+    (``"fast"``); anything else runs the LRU model (``"lru"``).
+    """
+    if config.is_direct_mapped:
+        return "fast", direct_mapped_miss_flags
+    return "lru", lru_miss_flags
+
+
+def miss_flags(lines: np.ndarray, config: CacheConfig) -> np.ndarray:
+    """Per-access miss booleans (stream order) under *config*."""
+    return cache_model(config)[1](lines, config)
+
+
+def simulate_stream(stream: LineStream, config: CacheConfig) -> MissStats:
+    """Replay a pre-computed line stream through the geometry's model."""
+    engine, flags_of = cache_model(config)
     with obs.span("simulate", engine=engine, line_accesses=len(stream.lines)):
-        if engine == "fast":
-            stats = simulate_direct_mapped(
-                stream.lines, stream.fetches, config
-            )
-        elif engine == "reference":
-            stats = DirectMappedCache(config).run(
-                stream.lines, fetches=stream.fetches
-            )
-        elif engine == "lru":
-            stats = SetAssociativeCache(config).run(
-                stream.lines, fetches=stream.fetches
-            )
-        else:
-            raise ConfigError(f"unknown simulation engine {engine!r}")
+        stats = MissStats(
+            fetches=stream.fetches,
+            line_accesses=len(stream.lines),
+            misses=int(flags_of(stream.lines, config).sum()),
+        )
     obs.inc("cache.sim.accesses", stats.line_accesses)
     obs.inc("cache.sim.misses", stats.misses)
     obs.inc("cache.sim.hits", stats.hits)
@@ -59,11 +62,6 @@ def simulate_stream(
     return stats
 
 
-def simulate(
-    layout: Layout,
-    trace: Trace,
-    config: CacheConfig,
-    engine: Engine = "auto",
-) -> MissStats:
+def simulate(layout: Layout, trace: Trace, config: CacheConfig) -> MissStats:
     """Simulate the instruction-cache behaviour of *trace* under *layout*."""
-    return simulate_stream(line_stream(layout, trace, config), config, engine)
+    return simulate_stream(line_stream(layout, trace, config), config)

@@ -120,15 +120,6 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trg_method_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trg-method", choices=("fast", "scalar"), default="fast",
-        help="TRG construction pipeline: the vectorized kernel "
-        "(default) or its bit-exact scalar twin (reports are "
-        "byte-identical; only wall clock differs)",
-    )
-
-
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache", default=None, metavar="DIR",
@@ -317,7 +308,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             runs=args.runs,
             fast=args.fast,
             store=store,
-            trg_method=args.trg_method,
         )
         if _wants_batch(args):
             batch = service.build_compare_batch(request)
@@ -331,10 +321,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         config = _cache_from_args(args)
         store = _store_from_args(args)
         request = service.Table1Request(
-            config=config,
-            fast=args.fast,
-            store=store,
-            trg_method=args.trg_method,
+            config=config, fast=args.fast, store=store
         )
         if _wants_batch(args):
             batch = service.build_table1_batch(request)
@@ -513,17 +500,22 @@ def cmd_memory(args: argparse.Namespace) -> int:
     layout = load_layout(args.layout)
     trace = load_trace(args.trace)
     config = _cache_from_args(args)
+    # Page statistics first: they reject a trace of another program
+    # before anything is printed.
+    pages = {
+        resident: page_stats(
+            layout, trace, page_size=args.page_size,
+            resident_pages=resident,
+        )
+        for resident in (8, 32, 128)
+    }
     histogram = reuse_distance_histogram(trace, bucket=config.size)
     total = sum(c for k, c in histogram.items() if k >= 0)
     print("reuse distances (bucket = one cache size):")
     for key in sorted(k for k in histogram if k >= 0)[:10]:
         share = histogram[key] / total if total else 0.0
         print(f"  bucket {key:>3}: {histogram[key]:>8} ({share:.1%})")
-    for resident in (8, 32, 128):
-        stats = page_stats(
-            layout, trace, page_size=args.page_size,
-            resident_pages=resident,
-        )
+    for resident, stats in pages.items():
         print(
             f"pages: resident={resident:>4} -> {stats.page_faults} "
             f"faults over {stats.pages_touched} pages"
@@ -1018,7 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_arguments(compare)
     _add_store_arguments(compare)
-    _add_trg_method_argument(compare)
     _add_obs_arguments(compare)
     _add_runner_arguments(compare)
     compare.set_defaults(func=cmd_compare)
@@ -1031,7 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_arguments(table1)
     _add_store_arguments(table1)
-    _add_trg_method_argument(table1)
     _add_obs_arguments(table1)
     _add_runner_arguments(table1)
     table1.set_defaults(func=cmd_table1)

@@ -18,17 +18,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.cache.config import CacheConfig
 from repro.core.linearize import LinearizationResult, linearize
-from repro.core.merge import CostMethod, MergeNode, merge_nodes
+from repro.core.merge import MergeNode, merge_nodes
 from repro.placement.base import PlacementContext
 from repro.profiles.graph import WeightedGraph
 from repro.program.layout import Layout
 from repro.program.procedure import DEFAULT_CHUNK_SIZE
 from repro.program.program import Program
+
+#: One pairwise step of the greedy loop: ``(n1, n2) -> merged node``.
+MergeStep = Callable[[MergeNode, MergeNode], MergeNode]
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,22 @@ def gbsc_nodes(
     program: Program,
     config: CacheConfig,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    method: CostMethod = "fast",
+    merge: MergeStep | None = None,
 ) -> tuple[MergeNode, ...]:
     """Run the greedy merging phase and return the surviving nodes.
 
     The working graph starts as the popular-procedure restriction of
     ``TRG_select``; each step merges the endpoints of its heaviest edge
     (lazy max-heap, deterministic tie-breaks) until no edges remain.
+    *merge* is the pairwise step; the default is Figure 4's
+    :func:`~repro.core.merge.merge_nodes` against *place_graph*.
     """
-    with obs.span("gbsc_merge", popular=len(popular), method=method):
+    if merge is None:
+
+        def merge(n1: MergeNode, n2: MergeNode) -> MergeNode:
+            return merge_nodes(n1, n2, place_graph, program, config, chunk_size)
+
+    with obs.span("gbsc_merge", popular=len(popular)):
         working = select_graph.subgraph(popular)
         for name in popular:
             working.add_node(name)
@@ -78,15 +88,7 @@ def gbsc_nodes(
             if working.weight(u, v) != -neg_weight:
                 obs.inc("gbsc.merge.stale_heap_entries")
                 continue  # stale entry
-            nodes[u] = merge_nodes(
-                nodes[u],
-                nodes[v],
-                place_graph,
-                program,
-                config,
-                chunk_size,
-                method,
-            )
+            nodes[u] = merge(nodes[u], nodes[v])
             obs.inc("gbsc.merge.edges_merged")
             del nodes[v]
             working.merge_nodes_into(u, v)
@@ -116,10 +118,7 @@ class GBSCPlacement:
 
     name = "GBSC"
 
-    def __init__(
-        self, method: CostMethod = "fast", page_affinity: bool = False
-    ) -> None:
-        self._method = method
+    def __init__(self, *, page_affinity: bool = False) -> None:
         self._page_affinity = page_affinity
 
     def place(self, context: PlacementContext) -> Layout:
@@ -140,7 +139,6 @@ class GBSCPlacement:
             context.program,
             context.config,
             trgs.chunk_size,
-            self._method,
         )
         popular_set = set(popular)
         unpopular = [

@@ -9,13 +9,12 @@ first node's layout, scoring each with the chunk-granularity
 minimum cost (which makes the two-small-procedures case reduce to a PH
 chain — Section 4.2).
 
-Two interchangeable cost evaluators are provided:
+Two evaluators of the cost vector exist:
 
+* :func:`offset_costs_fast` — the one ``merge_nodes`` runs: a sum of
+  circular cross-correlations via real FFTs, O(n·C log C);
 * :func:`offset_costs_reference` — the literal quadruple loop of
-  Figure 4;
-* :func:`offset_costs_fast` — the same cost vector computed as a sum of
-  circular cross-correlations via real FFTs, O(n·C log C) instead of
-  O(C²·k²).
+  Figure 4, O(C²·k²), its scalar twin.
 
 The test suite asserts they agree to floating-point tolerance on random
 inputs.
@@ -24,7 +23,7 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from repro.fastpath import fast_path
 from repro.profiles.graph import WeightedGraph
 from repro.program.procedure import DEFAULT_CHUNK_SIZE, ChunkId
 from repro.program.program import Program
-
-CostMethod = Literal["fast", "reference"]
 
 #: Relative tolerance when identifying equal-cost offsets from the FFT
 #: evaluator (FFT round-off is ~1e-15 of the cost magnitude).
@@ -232,8 +229,8 @@ def offset_costs_fast(
     return np.maximum(costs, 0.0)
 
 
-def best_offset(costs: np.ndarray) -> int:
-    """First offset achieving the minimum cost (Section 4.2, note 3).
+def tied_offsets(costs: np.ndarray) -> np.ndarray:
+    """Every offset whose cost ties the minimum, in ascending order.
 
     A small relative tolerance groups offsets whose FFT-computed costs
     differ only by round-off.
@@ -241,8 +238,12 @@ def best_offset(costs: np.ndarray) -> int:
     costs = np.asarray(costs, dtype=float)
     minimum = float(costs.min())
     tolerance = _COST_RTOL * max(1.0, float(np.abs(costs).max()))
-    candidates = np.nonzero(costs <= minimum + tolerance)[0]
-    return int(candidates[0])
+    return np.nonzero(costs <= minimum + tolerance)[0]
+
+
+def best_offset(costs: np.ndarray) -> int:
+    """First offset achieving the minimum cost (Section 4.2, note 3)."""
+    return int(tied_offsets(costs)[0])
 
 
 def merge_nodes(
@@ -252,7 +253,6 @@ def merge_nodes(
     program: Program,
     config: CacheConfig,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    method: CostMethod = "fast",
 ) -> MergeNode:
     """Merge two nodes at the best relative alignment (Figure 4).
 
@@ -261,16 +261,7 @@ def merge_nodes(
     """
     if set(n1.names) & set(n2.names):
         raise PlacementError("nodes being merged share a procedure")
-    if method == "fast":
-        costs = offset_costs_fast(
-            n1, n2, place_graph, program, config, chunk_size
-        )
-    elif method == "reference":
-        costs = offset_costs_reference(
-            n1, n2, place_graph, program, config, chunk_size
-        )
-    else:
-        raise PlacementError(f"unknown cost method {method!r}")
+    costs = offset_costs_fast(n1, n2, place_graph, program, config, chunk_size)
     obs.inc("gbsc.merge.offsets_evaluated", config.num_lines)
     offset = best_offset(costs)
     return n1.combined_with(n2.shifted(offset, config.num_lines))

@@ -17,13 +17,17 @@ sets all three procedures share at that offset.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.core.gbsc import gbsc_nodes
 from repro.core.linearize import linearize
-from repro.core.merge import MergeNode, best_offset
+from repro.core.merge import (
+    MergeNode,
+    best_offset,
+    offset_costs_fast,
+    tied_offsets,
+)
 from repro.errors import PlacementError
 from repro.fastpath import fast_path
 from repro.placement.base import PlacementContext
@@ -146,8 +150,6 @@ def merge_nodes_sa(
     if place_graph is None:
         offset = best_offset(costs)
     else:
-        from repro.core.merge import offset_costs_fast
-
         # Fold line-offset costs onto set alignments: line offsets
         # i, i + num_sets, ... are the same set alignment.
         dm_costs = (
@@ -157,9 +159,7 @@ def merge_nodes_sa(
             .reshape(config.associativity, config.num_sets)
             .sum(axis=0)
         )
-        minimum = float(costs.min())
-        tolerance = 1e-9 * max(1.0, float(np.abs(costs).max()))
-        tied = np.nonzero(costs <= minimum + tolerance)[0]
+        tied = tied_offsets(costs)
         offset = int(tied[int(np.argmin(dm_costs[tied]))])
     return n1.combined_with(n2.shifted(offset, config.num_lines))
 
@@ -228,42 +228,27 @@ class GBSCSetAssociativePlacement:
         if not popular:
             popular = tuple(sorted(trgs.select.nodes))
 
-        working: WeightedGraph = trgs.select.subgraph(popular)
-        for name in popular:
-            working.add_node(name)
-        nodes: dict[str, MergeNode] = {
-            name: MergeNode.single(name) for name in popular
-        }
-        heap: list[tuple[float, str, str, str, str]] = []
-        for a, b, weight in working.edges():
-            heapq.heappush(heap, (-weight, repr(a), repr(b), a, b))
-        while heap:
-            neg_weight, _, _, u, v = heapq.heappop(heap)
-            if u not in working or v not in working:
-                continue
-            if working.weight(u, v) != -neg_weight:
-                continue
-            nodes[u] = merge_nodes_sa(
-                nodes[u],
-                nodes[v],
+        def merge(n1: MergeNode, n2: MergeNode) -> MergeNode:
+            return merge_nodes_sa(
+                n1,
+                n2,
                 pair_db,
                 program,
                 config,
                 place_graph=trgs.place,
                 chunk_size=trgs.chunk_size,
             )
-            del nodes[v]
-            working.merge_nodes_into(u, v)
-            for neighbor in working.neighbors(u):
-                weight = working.weight(u, neighbor)
-                heapq.heappush(
-                    heap, (-weight, repr(u), repr(neighbor), u, neighbor)
-                )
 
-        ordered = sorted(
-            nodes.values(), key=lambda node: (-len(node), node.names[0])
+        nodes = gbsc_nodes(
+            trgs.select,
+            trgs.place,
+            popular,
+            program,
+            config,
+            trgs.chunk_size,
+            merge=merge,
         )
         popular_set = set(popular)
         unpopular = [n for n in program.names if n not in popular_set]
-        result = linearize(tuple(ordered), program, config, unpopular)
+        result = linearize(nodes, program, config, unpopular)
         return result.layout

@@ -40,7 +40,6 @@ def build_context(
     with_pair_db: bool = False,
     max_popular: int | None = DEFAULT_MAX_POPULAR,
     store: Any = None,
-    trg_method: str = "fast",
 ) -> PlacementContext:
     """Profile a training trace into a :class:`PlacementContext`.
 
@@ -48,9 +47,7 @@ def build_context(
     optionally the Section 6 pair database (procedure granularity).
     With *store* (an :class:`~repro.store.ArtifactStore`) each profile
     structure is fetched from the cache when an identical build was
-    stored before; the result is identical either way.  *trg_method*
-    selects the vectorized or scalar TRG pipeline — bit-exact twins,
-    so it changes wall clock only.
+    stored before; the result is identical either way.
     """
     program = train_trace.program
     trace_fingerprint = None
@@ -82,7 +79,6 @@ def build_context(
             q_multiplier=q_multiplier,
             store=store,
             trace_fingerprint=trace_fingerprint,
-            method=trg_method,
         )
         pair_db = None
         if with_pair_db:

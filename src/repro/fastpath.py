@@ -7,7 +7,7 @@ half of that rule: a vectorized kernel declares its twin at definition
 time::
 
     @fast_path(scalar="repro.cache.direct.DirectMappedCache")
-    def count_direct_mapped_misses(lines, config): ...
+    def direct_mapped_miss_flags(lines, config): ...
 
 and the declaration lands in a process-wide registry that the
 conformance analyzer cross-references statically (the decorated

@@ -438,7 +438,7 @@ def build_trg_fast(
     return graph, TRGBuildStats(n, average, evictions)
 
 
-@fast_path(scalar="repro.profiles.trg.build_trgs")
+@fast_path(scalar="repro.profiles.trg.build_trgs_scalar")
 def build_trgs_fast(
     trace: Trace,
     config: CacheConfig,
@@ -446,12 +446,10 @@ def build_trgs_fast(
     popular: set[str] | None = None,
     q_multiplier: int = DEFAULT_Q_MULTIPLIER,
 ) -> TRGPair:
-    """Vectorized twin of :func:`repro.profiles.trg.build_trgs`.
+    """Vectorized twin of :func:`repro.profiles.trg.build_trgs_scalar`.
 
     Builds ``TRG_select`` and ``TRG_place`` through the array kernel;
-    :func:`~repro.profiles.trg.build_trgs` dispatches here by default
-    (``method="fast"``) and keeps the scalar pipeline reachable as
-    ``method="scalar"``.
+    :func:`~repro.profiles.trg.build_trgs` runs it.
     """
     validate_trg_params(chunk_size, q_multiplier)
     capacity = q_multiplier * config.size

@@ -20,7 +20,7 @@ GBSC needs two TRGs built from the same trace (Section 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Literal
+from typing import Any, Callable, Hashable, Iterable
 
 from repro import obs
 from repro.cache.config import CacheConfig
@@ -32,12 +32,6 @@ from repro.trace.trace import Trace
 
 #: The paper's empirical bound on Q: twice the cache size (Section 3).
 DEFAULT_Q_MULTIPLIER = 2
-
-#: How to run the Section 3 inner loop: the vectorized kernel of
-#: :mod:`repro.profiles.fast` (default) or this module's reference
-#: implementation — its registered scalar twin, kept bit-exact by the
-#: ``parity/*`` rules and the fast-parity test suite.
-TRGMethod = Literal["fast", "scalar"]
 
 
 def validate_trg_params(chunk_size: int, q_multiplier: int) -> None:
@@ -151,14 +145,20 @@ def chunk_refs(
                 previous = chunk
 
 
-def _build_trgs_scalar(
+def build_trgs_scalar(
     trace: Trace,
     config: CacheConfig,
-    chunk_size: int,
-    popular: set[str] | None,
-    q_multiplier: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    popular: set[str] | None = None,
+    q_multiplier: int = DEFAULT_Q_MULTIPLIER,
 ) -> TRGPair:
-    """Reference (per-reference :class:`WorkingSet` walk) pipeline."""
+    """Scalar twin of :func:`repro.profiles.fast.build_trgs_fast`.
+
+    The literal Section 3 pipeline (a per-reference
+    :class:`WorkingSet` walk); the parity tests hold the vectorized
+    kernel bit-exact with it.
+    """
+    validate_trg_params(chunk_size, q_multiplier)
     capacity = q_multiplier * config.size
     program = trace.program
 
@@ -193,17 +193,14 @@ def build_trgs(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     popular: set[str] | None = None,
     q_multiplier: int = DEFAULT_Q_MULTIPLIER,
-    method: TRGMethod = "fast",
 ) -> TRGPair:
     """Build ``TRG_select`` and ``TRG_place`` from one trace.
 
     Both working sets are bounded by ``q_multiplier`` times the cache
     size, following the paper's empirical choice of twice the cache
-    size.  *method* selects the vectorized kernel (default) or the
-    scalar reference pipeline; the two are bit-exact, so the choice
-    only affects wall clock.  The :mod:`repro.profiles.fast` import is
-    deferred so the scalar twin never pays for (or depends on) the
-    array machinery.
+    size.  The graphs come from the vectorized kernel, bit-exact with
+    :func:`build_trgs_scalar`.  The :mod:`repro.profiles.fast` import
+    is deferred because that module imports this one.
     """
     validate_trg_params(chunk_size, q_multiplier)
     capacity = q_multiplier * config.size
@@ -211,22 +208,15 @@ def build_trgs(
     with obs.span(
         "build_trgs", chunk_size=chunk_size, q_capacity=capacity
     ):
-        if method == "fast":
-            from repro.profiles.fast import build_trgs_fast
+        from repro.profiles.fast import build_trgs_fast
 
-            pair = build_trgs_fast(
-                trace,
-                config,
-                chunk_size=chunk_size,
-                popular=popular,
-                q_multiplier=q_multiplier,
-            )
-        elif method == "scalar":
-            pair = _build_trgs_scalar(
-                trace, config, chunk_size, popular, q_multiplier
-            )
-        else:
-            raise ConfigError(f"unknown TRG build method {method!r}")
+        pair = build_trgs_fast(
+            trace,
+            config,
+            chunk_size=chunk_size,
+            popular=popular,
+            q_multiplier=q_multiplier,
+        )
     obs.inc("trg.select.refs_processed", pair.select_stats.refs_processed)
     obs.inc("trg.place.refs_processed", pair.place_stats.refs_processed)
     obs.inc(
@@ -246,7 +236,6 @@ def get_or_build_trgs(
     q_multiplier: int = DEFAULT_Q_MULTIPLIER,
     store: Any = None,
     trace_fingerprint: str | None = None,
-    method: TRGMethod = "fast",
 ) -> TRGPair:
     """Cache-aware :func:`build_trgs`.
 
@@ -254,10 +243,9 @@ def get_or_build_trgs(
     keyed by the trace's content fingerprint plus every build
     parameter; a hit decodes the stored graphs instead of re-scanning
     the trace.  Pass *trace_fingerprint* to reuse a fingerprint the
-    caller already computed.  *method* does not enter the store key:
-    both pipelines produce the identical artifact.  The
-    :mod:`repro.store` import is deferred because that package sits
-    above this one in the layering.
+    caller already computed.  The :mod:`repro.store` import is
+    deferred because that package sits above this one in the
+    layering.
     """
     if store is None:
         return build_trgs(
@@ -266,7 +254,6 @@ def get_or_build_trgs(
             chunk_size=chunk_size,
             popular=popular,
             q_multiplier=q_multiplier,
-            method=method,
         )
     from repro.store.fingerprint import trace_content_fingerprint, trg_key
 
@@ -280,6 +267,5 @@ def get_or_build_trgs(
             chunk_size=chunk_size,
             popular=popular,
             q_multiplier=q_multiplier,
-            method=method,
         ),
     )

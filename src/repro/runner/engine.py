@@ -121,6 +121,10 @@ class BatchRunner:
     ) -> None:
         if workers < 1:
             raise RunnerError(f"--workers must be >= 1, got {workers}")
+        if max_failures is not None and max_failures < 0:
+            raise RunnerError(
+                f"--max-failures must be >= 0, got {max_failures}"
+            )
         self.batch = batch
         # One artifact store is shared by every grid cell; forked pool
         # workers inherit it read-only (owner-pid gate), so only this

@@ -49,7 +49,6 @@ def _shared_profile(
     workload: Workload,
     config: CacheConfig,
     store: Any = None,
-    trg_method: str = "fast",
 ) -> dict[str, Any]:
     """Process-local profile state for one workload: context + traces.
 
@@ -57,16 +56,13 @@ def _shared_profile(
     first pending task that needs it, never checkpointed.  With
     *store* the traces and profile structures come from the
     persistent artifact cache when available; since the data is
-    deterministic either way, cache state never changes results, and
-    neither does *trg_method* (bit-exact twins).
+    deterministic either way, cache state never changes results.
     """
 
     def build() -> dict[str, Any]:
         train = workload.trace("train", store=store)
         test = workload.trace("test", store=store)
-        context = build_context(
-            train, config, store=store, trg_method=trg_method
-        )
+        context = build_context(train, config, store=store)
         return {
             "context": context,
             "test": test,
@@ -92,16 +88,15 @@ def compare_batch(
     algorithms: Sequence[PlacementAlgorithm] | None = None,
     extra_config: Mapping[str, Any] | None = None,
     store: Any = None,
-    trg_method: str = "fast",
 ) -> Batch:
     """Decompose ``repro-layout compare`` into addressable tasks.
 
-    *store* and *trg_method* are deliberately **not** part of the grid
-    fingerprint: cache state and the choice between bit-exact TRG
-    pipelines are execution details, so such runs share checkpoints
-    and must render identical reports.  Cell ``p<i>`` places on the
-    profile perturbed with seed ``SEED_STRIDE * i``, the noise stream
-    of run *i* of a sweep at ``base_seed=0``.
+    *store* is deliberately **not** part of the grid fingerprint: cache
+    state is an execution detail, so runs with the cache hot, cold or
+    off share checkpoints and must render identical reports.  Cell
+    ``p<i>`` places on the profile perturbed with seed
+    ``SEED_STRIDE * i``, the noise stream of run *i* of a sweep at
+    ``base_seed=0``.
     """
     algorithms = (
         list(algorithms) if algorithms is not None else default_algorithms()
@@ -121,7 +116,7 @@ def compare_batch(
     tasks: list[TaskSpec] = []
 
     def shared_profile(env: RunnerEnv) -> dict[str, Any]:
-        return _shared_profile(env, workload, config, store, trg_method)
+        return _shared_profile(env, workload, config, store)
 
     def profile_run(env: RunnerEnv) -> dict[str, Any]:
         # Only this summary is journaled; the profile itself stays
@@ -242,13 +237,12 @@ def table1_batch(
     config: CacheConfig,
     extra_config: Mapping[str, Any] | None = None,
     store: Any = None,
-    trg_method: str = "fast",
 ) -> Batch:
     """Decompose ``repro-layout table1`` into one row task per
     workload.
 
-    As with :func:`compare_batch`, *store* and *trg_method* never
-    enter the grid fingerprint.
+    As with :func:`compare_batch`, *store* never enters the grid
+    fingerprint.
     """
     workloads = list(workloads)
     names = [workload.name for workload in workloads]
@@ -264,9 +258,7 @@ def table1_batch(
 
     def make_row(workload: Workload) -> TaskSpec:
         def row_run(env: RunnerEnv) -> dict[str, Any]:
-            shared = _shared_profile(
-                env, workload, config, store, trg_method
-            )
+            shared = _shared_profile(env, workload, config, store)
             return asdict(
                 table1_row(
                     workload.name,

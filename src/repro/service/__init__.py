@@ -30,7 +30,6 @@ from repro.service.experiments import (
 from repro.service.placement import PlacementResult, run_placement
 from repro.service.requests import (
     ALGORITHMS,
-    TRG_METHODS,
     CompareRequest,
     PlacementRequest,
     Table1Request,
@@ -42,7 +41,6 @@ __all__ = [
     "CompareRequest",
     "PlacementRequest",
     "PlacementResult",
-    "TRG_METHODS",
     "Table1Request",
     "build_compare_batch",
     "build_table1_batch",

@@ -68,12 +68,7 @@ def run_compare(
     train = workload.trace("train", store=request.store)
     test = workload.trace("test", store=request.store)
     emit(f"profiling {workload.name} (train: {len(train)} events) ...")
-    context = build_context(
-        train,
-        request.config,
-        store=request.store,
-        trg_method=request.trg_method,
-    )
+    context = build_context(train, request.config, store=request.store)
     emit(
         f"popular procedures: {len(context.popular)} "
         f"of {len(context.program)}"
@@ -98,7 +93,6 @@ def run_table1(
     request: Table1Request, echo: Echo | None = None
 ) -> list[Table1Row]:
     """Compute the Table 1 analog rows for the whole suite."""
-    request.validate()
     del echo  # the direct path narrates through obs spans only
     rows: list[Table1Row] = []
     for workload in _suite(request.fast):
@@ -106,10 +100,7 @@ def run_table1(
             train = workload.trace("train", store=request.store)
             test = workload.trace("test", store=request.store)
             context = build_context(
-                train,
-                request.config,
-                store=request.store,
-                trg_method=request.trg_method,
+                train, request.config, store=request.store
             )
             rows.append(table1_row(workload.name, context, len(train), test))
     return rows
@@ -128,19 +119,16 @@ def build_compare_batch(request: CompareRequest) -> Batch:
         runs=request.runs,
         extra_config={"fast": request.fast},
         store=request.store,
-        trg_method=request.trg_method,
     )
 
 
 def build_table1_batch(request: Table1Request) -> Batch:
     """The ``table1`` grid over the (optionally fast-scaled) suite."""
-    request.validate()
     return table1_batch(
         _suite(request.fast),
         request.config,
         extra_config={"fast": request.fast},
         store=request.store,
-        trg_method=request.trg_method,
     )
 
 def execute_batch(

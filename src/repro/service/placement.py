@@ -50,12 +50,7 @@ class PlacementResult:
 
 def _place_once(request: PlacementRequest) -> dict[str, Any]:
     trace = request.resolve_trace()
-    context = build_context(
-        trace,
-        request.config,
-        store=request.store,
-        trg_method=request.trg_method,
-    )
+    context = build_context(trace, request.config, store=request.store)
     # The layout is scored on the trace it was trained on.
     outcome = place_and_simulate(
         context, trace, make_algorithm(request.algorithm)

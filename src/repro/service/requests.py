@@ -27,9 +27,6 @@ from repro.trace.trace import Trace
 from repro.workloads.spec import Workload
 from repro.workloads.suite import by_name
 
-TRG_METHODS = ("fast", "scalar")
-
-
 def _trg_opt_factory() -> PlacementAlgorithm:
     from repro.placement.localsearch import TRGOptimizerPlacement
 
@@ -81,14 +78,6 @@ def _check_deadline(deadline: float | None) -> None:
             )
 
 
-def _check_trg_method(trg_method: str) -> None:
-    if trg_method not in TRG_METHODS:
-        raise ServiceError(
-            f"unknown TRG method {trg_method!r} "
-            f"(choose from {', '.join(TRG_METHODS)})"
-        )
-
-
 @dataclass(frozen=True)
 class PlacementRequest:
     """One ``trace -> layout`` placement job.
@@ -108,7 +97,6 @@ class PlacementRequest:
     config: CacheConfig = PAPER_CACHE
     store: ArtifactStore | None = None
     deadline: float | None = None
-    trg_method: str = "fast"
 
     def validate(self) -> None:
         """Reject unusable requests with :class:`ServiceError`."""
@@ -131,7 +119,6 @@ class PlacementRequest:
                 f"unknown placement algorithm {self.algorithm!r} "
                 f"(choose from {', '.join(sorted(ALGORITHMS))})"
             )
-        _check_trg_method(self.trg_method)
         _check_deadline(self.deadline)
 
     def resolve_trace(self) -> Trace:
@@ -155,13 +142,11 @@ class CompareRequest:
     runs: int = 0
     fast: bool = False
     store: ArtifactStore | None = None
-    trg_method: str = "fast"
 
     def validate(self) -> None:
         """Reject unusable requests with :class:`ServiceError`."""
         if self.runs < 0:
             raise ServiceError(f"runs must be >= 0, got {self.runs}")
-        _check_trg_method(self.trg_method)
 
     def resolve_workload(self) -> Workload:
         """The workload to compare on (names resolve via the suite).
@@ -186,8 +171,3 @@ class Table1Request:
     config: CacheConfig = PAPER_CACHE
     fast: bool = False
     store: ArtifactStore | None = None
-    trg_method: str = "fast"
-
-    def validate(self) -> None:
-        """Reject unusable requests with :class:`ServiceError`."""
-        _check_trg_method(self.trg_method)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from repro.cache.config import CacheConfig
 from repro.cache.direct import DirectMappedCache
-from repro.cache.fast import count_direct_mapped_misses, simulate_direct_mapped
+from repro.cache.fast import count_direct_mapped_misses, direct_mapped_miss_flags
+from repro.cache.linetrace import LineStream
+from repro.cache.simulator import simulate_stream
 
 GEOMETRIES = st.sampled_from(
     [
@@ -34,6 +36,10 @@ def test_fast_matches_reference(config, lines):
     fast = count_direct_mapped_misses(stream, config)
     reference = DirectMappedCache(config).run(lines)
     assert fast == reference.misses
+    cache = DirectMappedCache(config)
+    assert direct_mapped_miss_flags(stream, config).tolist() == [
+        cache.touch(line) for line in lines
+    ]
 
 
 @given(
@@ -68,8 +74,8 @@ def test_repeated_line_misses_once():
 
 def test_simulate_direct_mapped_stats():
     config = CacheConfig(size=128, line_size=32)
-    stream = np.asarray([0, 4, 0, 4], dtype=np.int64)
-    stats = simulate_direct_mapped(stream, fetches=32, config=config)
+    stream = LineStream(np.asarray([0, 4, 0, 4], dtype=np.int64), fetches=32)
+    stats = simulate_stream(stream, config)
     assert stats.misses == 4
     assert stats.line_accesses == 4
     assert stats.fetches == 32

@@ -5,13 +5,10 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.direct import DirectMappedCache
-from repro.cache.hierarchy import (
-    direct_mapped_miss_flags,
-    lru_miss_flags,
-    miss_flags,
-    simulate_hierarchy,
-)
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.fast import direct_mapped_miss_flags
+from repro.cache.hierarchy import simulate_hierarchy
+from repro.cache.setassoc import SetAssociativeCache, lru_miss_flags
+from repro.cache.simulator import miss_flags
 from repro.errors import ConfigError
 from repro.program.layout import Layout
 from repro.program.program import Program

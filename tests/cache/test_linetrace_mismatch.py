@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.linetrace import line_stream
+from repro.errors import LayoutError
 from repro.program.layout import Layout
 from repro.program.program import Program
 from repro.trace.events import TraceEvent
@@ -15,7 +16,7 @@ def test_program_mismatch_rejected():
     program_b = Program.from_sizes({"a": 64, "b": 64})
     layout = Layout.default(program_b)
     trace = Trace(program_a, [TraceEvent.full("a", 64)])
-    with pytest.raises(ValueError):
+    with pytest.raises(LayoutError):
         line_stream(layout, trace, CacheConfig(size=128, line_size=32))
 
 

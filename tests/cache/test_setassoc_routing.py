@@ -1,6 +1,5 @@
-"""Associativity-1 routing: the set-associative entry points must
-dispatch to the vectorized direct-mapped kernel, bit-exactly with the
-scalar models they shortcut."""
+"""Model routing: one decision picks the cache model from the
+geometry, and every model is bit-exact with the scalar references."""
 
 import random
 
@@ -9,20 +8,22 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.direct import DirectMappedCache
-from repro.cache.hierarchy import (
-    direct_mapped_miss_flags,
-    lru_miss_flags,
-)
-from repro.cache.setassoc import (
-    SetAssociativeCache,
-    simulate_set_associative,
-)
-from repro.obs import runtime as obs_runtime
+from repro.cache.fast import direct_mapped_miss_flags
+from repro.cache.linetrace import LineStream
+from repro.cache.setassoc import SetAssociativeCache, lru_miss_flags
+from repro.cache.simulator import cache_model, miss_flags, simulate_stream
 
 
 def random_stream(seed: int, n: int = 400, lines: int = 64) -> list[int]:
     rng = random.Random(seed)
     return [rng.randrange(lines) for _ in range(n)]
+
+
+def as_stream(lines: list[int], fetches: int | None = None) -> LineStream:
+    return LineStream(
+        np.asarray(lines, dtype=np.int64),
+        len(lines) if fetches is None else fetches,
+    )
 
 
 @pytest.fixture
@@ -35,55 +36,39 @@ def assoc2() -> CacheConfig:
     return CacheConfig(size=256, line_size=32, associativity=2)
 
 
-@pytest.fixture
-def fresh_obs():
-    previous = obs_runtime.current()
-    state = obs_runtime.enable()
-    try:
-        yield state
-    finally:
-        obs_runtime.restore(previous)
-
-
 class TestSimulateSetAssociative:
     @pytest.mark.parametrize("seed", range(10))
     def test_assoc1_bit_exact_with_scalar_models(self, assoc1, seed):
         stream = random_stream(seed)
-        routed = simulate_set_associative(stream, None, assoc1)
+        routed = simulate_stream(as_stream(stream), assoc1)
         direct = DirectMappedCache(assoc1).run(stream)
         lru = SetAssociativeCache(assoc1).run(stream)
         assert routed == direct == lru
 
-    def test_assoc1_takes_the_vectorized_path(self, assoc1, fresh_obs):
-        simulate_set_associative([0, 1, 0], None, assoc1)
-        snapshot = fresh_obs.registry.snapshot()
-        assert snapshot["cache.sim.fast_calls"]["value"] == 1
-        assert "cache.sim.lru_runs" not in snapshot
+    def test_assoc1_takes_the_vectorized_path(self, assoc1):
+        assert cache_model(assoc1) == ("fast", direct_mapped_miss_flags)
 
-    def test_assoc2_keeps_the_lru_loop(self, assoc2, fresh_obs):
-        simulate_set_associative([0, 1, 0], None, assoc2)
-        snapshot = fresh_obs.registry.snapshot()
-        assert snapshot["cache.sim.lru_runs"]["value"] == 1
-        assert "cache.sim.fast_calls" not in snapshot
+    def test_assoc2_keeps_the_lru_loop(self, assoc2):
+        assert cache_model(assoc2) == ("lru", lru_miss_flags)
 
     def test_fetches_default_is_one_per_access(self, assoc1):
-        stats = simulate_set_associative([0, 0, 1], None, assoc1)
+        stats = SetAssociativeCache(assoc1).run([0, 0, 1])
         assert stats.fetches == 3
         assert stats.line_accesses == 3
 
     def test_explicit_fetches_preserved(self, assoc1, assoc2):
         for config in (assoc1, assoc2):
-            stats = simulate_set_associative([0, 0, 1], 24, config)
+            stats = simulate_stream(as_stream([0, 0, 1], 24), config)
             assert stats.fetches == 24
 
     def test_empty_stream(self, assoc1):
-        stats = simulate_set_associative([], None, assoc1)
+        stats = simulate_stream(as_stream([]), assoc1)
         assert stats.misses == 0
         assert stats.line_accesses == 0
 
     def test_assoc2_results_unchanged(self, assoc2):
         stream = random_stream(3)
-        routed = simulate_set_associative(stream, None, assoc2)
+        routed = simulate_stream(as_stream(stream), assoc2)
         scalar = SetAssociativeCache(assoc2).run(stream)
         assert routed == scalar
 
@@ -101,10 +86,9 @@ class TestLruMissFlags:
 
     def test_assoc1_delegates_to_direct_mapped_flags(self, assoc1):
         stream = np.asarray(random_stream(1), dtype=np.int64)
-        assert np.array_equal(
-            lru_miss_flags(stream, assoc1),
-            direct_mapped_miss_flags(stream, assoc1),
-        )
+        routed = miss_flags(stream, assoc1)
+        assert np.array_equal(routed, direct_mapped_miss_flags(stream, assoc1))
+        assert np.array_equal(routed, lru_miss_flags(stream, assoc1))
 
     def test_assoc2_flags_unchanged(self, assoc2):
         stream = np.asarray(random_stream(2), dtype=np.int64)

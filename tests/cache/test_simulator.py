@@ -1,11 +1,15 @@
 """Tests for the top-level simulate() facade."""
 
+import json
+
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.cache.direct import DirectMappedCache
+from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.simulator import simulate, simulate_stream
 from repro.cache.linetrace import line_stream
-from repro.errors import ConfigError
+from repro.obs import RunSession
 from repro.program.layout import Layout
 from repro.program.program import Program
 from repro.trace.events import TraceEvent
@@ -29,35 +33,60 @@ def setup():
     return program, layout, trace, config
 
 
+def simulate_engines(path, layout, trace, configs) -> list[str]:
+    """The ``engine`` attribute of each ``simulate`` span, in order."""
+    session = RunSession("engines", metrics_out=path, with_git=False)
+    try:
+        for config in configs:
+            simulate(layout, trace, config)
+    finally:
+        session.finish()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [
+        record["attributes"]["engine"]
+        for record in records
+        if record.get("type") == "span" and record["name"] == "simulate"
+    ]
+
+
 class TestEngines:
     def test_fast_and_reference_agree(self, setup):
         _, layout, trace, config = setup
-        fast = simulate(layout, trace, config, engine="fast")
-        reference = simulate(layout, trace, config, engine="reference")
-        assert fast == reference
+        stream = line_stream(layout, trace, config)
+        reference = DirectMappedCache(config).run(
+            stream.lines, fetches=stream.fetches
+        )
+        assert simulate(layout, trace, config) == reference
 
     def test_lru_with_associativity_one_agrees(self, setup):
         _, layout, trace, config = setup
-        fast = simulate(layout, trace, config, engine="fast")
-        lru = simulate(layout, trace, config, engine="lru")
-        assert fast.misses == lru.misses
+        stream = line_stream(layout, trace, config)
+        lru = SetAssociativeCache(config).run(stream.lines)
+        assert simulate(layout, trace, config).misses == lru.misses
 
-    def test_auto_picks_fast_for_direct_mapped(self, setup):
+    def test_auto_picks_fast_for_direct_mapped(self, setup, tmp_path):
         _, layout, trace, config = setup
-        auto = simulate(layout, trace, config)
-        fast = simulate(layout, trace, config, engine="fast")
-        assert auto == fast
+        two_way = CacheConfig(size=128, line_size=32, associativity=2)
+        engines = simulate_engines(
+            tmp_path / "run.jsonl", layout, trace, [config, two_way]
+        )
+        assert engines == ["fast", "lru"]
 
     def test_auto_handles_set_associative(self, setup):
         _, layout, trace, _ = setup
         config = CacheConfig(size=128, line_size=32, associativity=2)
+        stream = line_stream(layout, trace, config)
         stats = simulate(layout, trace, config)
         assert stats.misses > 0
+        assert stats == SetAssociativeCache(config).run(
+            stream.lines, fetches=stream.fetches
+        )
 
     def test_unknown_engine_rejected(self, setup):
+        """The engine is the geometry's, not a caller's choice."""
         _, layout, trace, config = setup
-        with pytest.raises(ConfigError):
-            simulate(layout, trace, config, engine="nope")
+        with pytest.raises(TypeError):
+            simulate(layout, trace, config, engine="fast")
 
 
 class TestSemantics:

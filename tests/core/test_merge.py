@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.merge
 from repro.cache.config import CacheConfig
 from repro.core.merge import (
     MergeNode,
@@ -238,15 +239,16 @@ class TestMergeNodes:
             )
 
     def test_unknown_method_rejected(self, config):
+        """The cost evaluator is not a caller's choice."""
         program = Program.from_sizes({"p": 32, "q": 32})
-        with pytest.raises(PlacementError):
+        with pytest.raises(TypeError):
             merge_nodes(
                 MergeNode.single("p"),
                 MergeNode.single("q"),
                 WeightedGraph(),
                 program,
                 config,
-                method="nope",
+                method="reference",
             )
 
     def test_intra_node_alignment_preserved(self, config):
@@ -279,18 +281,19 @@ class TestMergeNodes:
         q_lines = {(merged.offset_of("q") + i) % 8 for i in range(4)}
         assert not (p_lines & q_lines)
 
-    def test_reference_method_agrees(self, config):
+    def test_reference_method_agrees(self, config, monkeypatch):
         program = Program.from_sizes({"p": 96, "q": 64})
         graph = WeightedGraph()
         graph.add_edge(ChunkId("p", 0), ChunkId("q", 0), 5.0)
-        fast = merge_nodes(
+        args = (
             MergeNode.single("p"), MergeNode.single("q"),
-            graph, program, config, method="fast",
+            graph, program, config,
         )
-        reference = merge_nodes(
-            MergeNode.single("p"), MergeNode.single("q"),
-            graph, program, config, method="reference",
+        fast = merge_nodes(*args)
+        monkeypatch.setattr(
+            repro.core.merge, "offset_costs_fast", offset_costs_reference
         )
+        reference = merge_nodes(*args)
         assert fast == reference
 
 

@@ -1,5 +1,6 @@
 """Tests for the Section 6 set-associative extension."""
 
+import json
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.setassoc import (
     sa_offset_costs_reference,
 )
 from repro.errors import PlacementError
+from repro.obs import RunSession
 from repro.placement.base import PlacementContext
 from repro.profiles.pairdb import PairDatabase, build_pair_database
 from repro.profiles.trg import build_trgs, procedure_refs
@@ -200,3 +202,22 @@ class TestPlacementSA:
         context = self._context(program, refs, config)
         algo = GBSCSetAssociativePlacement()
         assert algo.place(context) == algo.place(context)
+
+    def test_merges_through_the_gbsc_loop(self, config, tmp_path):
+        """GBSC-SA runs GBSC's greedy loop, so its merges show up in the
+        ``gbsc_merge`` span and the ``gbsc.merge.*`` counters."""
+        program = Program.from_sizes({"a": 64, "b": 64, "c": 64})
+        context = self._context(program, ["a", "b", "c", "b", "a"] * 12, config)
+        run = tmp_path / "run.jsonl"
+        session = RunSession("gbsc-sa", metrics_out=run, with_git=False)
+        try:
+            GBSCSetAssociativePlacement().place(context)
+        finally:
+            manifest = session.finish()
+        spans = [
+            record["name"]
+            for record in map(json.loads, run.read_text().splitlines())
+            if record.get("type") == "span"
+        ]
+        assert "gbsc_merge" in spans
+        assert manifest["metrics"]["gbsc.merge.edges_merged"]["value"] == 2

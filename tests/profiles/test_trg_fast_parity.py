@@ -27,6 +27,7 @@ from repro.profiles.fast import (
 from repro.profiles.trg import (
     build_trg,
     build_trgs,
+    build_trgs_scalar,
     chunk_refs,
     procedure_refs,
 )
@@ -167,7 +168,7 @@ def test_kernel_rejects_non_positive_block_size():
 
 
 # ----------------------------------------------------------------------
-# Full-pipeline parity: build_trgs_fast vs build_trgs(method="scalar")
+# Full-pipeline parity: build_trgs_fast vs build_trgs_scalar
 # ----------------------------------------------------------------------
 
 CONFIGS = st.sampled_from(
@@ -198,13 +199,12 @@ def test_pipeline_matches_scalar(
         popular=popular,
         q_multiplier=q_multiplier,
     )
-    scalar = build_trgs(
+    scalar = build_trgs_scalar(
         trace,
         config,
         chunk_size=chunk_size,
         popular=popular,
         q_multiplier=q_multiplier,
-        method="scalar",
     )
     assert fast.select == scalar.select
     assert fast.place == scalar.place
@@ -225,16 +225,18 @@ def test_build_trgs_dispatches_to_fast_by_default():
     )
     config = CacheConfig(size=64, line_size=32)
     default = build_trgs(trace, config)
-    fast = build_trgs(trace, config, method="fast")
-    scalar = build_trgs(trace, config, method="scalar")
+    fast = build_trgs_fast(trace, config)
+    scalar = build_trgs_scalar(trace, config)
     assert default.select == fast.select == scalar.select
     assert default.place == fast.place == scalar.place
 
 
 def test_build_trgs_rejects_unknown_method():
+    """The pipeline is not a caller's choice: the scalar twin is a
+    test reference, not an option."""
     program = Program.from_sizes({"a": 64})
     trace = Trace.from_arrays(
         program, np.asarray([0]), np.asarray([0]), np.asarray([64])
     )
-    with pytest.raises(ConfigError):
-        build_trgs(trace, CacheConfig(size=64, line_size=32), method="turbo")
+    with pytest.raises(TypeError):
+        build_trgs(trace, CacheConfig(size=64, line_size=32), method="scalar")

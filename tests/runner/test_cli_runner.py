@@ -15,10 +15,9 @@ from collections import Counter
 
 import pytest
 
-import repro.profiles.trg
-import repro.service.experiments
-from repro import cli
+from repro import cli, service
 from repro.analysis import audit_manifest, load_run_manifest
+from repro.errors import RunnerError
 from repro.runner import (
     FAULTPLAN_FORMAT,
     FAULTPLAN_VERSION,
@@ -357,6 +356,28 @@ class TestRunnerArgumentErrors:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_negative_max_failures_exits_2(self, tmp_path, capsys):
+        """Rejected before any task runs, with one message on the CLI
+        and through the library."""
+        message = "--max-failures must be >= 0, got -1"
+        code = cli.main(
+            [
+                "table1",
+                "--fast",
+                "--checkpoint",
+                str(tmp_path / "ck"),
+                "--max-failures",
+                "-1",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ck").exists()
+        batch = service.build_table1_batch(service.Table1Request(fast=True))
+        with pytest.raises(RunnerError) as error:
+            service.execute_batch(batch, tmp_path / "ck", max_failures=-1)
+        assert str(error.value) == message
+
     def test_missing_inject_plan_exits_2(
         self, tiny_workload, tmp_path, capsys
     ):
@@ -381,8 +402,8 @@ class TestRunnerArgumentErrors:
 
 
 class TestDirectAndBatchParity:
-    """The direct and ``--checkpoint`` paths share request validation,
-    the ``--trg-method`` option and the place-and-simulate kernel."""
+    """The direct and ``--checkpoint`` paths share request validation
+    and the place-and-simulate kernel."""
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_negative_runs_rejected_on_both_paths(
@@ -396,29 +417,17 @@ class TestDirectAndBatchParity:
             "error: runs must be >= 0, got -1\n"
         )
 
-    def test_trg_method_reaches_batch_profiles(
-        self, tiny_workload, tmp_path, monkeypatch, capsys
-    ):
-        methods = []
-        build_trgs = repro.profiles.trg.build_trgs
-
-        def spy(*args, **kwargs):
-            methods.append(kwargs.get("method"))
-            return build_trgs(*args, **kwargs)
-
-        monkeypatch.setattr(repro.profiles.trg, "build_trgs", spy)
-        monkeypatch.setattr(
-            repro.service.experiments, "SUITE", [tiny_workload]
-        )
-        argv = [
-            "table1",
-            "--trg-method",
-            "scalar",
-            "--checkpoint",
-            str(tmp_path / "ck"),
-        ]
-        assert cli.main(argv) == 0
-        assert methods == ["scalar"]
+    def test_trg_method_reaches_batch_profiles(self, tmp_path, capsys):
+        """The TRG pipeline is not an option on either path."""
+        for command in (["compare", "m88ksim"], ["table1"]):
+            for extra in ([], ["--checkpoint", str(tmp_path / "ck")]):
+                argv = [*command, "--trg-method", "scalar", *extra]
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.main(argv)
+                assert exit_info.value.code == 2
+                assert "unrecognized arguments: --trg-method" in (
+                    capsys.readouterr().err
+                )
 
     def test_every_path_attributes_its_placements(
         self, tiny_workload, tmp_path, capsys

@@ -151,10 +151,9 @@ class TestValidation:
             )
 
     def test_bad_trg_method(self, train_trace):
-        with pytest.raises(ServiceError):
-            run_placement(
-                PlacementRequest(trace=train_trace, trg_method="magic")
-            )
+        """The TRG pipeline is not a request field."""
+        with pytest.raises(TypeError):
+            PlacementRequest(trace=train_trace, trg_method="scalar")
 
     def test_make_algorithm_rejects_unknown(self):
         with pytest.raises(ServiceError):

@@ -52,6 +52,25 @@ class TestBadInputs:
             "repro/layout",
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "memory"])
+    def test_trace_of_another_program_exits_2(self, capsys, tmp_path, command):
+        from repro.io import save_layout, save_trace
+        from repro.program.layout import Layout
+        from repro.program.program import Program
+        from tests.conftest import full_trace
+
+        layout = tmp_path / "layout.json"
+        trace = tmp_path / "trace.npz"
+        save_layout(Layout.default(Program.from_sizes({"a": 64})), layout)
+        other = Program.from_sizes({"x": 96, "y": 32})
+        save_trace(full_trace(other, ["x", "y", "x"]), trace)
+        assert main([command, str(layout), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the trace and the layout describe different programs\n"
+        )
+
     def test_visualize_garbage_layout(self, capsys, tmp_path):
         layout = tmp_path / "garbage.json"
         layout.write_text("[]")

@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.config import CacheConfig
+from repro.cache.direct import DirectMappedCache
+from repro.cache.linetrace import line_stream
+from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.simulator import simulate
 from repro.placement.ph import ph_order
 from repro.profiles.graph import WeightedGraph
@@ -68,9 +71,12 @@ class TestSimulatorMetamorphic:
         program = random_program(rng, 5)
         trace = random_trace(rng, program, 100)
         layout = Layout.random(program, seed=seed + 1)
-        fast = simulate(layout, trace, config, engine="fast")
-        reference = simulate(layout, trace, config, engine="reference")
-        lru = simulate(layout, trace, config, engine="lru")
+        stream = line_stream(layout, trace, config)
+        fast = simulate(layout, trace, config)
+        reference = DirectMappedCache(config).run(
+            stream.lines, fetches=stream.fetches
+        )
+        lru = SetAssociativeCache(config).run(stream.lines)
         assert fast == reference
         assert fast.misses == lru.misses
 
