@@ -7,8 +7,7 @@ results are bit-exact, and records the timings in
 ``benchmarks/results/BENCH_kernels.json``.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
-speedup (the tentpole claim) and — mirroring ``BENCH_runner.json``'s
-host-gating caveat — is asserted only under representative conditions:
+speedup and is asserted only under representative conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
@@ -42,7 +41,7 @@ from repro.profiles.trg import build_trgs_scalar
 SPEEDUP_THRESHOLD = 10.0
 
 #: Hosts with fewer usable cores than this are not representative
-#: (same caveat as BENCH_runner.json) and only record numbers.
+#: and only record numbers.
 MIN_CORES = 4
 
 #: Wall-clock repeats per method; the best run is recorded.  Two is

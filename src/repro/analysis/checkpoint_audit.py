@@ -17,8 +17,9 @@ Rules::
     checkpoint/truncated   torn tail line dropped by replay (warning)
     checkpoint/header      missing or malformed batch header (error)
     checkpoint/entry       task record missing required keys, or a
-                           malformed worker id on a pool-executed
-                           record (error)
+                           malformed worker id (error; journals
+                           from the removed parallel runner carry
+                           one per task, and resume still reads them)
     checkpoint/artifact    completed task's artifact missing or
                            unparseable (error)
     checkpoint/duplicate   task completed more than once (warning —

@@ -1,7 +1,7 @@
-"""The ``conc/*`` fork-safety and IO-safety rules.
+"""The ``conc/*`` IO-safety and global-state rules.
 
-Four whole-program passes machine-check the single-writer contract
-the batch runner is built on (PRs 3-5):
+Three whole-program passes machine-check the write discipline the
+batch runner and the artifact store are built on:
 
 * ``conc/raw-write`` — every file write in ``src/repro`` goes through
   :mod:`repro.io`'s atomic writers.  A bare ``open(path, "w")`` is a
@@ -9,19 +9,10 @@ the batch runner is built on (PRs 3-5):
   streaming writers (the fsync-per-record checkpoint journal and the
   JSONL span sink) are allowlisted by module with a justification.
 * ``conc/global-mutation`` — module-level mutable state is mutated
-  only at sanctioned sites.  Hidden module state breaks both
-  reproducibility (order-dependent behaviour) and fork safety (the
-  state silently diverges between parent and workers).  Sanctioned:
-  the :mod:`repro.obs` runtime switch, the pool's per-process worker
-  slot, and the import-time rule/fast-path registries.
-* ``conc/worker-write`` — no journal append or :mod:`repro.io` write
-  primitive is statically reachable from the worker-side entry points
-  of :mod:`repro.runner.pool`.  Only the parent writes; a worker that
-  can reach a writer defeats the fork pool's durability story.  The
-  reachability walk resolves same-module calls, imported project
-  functions, ``self`` methods and locally constructed instances —
-  deliberately conservative, so dynamic dispatch (task-body closures)
-  is out of scope by design.
+  only at sanctioned sites.  Hidden module state makes behaviour
+  depend on call order and leaks between requests of one server
+  process.  Sanctioned: the :mod:`repro.obs` runtime switch, the
+  bounded trace memo, and the import-time rule/fast-path registries.
 * ``conc/unregistered-write-site`` — every call of the three atomic
   write primitives outside :mod:`repro.io` must pass a literal
   ``site=`` registered in
@@ -35,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.findings import Finding, Location, Severity
+from repro.analysis.findings import Finding, Location
 from repro.analysis.linter import (
     ProjectContext,
     ProjectRule,
@@ -62,11 +53,9 @@ RAW_WRITE_ALLOWLIST: dict[str, str] = {
 GLOBAL_MUTATION_ALLOWLIST: dict[tuple[str, str], str] = {
     ("repro.obs.runtime", "_STATE"):
         "the observability on/off switch; single-threaded by design",
-    ("repro.runner.pool", "_WORKER"):
-        "per-process worker slot; each fork mutates only its own copy",
     ("repro.workloads.spec", "_TRACE_MEMO"):
         "bounded per-process trace memo with an explicit clear hook; "
-        "forked workers inherit a snapshot and never share writes",
+        "holds deterministic derived data only",
     ("repro.analysis.linter", "_REGISTRY"):
         "import-time rule registration only",
     ("repro.fastpath", "_REGISTRY"):
@@ -76,20 +65,8 @@ GLOBAL_MUTATION_ALLOWLIST: dict[tuple[str, str], str] = {
         "context managers, single-threaded by design",
     ("repro.chaos.sites", "_RECORDER"):
         "campaign enumeration recorder; scoped by the recording() "
-        "context manager, never shared with forked workers",
+        "context manager, single-threaded by design",
 }
-
-#: Method names of project classes that persist state; resolved via
-#: local construction or annotation, keyed (class, method).
-_WRITER_METHODS = frozenset({("CheckpointJournal", "append")})
-
-#: repro.io write entry points (callable by bare or attribute name).
-_IO_WRITERS = frozenset(
-    {
-        "atomic_writer", "atomic_write_text", "atomic_write_bytes",
-        "save_program", "save_layout", "save_trace", "save_graph",
-    }
-)
 
 _WRITE_MODES = ("w", "a", "x")
 
@@ -241,7 +218,7 @@ class GlobalMutationRule(ProjectRule):
         "module-level mutable state may only be mutated at "
         "GLOBAL_MUTATION_ALLOWLIST sites (the repro.obs runtime "
         "switch and the import-time registries); hidden globals "
-        "diverge across forked workers"
+        "make behaviour depend on call order"
     )
 
     def check_project(
@@ -341,269 +318,6 @@ class GlobalMutationRule(ProjectRule):
                 ):
                     yield finding(
                         node, func_expr.value.id, "mutates"
-                    )
-
-
-#: The module whose functions seed worker-side reachability.
-WORKER_SEED_MODULE = "repro.runner.pool"
-
-
-class _CallCollector(ast.NodeVisitor):
-    """Resolve the project functions one function body may call.
-
-    Resolution is deliberately shallow and certain: bare names to the
-    same module, imported names to their defining module, ``self``
-    methods to the enclosing class, and methods of locally
-    constructed instances (``x = ClassName(...)`` then ``x.meth()``).
-    """
-
-    def __init__(
-        self,
-        module: str,
-        class_name: str | None,
-        imported: dict[str, tuple[str, str | None]],
-        classes: dict[str, str],
-    ) -> None:
-        self.module = module
-        self.class_name = class_name
-        self.imported = imported
-        self.classes = classes
-        self.local_types: dict[str, str] = {}
-        self.calls: set[tuple[str, str]] = set()
-
-    def _constructed_class(self, value: ast.expr) -> str | None:
-        if not isinstance(value, ast.Call):
-            return None
-        func = value.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name in self.classes:
-            return name
-        return None
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        cls = self._constructed_class(node.value)
-        if cls is not None:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self.local_types[target.id] = cls
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name):
-            cls = self._constructed_class(node.value) if node.value else None
-            if cls is None and isinstance(node.annotation, ast.Name):
-                if node.annotation.id in self.classes:
-                    cls = node.annotation.id
-            if cls is not None:
-                self.local_types[node.target.id] = cls
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id in self.imported:
-                module, origin = self.imported[func.id]
-                self.calls.add((module, origin or func.id))
-            else:
-                self.calls.add((self.module, func.id))
-                if func.id in self.classes:
-                    self.calls.add(
-                        (self.classes[func.id], f"{func.id}.__init__")
-                    )
-        elif isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name):
-                if base.id == "self" and self.class_name is not None:
-                    self.calls.add(
-                        (self.module, f"{self.class_name}.{func.attr}")
-                    )
-                elif base.id in self.local_types:
-                    cls = self.local_types[base.id]
-                    self.calls.add(
-                        (self.classes[cls], f"{cls}.{func.attr}")
-                    )
-                elif base.id in self.imported:
-                    module, origin = self.imported[base.id]
-                    if origin is None:  # module alias
-                        self.calls.add((module, func.attr))
-            if func.attr in self.classes.values():
-                pass
-        self.generic_visit(node)
-
-
-def _imported_names(sm: SourceModule) -> dict[str, tuple[str, str | None]]:
-    """Local name -> (project module, original name or None for a
-    module alias)."""
-    imported: dict[str, tuple[str, str | None]] = {}
-    for node in ast.walk(sm.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("repro"):
-                    bound = alias.asname or alias.name.split(".")[0]
-                    imported[bound] = (alias.name, None)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if not node.module.startswith("repro"):
-                continue
-            for alias in node.names:
-                imported[alias.asname or alias.name] = (
-                    node.module, alias.name
-                )
-    return imported
-
-
-def _project_functions(
-    project: ProjectContext,
-) -> tuple[
-    dict[tuple[str, str], ast.AST],
-    dict[str, str],
-]:
-    """(module, qualname) -> def node; class name -> defining module."""
-    functions: dict[tuple[str, str], ast.AST] = {}
-    classes: dict[str, str] = {}
-    for sm in project.files:
-        if sm.module is None or not sm.module.startswith("repro"):
-            continue
-        for node in sm.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions[(sm.module, node.name)] = node
-            elif isinstance(node, ast.ClassDef):
-                classes[node.name] = sm.module
-                for item in node.body:
-                    if isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        functions[
-                            (sm.module, f"{node.name}.{item.name}")
-                        ] = item
-    return functions, classes
-
-
-@register_rule
-class WorkerWriteRule(ProjectRule):
-    """Flag journal/artifact writes reachable from worker entry points."""
-
-    rule_id = "conc/worker-write"
-    description = (
-        "journal appends and repro.io write primitives must not be "
-        "statically reachable from repro.runner.pool worker entry "
-        "points; only the parent process writes"
-    )
-
-    def check_project(
-        self, project: ProjectContext
-    ) -> Iterator[Finding]:
-        functions, classes = _project_functions(project)
-        if not any(
-            module == WORKER_SEED_MODULE for module, _ in functions
-        ):
-            return
-        imported_by_module = {
-            sm.module: _imported_names(sm)
-            for sm in project.files
-            if sm.module is not None
-        }
-
-        # Call edges, resolved once per function.
-        calls_of: dict[tuple[str, str], set[tuple[str, str]]] = {}
-        for (module, qualname), node in functions.items():
-            class_name = (
-                qualname.split(".")[0] if "." in qualname else None
-            )
-            collector = _CallCollector(
-                module,
-                class_name,
-                imported_by_module.get(module, {}),
-                classes,
-            )
-            for stmt in getattr(node, "body", []):
-                collector.visit(stmt)
-            calls_of[(module, qualname)] = collector.calls
-
-        seeds = [
-            key for key in functions if key[0] == WORKER_SEED_MODULE
-        ]
-        reachable: set[tuple[str, str]] = set()
-        frontier = list(seeds)
-        while frontier:
-            key = frontier.pop()
-            if key in reachable:
-                continue
-            reachable.add(key)
-            for callee in calls_of.get(key, ()):
-                if callee in functions and callee not in reachable:
-                    frontier.append(callee)
-
-        for module, qualname in sorted(reachable):
-            node = functions[(module, qualname)]
-            sm = project.modules[module]
-            yield from self._writes_in(
-                sm, module, qualname, node,
-                imported_by_module.get(module, {}), classes,
-            )
-
-    def _writes_in(
-        self,
-        sm: SourceModule,
-        module: str,
-        qualname: str,
-        func: ast.AST,
-        imported: dict[str, tuple[str, str | None]],
-        classes: dict[str, str],
-    ) -> Iterator[Finding]:
-        class_name = qualname.split(".")[0] if "." in qualname else None
-        collector = _CallCollector(module, class_name, imported, classes)
-        for stmt in getattr(func, "body", []):
-            collector.visit(stmt)
-
-        def finding(node: ast.AST, what: str) -> Finding:
-            return Finding(
-                rule=self.rule_id,
-                severity=self.severity,
-                message=(
-                    f"{what} is reachable from the worker entry "
-                    f"points of {WORKER_SEED_MODULE} via "
-                    f"{module}.{qualname}; artifact and journal "
-                    "writes belong to the parent process"
-                ),
-                location=Location(
-                    file=str(sm.path),
-                    line=getattr(node, "lineno", None),
-                    obj=f"{module}.{qualname}",
-                ),
-            )
-
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            if _raw_write_reason(node) is not None and module not in (
-                RAW_WRITE_ALLOWLIST
-            ):
-                yield finding(node, "a raw file write")
-                continue
-            callee = node.func
-            name = (
-                callee.id if isinstance(callee, ast.Name)
-                else callee.attr if isinstance(callee, ast.Attribute)
-                else None
-            )
-            if name in _IO_WRITERS and module != "repro.io":
-                yield finding(node, f"repro.io writer {name}()")
-                continue
-            if isinstance(callee, ast.Attribute) and isinstance(
-                callee.value, ast.Name
-            ):
-                cls = collector.local_types.get(callee.value.id)
-                if cls is None and callee.value.id == "self":
-                    cls = class_name
-                if cls is not None and (cls, callee.attr) in (
-                    _WRITER_METHODS
-                ):
-                    yield finding(
-                        node, f"{cls}.{callee.attr}()"
                     )
 
 

@@ -5,10 +5,7 @@ A run file (``--metrics-out``) must end in a single manifest object
 the observability layer's invariants: durations are non-negative and
 children fit inside their parent, counters never go negative,
 histogram bucket counts are consistent, the cache-simulation
-counters reconcile (``misses + hits == accesses``), and — for
-parallel batches, whose manifests carry merged worker metric shards —
-the pool counters reconcile (``runner.worker.tasks ==
-runner.task.completed + runner.task.failures``).  Violations are
+counters reconcile (``misses + hits == accesses``).  Violations are
 reported as :class:`~repro.analysis.findings.Finding` objects — the
 same pipeline as the artifact auditors — so ``repro-layout check``
 can audit run files alongside layouts and graphs.
@@ -233,32 +230,6 @@ def _audit_miss_reconciliation(
         )
 
 
-def _audit_worker_reconciliation(
-    metrics: Mapping[str, Any],
-    file: str | None,
-    findings: list[Finding],
-) -> None:
-    """Parallel batches: the parent journals every pool-executed task
-    exactly once, so the worker task counter must equal completions
-    plus failures (cached tasks never reach the pool)."""
-    worker_tasks = _counter_value(metrics, "runner.worker.tasks")
-    if worker_tasks is None:
-        return
-    completed = _counter_value(metrics, "runner.task.completed") or 0
-    failed = _counter_value(metrics, "runner.task.failures") or 0
-    if worker_tasks != completed + failed:
-        findings.append(
-            _finding(
-                "manifest/worker-reconcile",
-                f"runner.worker.tasks ({worker_tasks}) != "
-                f"runner.task.completed ({completed}) + "
-                f"runner.task.failures ({failed})",
-                file=file,
-                obj="runner.worker",
-            )
-        )
-
-
 def audit_manifest(
     data: Mapping[str, Any], file: str | None = None
 ) -> list[Finding]:
@@ -289,7 +260,6 @@ def audit_manifest(
     if isinstance(metrics, Mapping):
         _audit_metrics(metrics, file, findings)
         _audit_miss_reconciliation(metrics, file, findings)
-        _audit_worker_reconciliation(metrics, file, findings)
     return findings
 
 

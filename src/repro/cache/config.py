@@ -13,6 +13,13 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
+#: The largest cache, in lines, a geometry may have.  Simulation and
+#: placement allocate per-line state, so an unbounded size (one HTTP
+#: request can ask for 2**40 bytes) would exhaust memory before any
+#: work is done.  2**16 lines is 32x the largest cache any experiment
+#: uses (64 KB of 32-byte lines is 2048 lines).
+MAX_CACHE_LINES = 2**16
+
 
 @dataclass(frozen=True, slots=True)
 class CacheConfig:
@@ -57,6 +64,11 @@ class CacheConfig:
             raise ConfigError(
                 f"cache size {self.size} is not a multiple of the line size "
                 f"{self.line_size}"
+            )
+        if self.num_lines > MAX_CACHE_LINES:
+            raise ConfigError(
+                f"cache of {self.num_lines} lines exceeds the limit of "
+                f"{MAX_CACHE_LINES} lines"
             )
         if self.num_lines % self.associativity != 0:
             raise ConfigError(

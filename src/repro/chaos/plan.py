@@ -232,8 +232,7 @@ class FaultPlan:
     """A consumable schedule of :class:`Injection` specs.
 
     Injections are consumed in declaration order, every firing is
-    appended to :attr:`fired` for post-run assertions, and the whole
-    object is picklable and fork-safe.
+    appended to :attr:`fired` for post-run assertions.
     """
 
     def __init__(self, injections: Iterable[Injection] = ()) -> None:

@@ -11,8 +11,7 @@ registered literal ``site=`` is a finding.
 At runtime this module is a near-zero-cost hook: :func:`fire` is
 called at each write-protocol point and does nothing unless a plan is
 installed (fault injection) or a recorder is active (campaign
-enumeration).  The batch runner installs its plan once per run; forked
-pool workers inherit it with the rest of the process.  It
+enumeration).  The batch runner installs its plan once per run.  It
 deliberately imports nothing above :mod:`repro.errors` — the hook sits
 *below* ``repro.io`` and ``repro.obs`` in the layering, so it cannot
 emit metrics or perform I/O of its own.

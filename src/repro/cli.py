@@ -50,11 +50,7 @@ atomically, so an interrupted run (Ctrl-C, crash, kill) resumes with
 
 ``--max-failures N`` aborts a degrading batch early;
 ``--inject PLAN.json`` runs under a deterministic fault-injection
-plan (CI and tests); ``--workers N`` fans independent grid tasks out
-to a process pool (the parent remains the single journal/artifact
-writer, and the report stays byte-identical to a serial run)::
-
-    repro-layout compare perl --runs 40 --checkpoint ckpt --workers 4
+plan (CI and tests).
 
 Artifact caching (:mod:`repro.store`): ``compare``, ``table1``,
 ``gen-trace`` and ``place`` accept ``--cache DIR`` — traces and
@@ -191,23 +187,13 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="run under a repro/faultplan JSON injection plan "
         "(testing/CI)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan independent grid tasks out to N worker processes "
-        "(requires --checkpoint; the parent remains the single "
-        "journal and artifact writer, so reports stay byte-identical "
-        "to serial runs)",
-    )
 
 
 def _wants_batch(args: argparse.Namespace) -> bool:
     """Any runner flag routes the command through the batch engine
     (so ``--resume`` without ``--checkpoint`` errors instead of being
     silently ignored by the direct path)."""
-    return (
-        bool(args.checkpoint or args.resume or args.inject)
-        or args.workers != 1
-    )
+    return bool(args.checkpoint or args.resume or args.inject)
 
 
 def _run_batch(args: argparse.Namespace, batch, store=None) -> int:
@@ -216,9 +202,7 @@ def _run_batch(args: argparse.Namespace, batch, store=None) -> int:
     from repro.errors import RunnerError
 
     if not args.checkpoint:
-        raise RunnerError(
-            "--resume/--inject/--workers require --checkpoint DIR"
-        )
+        raise RunnerError("--resume/--inject require --checkpoint DIR")
     plan = load_plan(args.inject) if args.inject else None
     outcome = service.execute_batch(
         batch,
@@ -227,7 +211,6 @@ def _run_batch(args: argparse.Namespace, batch, store=None) -> int:
         max_failures=args.max_failures,
         plan=plan,
         echo=lambda line: print(line, file=sys.stderr),
-        workers=args.workers,
         store=store,
     )
     print(outcome.report)

@@ -140,61 +140,6 @@ def _timing_lines(
         _timing_lines(child, depth + 1, out)
 
 
-#: Metric-name prefix under which the parallel batch runner merges
-#: per-worker shards into the parent manifest.
-_WORKER_PREFIX = "runner.worker."
-
-
-def _worker_lines(
-    metrics: Mapping[str, Mapping[str, Any]], out: list[str]
-) -> None:
-    """Render merged ``runner.worker.*`` counters as labelled lines.
-
-    Parallel manifests fold each worker's metric shard into the parent
-    under ``runner.worker.<n>.*`` and ``runner.worker.phase.*``; a flat
-    dump interleaves those with the pipeline's own counters and reads
-    as noise.  Group them instead: a pool summary, one line per
-    worker, and the merged per-phase wall time.
-    """
-    total: Any = None
-    per_worker: dict[int, dict[str, Any]] = {}
-    phases: dict[str, float] = {}
-    other: dict[str, Mapping[str, Any]] = {}
-    for name, entry in metrics.items():
-        tail = name[len(_WORKER_PREFIX) :]
-        value = entry.get("value")
-        if tail == "tasks":
-            total = value
-        elif tail.startswith("phase.") and tail.endswith(".seconds"):
-            phase = tail[len("phase.") : -len(".seconds")]
-            phases[phase] = float(value or 0.0)
-        else:
-            worker, _, field = tail.partition(".")
-            if worker.isdigit() and field in ("tasks", "seconds"):
-                per_worker.setdefault(int(worker), {})[field] = value
-            else:
-                other[name] = entry
-    if total is not None:
-        out.append(
-            f"  {total} pool task(s) across "
-            f"{len(per_worker)} worker(s)"
-        )
-    for worker in sorted(per_worker):
-        fields = per_worker[worker]
-        tasks = int(fields.get("tasks") or 0)
-        seconds = float(fields.get("seconds") or 0.0)
-        out.append(
-            f"  worker {worker}: {tasks} task(s) in "
-            f"{format_duration(seconds)}"
-        )
-    if phases:
-        out.append("  merged phase time:")
-        for name in sorted(phases):
-            out.append(f"    {name}: {format_duration(phases[name])}")
-    for name in sorted(other):
-        out.append(f"  {name}: {_format_metric_value(other[name])}")
-
-
 def format_manifest_report(
     manifest: Mapping[str, Any], width: int = 40
 ) -> str:
@@ -202,10 +147,7 @@ def format_manifest_report(
 
     Three sections: a header echoing the run identity, the phase timing
     tree with a bar chart of the top-level phases, and the final metric
-    snapshot.  Manifests from ``--workers`` runs get a fourth,
-    ``workers``, section: the merged per-worker shard counters are
-    pulled out of the flat metric list and rendered as one labelled
-    line per worker plus the pool's merged per-phase timings.
+    snapshot.
     """
     command = manifest.get("command", "?")
     git = manifest.get("git")
@@ -236,32 +178,18 @@ def format_manifest_report(
             _timing_lines(root, 0, lines)
 
     metrics = manifest.get("metrics") or {}
-    worker_metrics = {
-        name: entry
-        for name, entry in metrics.items()
-        if name.startswith(_WORKER_PREFIX) and isinstance(entry, Mapping)
-    }
-    plain = {
-        name: entry
-        for name, entry in metrics.items()
-        if name not in worker_metrics
-    }
-    if plain:
+    if metrics:
         lines.append("")
         lines.append("metrics:")
-        name_width = max(len(name) for name in plain)
-        for name, entry in plain.items():
+        name_width = max(len(name) for name in metrics)
+        for name, entry in metrics.items():
             lines.append(
                 f"  {name:<{name_width}}  {entry.get('kind', '?'):<9}  "
                 f"{_format_metric_value(entry)}"
             )
-        hit_rate_line = _store_hit_rate_line(plain)
+        hit_rate_line = _store_hit_rate_line(metrics)
         if hit_rate_line is not None:
             lines.append(hit_rate_line)
-    if worker_metrics:
-        lines.append("")
-        lines.append("workers:")
-        _worker_lines(worker_metrics, lines)
     profile = manifest.get("profile")
     if isinstance(profile, Mapping):
         functions = profile.get("functions") or {}

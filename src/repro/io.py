@@ -37,7 +37,7 @@ import tempfile
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 import numpy as np
 
@@ -207,53 +207,69 @@ def load_layout(path: str | Path) -> Layout:
 # ----------------------------------------------------------------------
 
 
+#: What reading a damaged ``.npz`` trace can raise; each caller wraps
+#: these in a :class:`SerializationError` worded for its own source.
+NPZ_READ_ERRORS = (
+    OSError,
+    EOFError,
+    KeyError,
+    ValueError,
+    zipfile.BadZipFile,
+    json.JSONDecodeError,
+)
+
+
+def write_trace_npz(trace: Trace, handle: BinaryIO) -> None:
+    """Write *trace* to *handle* in the ``repro/trace`` ``.npz``
+    layout (compressed, program embedded as JSON).
+
+    The one encoder of that layout: trace files and the artifact
+    store's trace blobs both use it.
+    """
+    np.savez_compressed(
+        handle,
+        format=np.array("repro/trace"),
+        version=np.array(_FORMAT_VERSION),
+        program=np.array(json.dumps(program_to_dict(trace.program))),
+        procs=np.asarray(trace.proc_indices),
+        starts=np.asarray(trace.extent_starts),
+        lengths=np.asarray(trace.extent_lengths),
+    )
+
+
+def read_trace_npz(source: str | Path | BinaryIO) -> Trace | None:
+    """Inverse of :func:`write_trace_npz`, from a path or binary file.
+
+    Returns ``None`` for a readable archive that is not a
+    ``repro/trace``; a damaged one raises one of
+    :data:`NPZ_READ_ERRORS` (or a :class:`SerializationError` from the
+    embedded program), which the caller words for its own source.
+    """
+    with np.load(source, allow_pickle=False) as payload:
+        if str(payload["format"]) != "repro/trace":
+            return None
+        program = program_from_dict(json.loads(str(payload["program"])))
+        return Trace.from_arrays(
+            program, payload["procs"], payload["starts"], payload["lengths"]
+        )
+
+
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace as compressed npz (program embedded as JSON)."""
-    program_json = json.dumps(program_to_dict(trace.program))
     with atomic_writer(path, "wb", site="io.trace") as handle:
-        np.savez_compressed(
-            handle,
-            format=np.array("repro/trace"),
-            version=np.array(_FORMAT_VERSION),
-            program=np.array(program_json),
-            procs=np.asarray(trace.proc_indices),
-            starts=np.asarray(trace.extent_starts),
-            lengths=np.asarray(trace.extent_lengths),
-        )
+        write_trace_npz(trace, handle)
 
 
 def load_trace(path: str | Path) -> Trace:
     try:
-        with np.load(path, allow_pickle=False) as payload:
-            if str(payload["format"]) != "repro/trace":
-                raise SerializationError(
-                    f"{path} is not a repro trace file"
-                )
-            program = program_from_dict(
-                json.loads(str(payload["program"]))
-            )
-            return Trace.from_arrays(
-                program,
-                payload["procs"],
-                payload["starts"],
-                payload["lengths"],
-            )
-    except (
-        OSError,
-        EOFError,
-        KeyError,
-        ValueError,
-        zipfile.BadZipFile,
-        json.JSONDecodeError,
-        SerializationError,
-    ) as error:
-        if isinstance(error, SerializationError) and str(path) in str(
-            error
-        ):
-            raise
+        trace = read_trace_npz(path)
+    except (*NPZ_READ_ERRORS, SerializationError) as error:
         raise SerializationError(
             f"cannot load trace artifact from {path}: {error}"
         ) from error
+    if trace is None:
+        raise SerializationError(f"{path} is not a repro trace file")
+    return trace
 
 
 # ----------------------------------------------------------------------

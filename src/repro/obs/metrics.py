@@ -207,11 +207,10 @@ class MetricsRegistry:
     ) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        The cross-process merge used by the parallel batch runner:
-        worker processes return their registry snapshots as picklable
-        shards and the parent folds each shard in.  Counters add,
-        gauges take the incoming value (last-wins — callers must merge
-        shards in a deterministic order), histograms require identical
+        The HTTP service folds its private registry into a run
+        session's this way when it shuts down.  Counters add, gauges
+        take the incoming value (last-wins — callers must merge
+        snapshots in a deterministic order), histograms require identical
         edges and add per-bucket counts.  Instruments are created on
         demand, with the usual kind checking.
         """

@@ -118,8 +118,8 @@ def observe(
 def merge_snapshot(
     snapshot: Mapping[str, Mapping[str, Any]],
 ) -> None:
-    """Fold a metric-registry snapshot from another process into the
-    active registry; no-op when disabled."""
+    """Fold a metric-registry snapshot (say, the HTTP service's
+    private registry) into the active registry; no-op when disabled."""
     state = _STATE
     if state is not None:
         state.registry.merge_snapshot(snapshot)

@@ -17,12 +17,7 @@ zero:
   (``--resume``) and finishes in degraded mode with a failure table;
   it installs a :class:`~repro.chaos.plan.FaultPlan` (re-exported
   here) for the run, whose task injections fire at the
-  ``runner.task`` site;
-* :mod:`~repro.runner.pool` — the worker half of
-  ``BatchRunner(workers=N)``: independent tasks run in a ``fork``
-  process pool and return picklable :class:`WorkerResult` shards,
-  while the parent stays the single journal/artifact writer and
-  merges results deterministically in batch order.
+  ``runner.task`` site.
 
 Usage::
 
@@ -69,7 +64,6 @@ from repro.runner.journal import (
     JournalState,
     load_journal,
 )
-from repro.runner.pool import WorkerResult
 from repro.runner.tasks import (
     Batch,
     RunnerEnv,
@@ -99,7 +93,6 @@ __all__ = [
     "TaskGuard",
     "TaskOutcome",
     "TaskSpec",
-    "WorkerResult",
     "compare_batch",
     "default_algorithms",
     "format_failure_table",

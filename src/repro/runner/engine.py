@@ -19,26 +19,23 @@ through to a report the way a database drives a transaction log:
   already durable, so the process can die at any instant;
 * a :class:`~repro.chaos.plan.FaultPlan` is installed process-wide
   for the run, so its injections fire at the ``runner.task`` and
-  write sites of this process and of forked pool workers alike;
-* ``workers=N`` fans independent tasks out to a ``fork`` process pool
-  (:mod:`~repro.runner.pool`) while this parent stays the **single
-  writer** of the journal and every artifact.  Results are consumed
-  in submission (= batch) order, so journal records, merged metrics
-  and the failure table — and therefore the report — are byte-for-byte
-  the same as a serial run of the same grid.
+  write sites.
+
+Tasks run one after another in batch order, so journal records and
+the failure table — and therefore the report — are deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro import obs
 from repro.chaos import sites
 from repro.chaos.plan import FaultPlan
-from repro.errors import RunnerError, SimulatedCrash, SimulatedKill
+from repro.errors import RunnerError
 from repro.io import atomic_writer
 from repro.obs.clock import wall_time
 from repro.resilience import best_effort
@@ -56,12 +53,6 @@ from repro.runner.journal import (
     CheckpointJournal,
     JournalState,
     load_journal,
-)
-from repro.runner.pool import (
-    WorkerResult,
-    execute_task,
-    fork_context,
-    initialize_worker,
 )
 from repro.runner.tasks import Batch, RunnerEnv, TaskSpec
 
@@ -116,21 +107,16 @@ class BatchRunner:
         deadline: float | None = None,
         sleep: Callable[[float], None] | None = None,
         echo: Callable[[str], None] | None = None,
-        workers: int = 1,
         store: Any = None,
     ) -> None:
-        if workers < 1:
-            raise RunnerError(f"--workers must be >= 1, got {workers}")
         if max_failures is not None and max_failures < 0:
             raise RunnerError(
                 f"--max-failures must be >= 0, got {max_failures}"
             )
         self.batch = batch
-        # One artifact store is shared by every grid cell; forked pool
-        # workers inherit it read-only (owner-pid gate), so only this
-        # parent ever writes its index — same single-writer discipline
-        # as the journal.  The runner itself only publishes its gauges;
-        # the cache-aware builders inside the tasks do the lookups.
+        # One artifact store is shared by every grid cell.  The runner
+        # itself only publishes its gauges; the cache-aware builders
+        # inside the tasks do the lookups.
         self.store = store
         self.directory = Path(checkpoint_dir)
         self.resume = resume
@@ -146,7 +132,6 @@ class BatchRunner:
             sleep = null_sleep
         self._sleep = sleep
         self._echo = echo
-        self.workers = workers
 
     # ------------------------------------------------------------------
     # Resume bookkeeping
@@ -240,8 +225,7 @@ class BatchRunner:
             self._echo(line)
 
     # ------------------------------------------------------------------
-    # Journaling (shared by the serial and pool paths, so records and
-    # counters — and therefore resumed reports — are identical)
+    # Journaling
     # ------------------------------------------------------------------
 
     def _journal_ok(
@@ -252,7 +236,6 @@ class BatchRunner:
         elapsed: float,
         retries: int,
         results: dict[str, dict[str, Any]],
-        worker: int | None = None,
     ) -> None:
         record: dict[str, Any] = {
             "type": "task",
@@ -262,8 +245,6 @@ class BatchRunner:
             "elapsed": elapsed,
             "retries": retries,
         }
-        if worker is not None:
-            record["worker"] = worker
         if spec.artifact is not None:
             record["artifact"] = spec.artifact
         else:
@@ -279,12 +260,9 @@ class BatchRunner:
         spec: TaskSpec,
         failure: TaskFailure,
         failures: list[TaskFailure],
-        worker: int | None = None,
     ) -> None:
         record = failure.to_record()
         record["kind"] = spec.kind
-        if worker is not None:
-            record["worker"] = worker
         journal.append(record)
         failures.append(failure)
         obs.inc("runner.task.failures")
@@ -310,7 +288,7 @@ class BatchRunner:
             sleep=self._sleep,
         )
 
-    def _run_serial(
+    def _run_tasks(
         self,
         journal: CheckpointJournal,
         env: RunnerEnv,
@@ -357,159 +335,6 @@ class BatchRunner:
                 )
         return executed, cached
 
-    # ------------------------------------------------------------------
-    # Parallel execution (single-writer merge over a fork pool)
-    # ------------------------------------------------------------------
-
-    def _artifact_attempt(
-        self, spec: TaskSpec, payload: dict[str, Any]
-    ) -> Callable[[int], dict[str, Any]]:
-        def attempt_fn(attempt: int) -> dict[str, Any]:
-            self._write_artifact(spec, payload)
-            return payload
-
-        return attempt_fn
-
-    def _reraise_worker_death(self, result: WorkerResult) -> None:
-        """Re-raise a worker's process-death fault under its original
-        type, so CLI exit codes match serial runs (130 interrupt, 137
-        simulated kill)."""
-        if result.died == "KeyboardInterrupt":
-            raise KeyboardInterrupt(result.died_message)
-        if result.died == "SimulatedCrash":
-            raise SimulatedCrash(result.died_message)
-        if result.died == "SimulatedKill":
-            raise SimulatedKill(result.died_message)
-        raise RunnerError(
-            f"worker running {result.key} died: {result.died}: "
-            f"{result.died_message}"
-        )
-
-    def _run_pool(
-        self,
-        journal: CheckpointJournal,
-        completed: dict[str, dict[str, Any]],
-        results: dict[str, dict[str, Any]],
-        failures: list[TaskFailure],
-        pending: list[str],
-    ) -> tuple[int, int]:
-        """Fan non-cached tasks out to a ``fork`` pool and merge.
-
-        Determinism: results are consumed through ``imap`` in
-        submission (= batch) order, so journal records, metric merges
-        and the failure table are appended in the same order as a
-        serial run regardless of which worker finishes first.  Only
-        this parent touches the journal and the artifact files.
-        """
-        executed = 0
-        cached = 0
-        for spec in self.batch.tasks:
-            if spec.key in completed:
-                results[spec.key] = completed[spec.key]
-                cached += 1
-                obs.inc("runner.task.cached")
-                self._say(f"[runner] cached  {spec.key}")
-        specs = [
-            spec
-            for spec in self.batch.tasks
-            if spec.key not in completed
-        ]
-        if not specs:
-            return executed, cached
-        context = fork_context()
-        worker_ids: dict[int, int] = {}
-        died: WorkerResult | None = None
-        with context.Pool(
-            processes=min(self.workers, len(specs)),
-            initializer=initialize_worker,
-            initargs=(
-                self.batch,
-                self.retries,
-                self.backoff_base,
-                self.deadline,
-                self._sleep,
-            ),
-        ) as pool:
-            arrivals = pool.imap(
-                execute_task,
-                [spec.key for spec in specs],
-                chunksize=1,
-            )
-            for index, result in enumerate(arrivals):
-                if result.died is not None:
-                    died = result
-                    break
-                spec = self.batch.spec(result.key)
-                worker = worker_ids.setdefault(
-                    result.pid, len(worker_ids)
-                )
-                with obs.span(
-                    "runner.task",
-                    key=spec.key,
-                    kind=spec.kind,
-                    worker=worker,
-                ):
-                    self._merge_worker_metrics(result, worker)
-                    value = result.value
-                    failure = result.failure
-                    retries = result.retries
-                    if failure is None and spec.artifact is not None:
-                        # The single-writer invariant: artifacts are
-                        # written here, under their own guard, so the
-                        # ``runner.artifact`` site and write-retry
-                        # semantics live in the parent.
-                        persisted = self._task_guard(spec).run(
-                            self._artifact_attempt(spec, value)
-                        )
-                        retries += persisted.retries
-                        if not persisted.ok:
-                            failure = replace(
-                                persisted.failure, retries=retries
-                            )
-                executed += 1
-                if retries:
-                    obs.inc("runner.task.retries", retries)
-                if failure is None:
-                    self._journal_ok(
-                        journal,
-                        spec,
-                        value,
-                        result.elapsed,
-                        retries,
-                        results,
-                        worker=worker,
-                    )
-                else:
-                    self._journal_failure(
-                        journal, spec, failure, failures, worker=worker
-                    )
-                if (
-                    self.max_failures is not None
-                    and len(failures) > self.max_failures
-                ):
-                    pending.extend(
-                        later.key for later in specs[index + 1 :]
-                    )
-                    break
-            pool.terminate()
-        if died is not None:
-            self._reraise_worker_death(died)
-        return executed, cached
-
-    def _merge_worker_metrics(
-        self, result: WorkerResult, worker: int
-    ) -> None:
-        """Fold one worker shard into the parent's manifest metrics."""
-        obs.merge_snapshot(result.metrics)
-        obs.inc("runner.worker.tasks")
-        obs.inc(f"runner.worker.{worker}.tasks")
-        obs.inc(f"runner.worker.{worker}.seconds", result.elapsed)
-        for name in sorted(result.phases):
-            obs.inc(
-                f"runner.worker.phase.{name}.seconds",
-                result.phases[name],
-            )
-
     def run(self) -> BatchOutcome:
         """Execute the batch; returns a degraded-mode-aware outcome.
 
@@ -555,7 +380,6 @@ class BatchRunner:
                 command=self.batch.command,
                 grid=self.batch.grid_id,
                 tasks=len(self.batch.tasks),
-                workers=self.workers,
             ):
                 if fresh:
                     journal.append(
@@ -570,19 +394,9 @@ class BatchRunner:
                             "unix_time": wall_time(),
                         }
                     )
-                if self.workers > 1:
-                    executed, cached = self._run_pool(
-                        journal, completed, results, failures, pending
-                    )
-                else:
-                    executed, cached = self._run_serial(
-                        journal,
-                        env,
-                        completed,
-                        results,
-                        failures,
-                        pending,
-                    )
+                executed, cached = self._run_tasks(
+                    journal, env, completed, results, failures, pending
+                )
         finally:
             journal.close()
         obs.set_gauge("runner.task.pending", len(pending))

@@ -78,12 +78,6 @@ class Batch:
     render: Callable[[Mapping[str, dict[str, Any]]], str]
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
-    def spec(self, key: str) -> TaskSpec:
-        for task in self.tasks:
-            if task.key == key:
-                return task
-        raise KeyError(key)
-
 
 def grid_fingerprint(config: Mapping[str, Any]) -> str:
     """Stable digest of a batch configuration.

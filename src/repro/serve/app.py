@@ -62,8 +62,8 @@ class LockedStore(ArtifactStore):
 
     The base store assumes a single writer *thread*; here every index
     mutation (``put``, ``gc``, the read-merge-write in ``_refresh`` /
-    ``_write_index``) takes a re-entrant lock, so concurrent HTTP
-    workers serialize their writes while ``get`` blob reads proceed
+    ``_write_index``) takes a re-entrant lock, so concurrent request
+    threads serialize their writes while ``get`` blob reads proceed
     without the lock.  The cross-*process* single-writer gate
     (owner-pid check in ``writable``) is inherited unchanged.
     """

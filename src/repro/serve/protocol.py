@@ -31,7 +31,7 @@ from repro.errors import (
     StoreError,
     TaskTimeout,
 )
-from repro.service import ALGORITHMS
+from repro.service.requests import check_algorithm, check_deadline
 
 __all__ = [
     "DEFAULT_ALGORITHM",
@@ -166,23 +166,12 @@ def parse_place_payload(
             "POST /traces"
         )
     algorithm = mapping.get("algorithm", DEFAULT_ALGORITHM)
-    if algorithm not in ALGORITHMS:
-        raise ServiceError(
-            f"unknown placement algorithm {algorithm!r} "
-            f"(choose from {', '.join(sorted(ALGORITHMS))})"
-        )
+    check_algorithm(algorithm)
     deadline = mapping.get("deadline", default_deadline)
-    if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(
-            deadline, bool
-        ):
-            raise ServiceError(
-                f"deadline must be a number of seconds, got {deadline!r}"
-            )
-        deadline = float(deadline)
+    check_deadline(deadline)
     return PlaceSpec(
         trace_digest=digest,
         algorithm=algorithm,
         config=_cache_config(mapping.get("cache")),
-        deadline=deadline,
+        deadline=None if deadline is None else float(deadline),
     )

@@ -138,7 +138,6 @@ def execute_batch(
     resume: bool = False,
     max_failures: int | None = None,
     plan: FaultPlan | None = None,
-    workers: int = 1,
     store: ArtifactStore | None = None,
     echo: Echo | None = None,
 ) -> BatchOutcome:
@@ -150,7 +149,6 @@ def execute_batch(
         max_failures=max_failures,
         plan=plan,
         echo=echo,
-        workers=workers,
         store=store,
     )
     return runner.run()

@@ -12,6 +12,7 @@ any expensive profiling starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,30 +53,36 @@ ALGORITHMS = {
 }
 
 
-def make_algorithm(name: str) -> PlacementAlgorithm:
-    """Instantiate the placement engine registered under *name*."""
-    try:
-        factory = ALGORITHMS[name]
-    except KeyError:
+def check_algorithm(name: str) -> None:
+    """Reject a placement engine name that is not registered."""
+    if not isinstance(name, str) or name not in ALGORITHMS:
         raise ServiceError(
             f"unknown placement algorithm {name!r} "
             f"(choose from {', '.join(sorted(ALGORITHMS))})"
-        ) from None
-    return factory()
+        )
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(
-            deadline, bool
-        ):
-            raise ServiceError(
-                f"deadline must be a number of seconds, got {deadline!r}"
-            )
-        if deadline <= 0:
-            raise ServiceError(
-                f"deadline must be positive, got {deadline!r}"
-            )
+def make_algorithm(name: str) -> PlacementAlgorithm:
+    """Instantiate the placement engine registered under *name*."""
+    check_algorithm(name)
+    return ALGORITHMS[name]()
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Reject a soft deadline that is not a positive, finite number of
+    seconds (``None`` means no deadline)."""
+    if deadline is None:
+        return
+    if not isinstance(deadline, (int, float)) or isinstance(
+        deadline, bool
+    ):
+        raise ServiceError(
+            f"deadline must be a number of seconds, got {deadline!r}"
+        )
+    if not math.isfinite(deadline):
+        raise ServiceError(f"deadline must be finite, got {deadline!r}")
+    if deadline <= 0:
+        raise ServiceError(f"deadline must be positive, got {deadline!r}")
 
 
 @dataclass(frozen=True)
@@ -114,12 +121,8 @@ class PlacementRequest:
             raise ServiceError(
                 f"which must be 'train' or 'test', got {self.which!r}"
             )
-        if self.algorithm not in ALGORITHMS:
-            raise ServiceError(
-                f"unknown placement algorithm {self.algorithm!r} "
-                f"(choose from {', '.join(sorted(ALGORITHMS))})"
-            )
-        _check_deadline(self.deadline)
+        check_algorithm(self.algorithm)
+        check_deadline(self.deadline)
 
     def resolve_trace(self) -> Trace:
         """Materialise the training trace this request names."""

@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import io as _stdio
 import json
-import zipfile
 from dataclasses import asdict
 from typing import Any
 
-import numpy as np
-
 from repro.io import (
+    NPZ_READ_ERRORS,
     SerializationError,
     graph_from_dict,
     graph_to_dict,
     node_from_json,
     node_to_json,
-    program_from_dict,
-    program_to_dict,
+    read_trace_npz,
+    write_trace_npz,
 )
 from repro.profiles.pairdb import PairDatabase
 from repro.profiles.trg import TRGBuildStats, TRGPair
@@ -37,49 +35,28 @@ _BLOB_VERSION = 1
 
 
 # ----------------------------------------------------------------------
-# Traces (npz, same layout as repro.io.save_trace)
+# Traces (npz, through repro.io's one trace codec)
 # ----------------------------------------------------------------------
 
 
 def encode_trace(trace: Trace) -> bytes:
     """Serialise a trace to the compressed ``.npz`` byte format."""
     buffer = _stdio.BytesIO()
-    np.savez_compressed(
-        buffer,
-        format=np.array("repro/trace"),
-        version=np.array(1),
-        program=np.array(json.dumps(program_to_dict(trace.program))),
-        procs=np.asarray(trace.proc_indices),
-        starts=np.asarray(trace.extent_starts),
-        lengths=np.asarray(trace.extent_lengths),
-    )
+    write_trace_npz(trace, buffer)
     return buffer.getvalue()
 
 
 def decode_trace(data: bytes) -> Trace:
     """Inverse of :func:`encode_trace`; validates via the constructor."""
     try:
-        with np.load(_stdio.BytesIO(data), allow_pickle=False) as payload:
-            if str(payload["format"]) != "repro/trace":
-                raise SerializationError("blob is not a repro trace")
-            program = program_from_dict(json.loads(str(payload["program"])))
-            return Trace.from_arrays(
-                program,
-                payload["procs"],
-                payload["starts"],
-                payload["lengths"],
-            )
-    except (
-        OSError,
-        EOFError,
-        KeyError,
-        ValueError,
-        zipfile.BadZipFile,
-        json.JSONDecodeError,
-    ) as error:
+        trace = read_trace_npz(_stdio.BytesIO(data))
+    except NPZ_READ_ERRORS as error:
         raise SerializationError(
             f"cannot decode trace blob: {error}"
         ) from error
+    if trace is None:
+        raise SerializationError("blob is not a repro trace")
+    return trace
 
 
 # ----------------------------------------------------------------------

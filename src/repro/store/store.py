@@ -22,11 +22,9 @@ Write discipline mirrors the runner's single-writer journal design:
 
 * every index and blob write is atomic
   (:func:`repro.io.atomic_writer` — temp file, fsync, rename);
-* only the process that *opened* the store writes to it.  Worker
-  processes forked by ``--workers`` inherit the store object but fail
-  the owner-pid check, so they read (cache hits still decode in
-  workers) and silently skip writes.  Populate a store with a serial
-  or direct run first — see ``docs/caching.md``.
+* only the process that *opened* the store writes to it.  A forked
+  child inherits the store object but fails the owner-pid check, so
+  it can read (cache hits still decode) and silently skips writes.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class ArtifactStore:
     readonly:
         When true, every write is skipped (reads still work).  Writes
         are also skipped automatically in processes other than the one
-        that constructed the store (forked pool workers).
+        that constructed the store (a forked child).
     """
 
     def __init__(self, root: str | Path, readonly: bool = False) -> None:

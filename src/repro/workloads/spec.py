@@ -12,6 +12,7 @@ artifacts (call graph, traces) are memoised per process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any
@@ -56,6 +57,8 @@ class Workload:
 
     def scaled(self, factor: float) -> "Workload":
         """A copy with trace lengths scaled by *factor* (for fast runs)."""
+        if not math.isfinite(factor):
+            raise ConfigError(f"scale factor must be finite, got {factor}")
         if factor <= 0:
             raise ConfigError(f"scale factor must be positive, got {factor}")
 

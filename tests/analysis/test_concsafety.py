@@ -1,4 +1,4 @@
-"""The ``conc/*`` fork-safety rules on fixture trees."""
+"""The ``conc/*`` IO-safety and global-state rules on fixture trees."""
 
 from __future__ import annotations
 
@@ -128,82 +128,6 @@ class TestGlobalMutationRule:
                     for key, value in items:
                         _CACHE[key] = value
                     return _CACHE
-            """,
-        })
-        assert findings == []
-
-
-class TestWorkerWriteRule:
-    def test_io_writer_reachable_from_worker_fires(self, tmp_path):
-        findings = conc_findings(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/helpers.py": """
-                from repro.io import atomic_write_text
-
-                def persist(task):
-                    atomic_write_text("out.json", str(task))
-            """,
-            "repro/io.py": "def atomic_write_text(path, text): ...\n",
-            "repro/runner/__init__.py": "",
-            "repro/runner/pool.py": """
-                from repro.helpers import persist
-
-                def execute_task(task):
-                    return persist(task)
-            """,
-        })
-        assert "conc/worker-write" in rules_of(findings)
-        finding = next(
-            f for f in findings if f.rule == "conc/worker-write"
-        )
-        assert "repro.helpers.persist" in finding.message
-
-    def test_journal_append_on_local_instance_fires(self, tmp_path):
-        findings = conc_findings(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/runner/__init__.py": "",
-            "repro/runner/journal.py": """
-                class CheckpointJournal:
-                    def append(self, record): ...
-            """,
-            "repro/runner/pool.py": """
-                from repro.runner.journal import CheckpointJournal
-
-                def execute_task(task):
-                    journal = CheckpointJournal()
-                    journal.append(task)
-            """,
-        })
-        assert "conc/worker-write" in rules_of(findings)
-
-    def test_pure_worker_is_clean(self, tmp_path):
-        findings = conc_findings(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/runner/__init__.py": "",
-            "repro/runner/pool.py": """
-                def execute_task(task):
-                    return task * 2
-            """,
-        })
-        assert findings == []
-
-    def test_unreachable_writer_is_clean(self, tmp_path):
-        # The writer exists but no worker entry point can reach it.
-        findings = conc_findings(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/helpers.py": """
-                from repro.io import atomic_write_text
-
-                def persist(task):
-                    atomic_write_text(
-                        "out.json", str(task), site="helpers.out"
-                    )
-            """,
-            "repro/io.py": "def atomic_write_text(path, text): ...\n",
-            "repro/runner/__init__.py": "",
-            "repro/runner/pool.py": """
-                def execute_task(task):
-                    return task * 2
             """,
         })
         assert findings == []

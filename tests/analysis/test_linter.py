@@ -316,7 +316,6 @@ class TestHarness:
             # tests/analysis/test_concsafety.py
             "conc/raw-write",
             "conc/global-mutation",
-            "conc/worker-write",
             "conc/unregistered-write-site",
             # tests/analysis/test_parity_rules.py
             "parity/unregistered",

@@ -119,57 +119,6 @@ class TestAuditManifest:
         )
 
 
-class TestWorkerReconciliation:
-    """Parallel-run manifests: ``runner.worker.tasks`` must equal
-    completions plus failures (cached tasks never reach the pool)."""
-
-    @staticmethod
-    def with_runner_counters(
-        worker: int, completed: int, failed: int
-    ) -> dict:
-        manifest = clean_manifest()
-        manifest["metrics"].update(
-            {
-                "runner.worker.tasks": {
-                    "kind": "counter",
-                    "value": worker,
-                },
-                "runner.task.completed": {
-                    "kind": "counter",
-                    "value": completed,
-                },
-                "runner.task.failures": {
-                    "kind": "counter",
-                    "value": failed,
-                },
-            }
-        )
-        return manifest
-
-    def test_serial_manifest_without_worker_counter_is_quiet(self):
-        # clean_manifest() has no runner.worker.tasks — the rule must
-        # not fire on serial runs.
-        assert audit_manifest(clean_manifest()) == []
-
-    def test_reconciled_worker_counters_are_clean(self):
-        manifest = self.with_runner_counters(9, 8, 1)
-        assert audit_manifest(manifest) == []
-
-    def test_mismatch_flagged(self):
-        manifest = self.with_runner_counters(9, 8, 0)
-        findings = audit_manifest(manifest)
-        assert rules_of(findings) == {"manifest/worker-reconcile"}
-        assert "runner.worker.tasks (9)" in findings[0].message
-
-    def test_missing_task_counters_default_to_zero(self):
-        manifest = self.with_runner_counters(3, 0, 0)
-        del manifest["metrics"]["runner.task.completed"]
-        del manifest["metrics"]["runner.task.failures"]
-        assert rules_of(audit_manifest(manifest)) == {
-            "manifest/worker-reconcile"
-        }
-
-
 class TestRunPath:
     def test_jsonl_file_with_manifest(self, tmp_path):
         run = tmp_path / "run.jsonl"

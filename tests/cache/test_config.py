@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY, CacheConfig
+from repro.cache.config import (
+    MAX_CACHE_LINES,
+    PAPER_CACHE,
+    PAPER_CACHE_2WAY,
+    CacheConfig,
+)
 from repro.errors import ConfigError
 
 
@@ -35,6 +40,15 @@ class TestValidation:
     def test_invalid_geometry_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             CacheConfig(**kwargs)
+
+    def test_line_count_is_bounded(self):
+        """A cache larger than MAX_CACHE_LINES lines is rejected before
+        anything allocates per-line state."""
+        largest = CacheConfig(size=MAX_CACHE_LINES * 32, line_size=32)
+        assert largest.num_lines == MAX_CACHE_LINES
+        for size in (MAX_CACHE_LINES * 32 + 32, 2**40, 2**70):
+            with pytest.raises(ConfigError, match="exceeds the limit"):
+                CacheConfig(size=size, line_size=32)
 
     def test_instructions_per_line(self):
         assert PAPER_CACHE.instructions_per_line == 8

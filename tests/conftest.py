@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -11,6 +12,12 @@ from repro.cache.config import CacheConfig
 from repro.program.program import Program
 from repro.trace.events import TraceEvent
 from repro.trace.trace import Trace
+
+#: A checkpoint a parallel run wrote before grids ran serially only:
+#: ``compare m88ksim --runs 1`` on m88ksim x0.02 with two workers,
+#: killed at ``cell:*:PH:clean``.  Its task records carry ``worker``
+#: ids.  Copy it before resuming; never write into it.
+POOL_CHECKPOINT = Path(__file__).parent / "data" / "pool_checkpoint"
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -84,41 +84,6 @@ class TestFormatManifestReport:
         assert "metrics:" not in text
         assert "workers:" not in text
 
-    def test_worker_metrics_get_their_own_section(self, manifest):
-        """``--workers`` manifests label merged shards per worker
-        instead of dumping them into the flat metric list."""
-        manifest["metrics"].update(
-            {
-                "runner.worker.tasks": {"kind": "counter", "value": 5},
-                "runner.worker.0.tasks": {"kind": "counter", "value": 3},
-                "runner.worker.0.seconds": {
-                    "kind": "counter", "value": 1.5,
-                },
-                "runner.worker.1.tasks": {"kind": "counter", "value": 2},
-                "runner.worker.1.seconds": {
-                    "kind": "counter", "value": 0.25,
-                },
-                "runner.worker.phase.simulate.seconds": {
-                    "kind": "counter", "value": 0.75,
-                },
-            }
-        )
-        text = format_manifest_report(manifest)
-        lines = text.splitlines()
-        assert "workers:" in lines
-        assert "  5 pool task(s) across 2 worker(s)" in lines
-        assert "  worker 0: 3 task(s) in 1.50s" in lines
-        assert "  worker 1: 2 task(s) in 250.0ms" in lines
-        assert "  merged phase time:" in lines
-        assert "    simulate: 750.0ms" in lines
-        # The flat metrics section no longer mentions worker counters.
-        metrics_at = lines.index("metrics:")
-        workers_at = lines.index("workers:")
-        flat = lines[metrics_at:workers_at]
-        assert not any("runner.worker" in line for line in flat)
-        # ...but still renders the pipeline's own counters.
-        assert any("cache.sim.misses" in line for line in flat)
-
     def test_exception_terminated_span_is_flagged(self, manifest):
         """A phase that died mid-run renders with its error attached
         instead of masquerading as a completed phase."""

@@ -10,13 +10,13 @@ double-counted), and the checkpoint directory passes
 """
 
 import json
-import os
+import shutil
 from collections import Counter
 
 import pytest
 
 from repro import cli, service
-from repro.analysis import audit_manifest, load_run_manifest
+from repro.analysis import load_run_manifest
 from repro.errors import RunnerError
 from repro.runner import (
     FAULTPLAN_FORMAT,
@@ -24,19 +24,10 @@ from repro.runner import (
     load_journal,
 )
 from repro.workloads import suite as suite_module
+from tests.conftest import POOL_CHECKPOINT
 
 #: compare --runs 1 grid: 1 profile + 4 algorithms x (clean + 1 seed).
 COMPARE_TASKS = 9
-
-#: ``REPRO_TEST_WORKERS=N`` reruns every checkpointed invocation in
-#: this module through the fork pool — CI uses it to exercise the
-#: parallel backend against the exact same assertions as serial runs.
-TEST_WORKERS = os.environ.get("REPRO_TEST_WORKERS")
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"),
-    reason="the pool backend requires the fork start method",
-)
 
 
 @pytest.fixture
@@ -61,7 +52,7 @@ def write_plan(path, injections: list[dict]) -> str:
 
 
 def compare_argv(checkpoint, *extra: str) -> list[str]:
-    argv = [
+    return [
         "compare",
         "m88ksim",
         "--runs",
@@ -70,9 +61,6 @@ def compare_argv(checkpoint, *extra: str) -> list[str]:
         str(checkpoint),
         *extra,
     ]
-    if TEST_WORKERS:
-        argv += ["--workers", TEST_WORKERS]
-    return argv
 
 
 class TestCleanBatch:
@@ -99,8 +87,6 @@ class TestCleanBatch:
         assert cli.main(["table1"]) == 0
         direct = capsys.readouterr().out
         argv = ["table1", "--checkpoint", str(tmp_path / "ck")]
-        if TEST_WORKERS:
-            argv += ["--workers", TEST_WORKERS]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == direct
 
@@ -234,90 +220,37 @@ class TestDegradedBatch:
         assert state.completed()["profile:m88ksim"]["retries"] == 2
 
 
-@needs_fork
 class TestParallelCli:
-    """``--workers N`` end to end: byte-identity with serial runs,
-    kill-and-resume, and manifest/journal reconciliation."""
+    """Checkpoints that parallel runs wrote before grids ran serially
+    only: ``--resume`` finishes them and ``check`` accepts them."""
 
     def test_parallel_report_matches_serial(
         self, tiny_workload, tmp_path, capsys
     ):
         assert cli.main(compare_argv(tmp_path / "ref")) == 0
         serial = capsys.readouterr().out
-        assert (
-            cli.main(
-                compare_argv(tmp_path / "ck", "--workers", "2")
-            )
-            == 0
-        )
+        shutil.copytree(POOL_CHECKPOINT, tmp_path / "ck")
+        assert cli.main(compare_argv(tmp_path / "ck", "--resume")) == 0
         assert capsys.readouterr().out == serial
-
-    def test_kill_exits_137_then_parallel_resume_matches(
-        self, tiny_workload, tmp_path, capsys
-    ):
-        assert cli.main(compare_argv(tmp_path / "ref")) == 0
-        reference = capsys.readouterr().out
-        plan = write_plan(
-            tmp_path / "plan.json",
-            [{"task": "cell:*:PH:clean", "error": "kill"}],
-        )
-        assert (
-            cli.main(
-                compare_argv(
-                    tmp_path / "ck",
-                    "--inject",
-                    plan,
-                    "--workers",
-                    "2",
-                )
-            )
-            == 137
-        )
-        capsys.readouterr()
-        assert (
-            cli.main(
-                compare_argv(
-                    tmp_path / "ck", "--resume", "--workers", "2"
-                )
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == reference
-
-    def test_manifest_worker_counters_reconcile(
-        self, tiny_workload, tmp_path, capsys
-    ):
-        metrics = tmp_path / "run.jsonl"
-        code = cli.main(
-            compare_argv(
-                tmp_path / "ck",
-                "--workers",
-                "2",
-                "--metrics-out",
-                str(metrics),
-            )
-        )
-        assert code == 0
-        manifest = load_run_manifest(metrics)
-        counters = manifest["metrics"]
-        assert (
-            counters["runner.worker.tasks"]["value"] == COMPARE_TASKS
-        )
-        assert (
-            counters["runner.task.completed"]["value"]
-            == COMPARE_TASKS
-        )
-        assert audit_manifest(manifest) == []
+        state = load_journal(tmp_path / "ck" / "checkpoint.jsonl")
+        completed = state.completed()
+        assert len(completed) == COMPARE_TASKS
+        # The three tasks the parallel run finished were not re-run.
+        assert [
+            key for key, entry in completed.items() if "worker" in entry
+        ] == [
+            "profile:m88ksim",
+            "cell:m88ksim:default:clean",
+            "cell:m88ksim:default:p000",
+        ]
 
     def test_parallel_checkpoint_passes_check(
         self, tiny_workload, tmp_path, capsys
     ):
-        assert (
-            cli.main(
-                compare_argv(tmp_path / "ck", "--workers", "2")
-            )
-            == 0
-        )
+        assert cli.main(["check", str(POOL_CHECKPOINT)]) == 0
+        assert "no findings" in capsys.readouterr().out
+        shutil.copytree(POOL_CHECKPOINT, tmp_path / "ck")
+        assert cli.main(compare_argv(tmp_path / "ck", "--resume")) == 0
         capsys.readouterr()
         assert cli.main(["check", str(tmp_path / "ck")]) == 0
         assert "no findings" in capsys.readouterr().out
@@ -334,27 +267,32 @@ class TestRunnerArgumentErrors:
     def test_workers_without_checkpoint_exits_2(
         self, tiny_workload, capsys
     ):
-        code = cli.main(
-            ["compare", "m88ksim", "--workers", "2"]
+        """Grids run serially; ``--workers`` is not an option."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["compare", "m88ksim", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in (
+            capsys.readouterr().err
         )
-        assert code == 2
-        assert "require --checkpoint" in capsys.readouterr().err
 
     def test_workers_zero_exits_2(
         self, tiny_workload, tmp_path, capsys
     ):
-        code = cli.main(
-            [
-                "compare",
-                "m88ksim",
+        for command in (["compare", "m88ksim"], ["table1"]):
+            argv = [
+                *command,
                 "--checkpoint",
                 str(tmp_path / "ck"),
                 "--workers",
                 "0",
             ]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --workers 0" in (
+                capsys.readouterr().err
+            )
+        assert not (tmp_path / "ck").exists()
 
     def test_negative_max_failures_exits_2(self, tmp_path, capsys):
         """Rejected before any task runs, with one message on the CLI

@@ -21,6 +21,8 @@ from repro.runner import (
     load_journal,
     null_sleep,
 )
+from repro.service import execute_batch
+
 
 def make_batch(
     n: int = 3, grid: str = "grid-a", calls: list | None = None
@@ -89,6 +91,14 @@ class TestCleanRun:
         runner(make_batch(), tmp_path).run()
         with pytest.raises(RunnerError, match="--resume"):
             runner(make_batch(), tmp_path).run()
+
+    def test_workers_is_not_a_parameter(self, tmp_path):
+        """Grids run serially; there is no process pool to size."""
+        with pytest.raises(TypeError):
+            BatchRunner(make_batch(), tmp_path, workers=2)
+        with pytest.raises(TypeError):
+            execute_batch(make_batch(), tmp_path, workers=2)
+        assert not (tmp_path / "checkpoint.jsonl").exists()
 
     def test_non_dict_payload_is_structured_failure(self, tmp_path):
         batch = make_batch()
@@ -283,6 +293,9 @@ class TestKillAndResume:
         )
         outcome = runner(make_batch(), tmp_path, plan=plan).run()
         assert outcome.ok
+        assert plan.exhausted
+        state = load_journal(tmp_path / "checkpoint.jsonl")
+        assert state.completed()["t:1"]["retries"] == 1
         payload = json.loads((tmp_path / "t1.json").read_text())
         assert payload == {"value": 10}
 

@@ -82,6 +82,10 @@ class TestParsePlacePayload:
             {"trace": "abc", "deadline": True},
             {"trace": "abc", "cache": {"size": "big"}},
             {"trace": "abc", "cache": {"sets": 4}},
+            {"trace": "abc", "algorithm": ["gbsc"]},
+            {"trace": "abc", "deadline": 0},
+            {"trace": "abc", "deadline": float("nan")},
+            {"trace": "abc", "deadline": float("inf")},
         ],
     )
     def test_rejected_shapes(self, payload):

@@ -214,6 +214,32 @@ class TestErrorStatuses:
         assert status == 504
         assert body["error"]["type"] == "TaskTimeout"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_deadline_is_400(self, served, literal):
+        """Python's json accepts these literals; the request must not
+        run with no deadline at all."""
+        base, _ = served
+        status, body = request(
+            f"{base}/layouts",
+            method="POST",
+            data=f'{{"trace": "abc", "deadline": {literal}}}'.encode(),
+        )
+        assert status == 400
+        assert "deadline must be finite" in body["error"]["message"]
+
+    def test_oversized_cache_is_400(self, served):
+        """A 2**40-byte cache is refused before any per-line state is
+        allocated (it used to run for minutes or exhaust memory)."""
+        base, _ = served
+        started = time.monotonic()
+        status, body = place(
+            base, {"trace": "abc", "cache": {"size": 2**40}}
+        )
+        assert status == 400
+        assert body["error"]["type"] == "ConfigError"
+        assert "exceeds the limit" in body["error"]["message"]
+        assert time.monotonic() - started < 10
+
     def test_malformed_json_is_400(self, served):
         base, _ = served
         status, body = request(

@@ -144,6 +144,15 @@ class TestValidation:
                 PlacementRequest(trace=train_trace, deadline=0)
             )
 
+    @pytest.mark.parametrize(
+        "deadline", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_deadline(self, train_trace, deadline):
+        """NaN compares false with everything, so without this check it
+        slipped past ``<= 0`` and the request ran with no deadline."""
+        with pytest.raises(ServiceError, match="finite"):
+            PlacementRequest(trace=train_trace, deadline=deadline).validate()
+
     def test_boolean_deadline(self, train_trace):
         with pytest.raises(ServiceError):
             run_placement(

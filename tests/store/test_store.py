@@ -73,8 +73,8 @@ class TestWriteGating:
         assert store.get(DIGEST) is None
 
     def test_forked_worker_is_readonly(self, tmp_path):
-        """A store whose owner pid is another process never writes —
-        the single-writer discipline for ``--workers`` pools."""
+        """A store whose owner pid is another process (a forked child)
+        never writes — only the process that opened it does."""
         store = ArtifactStore(tmp_path / "s")
         store._owner_pid -= 1
         assert not store.writable

@@ -90,6 +90,46 @@ class TestBadInputs:
             "not a multiple",
         )
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_exits_2(self, capsys, tmp_path, scale):
+        _assert_error_exit(
+            capsys,
+            [
+                "gen-trace",
+                "perl",
+                "--scale",
+                scale,
+                "-o",
+                str(tmp_path / "x.npz"),
+            ],
+            "scale factor must be finite",
+        )
+        assert not (tmp_path / "x.npz").exists()
+
+    def test_oversized_cache_exits_2(self, capsys, tmp_path):
+        """A 2**40-byte cache is refused up front instead of allocating
+        per-line state until the process runs out of memory."""
+        from repro.io import save_trace
+        from repro.program.program import Program
+        from tests.conftest import full_trace
+
+        program = Program.from_sizes({"a": 64, "b": 64})
+        trace_path = tmp_path / "t.npz"
+        save_trace(full_trace(program, ["a", "b", "a"]), trace_path)
+        _assert_error_exit(
+            capsys,
+            [
+                "place",
+                str(trace_path),
+                "-o",
+                str(tmp_path / "layout.json"),
+                "--cache-size",
+                str(2**40),
+            ],
+            "exceeds the limit of 65536 lines",
+        )
+        assert not (tmp_path / "layout.json").exists()
+
     def test_check_missing_artifact_exits_2(self, capsys, tmp_path):
         _assert_error_exit(
             capsys, ["check", str(tmp_path / "absent.json")], "absent.json"

@@ -50,6 +50,13 @@ class TestWorkload:
         with pytest.raises(ConfigError):
             workload.scaled(0)
 
+    @pytest.mark.parametrize(
+        "factor", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_scaled_non_finite(self, workload, factor):
+        with pytest.raises(ConfigError, match="finite"):
+            workload.scaled(factor)
+
     def test_call_graph_shared_across_equal_params(self, workload):
         other = Workload(
             name="other",
