@@ -3,6 +3,7 @@
 from repro.core.gbsc import GBSCPlacement, GBSCResult, gbsc_nodes
 from repro.core.linearize import LinearizationResult, linearize
 from repro.core.merge import (
+    ChunkWeights,
     MergeNode,
     PlacedProcedure,
     best_offset,
@@ -26,6 +27,7 @@ from repro.core.setassoc import (
 )
 
 __all__ = [
+    "ChunkWeights",
     "DEFAULT_COVERAGE",
     "GBSCPlacement",
     "GBSCResult",

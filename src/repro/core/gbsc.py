@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from repro import obs
 from repro.cache.config import CacheConfig
 from repro.core.linearize import LinearizationResult, linearize
-from repro.core.merge import MergeNode, merge_nodes
+from repro.core.merge import ChunkWeights, MergeNode, merge_nodes
 from repro.placement.base import PlacementContext
 from repro.profiles.graph import WeightedGraph
 from repro.program.layout import Layout
@@ -61,14 +61,19 @@ def gbsc_nodes(
     ``TRG_select``; each step merges the endpoints of its heaviest edge
     (lazy max-heap, deterministic tie-breaks) until no edges remain.
     *merge* is the pairwise step; the default is Figure 4's
-    :func:`~repro.core.merge.merge_nodes` against *place_graph*.
+    :func:`~repro.core.merge.merge_nodes` against one
+    :class:`~repro.core.merge.ChunkWeights` index over *place_graph*,
+    built here and dropped when the call returns.
     """
-    if merge is None:
-
-        def merge(n1: MergeNode, n2: MergeNode) -> MergeNode:
-            return merge_nodes(n1, n2, place_graph, program, config, chunk_size)
-
     with obs.span("gbsc_merge", popular=len(popular)):
+        if merge is None:
+            weights = ChunkWeights(
+                place_graph, program, config, popular, chunk_size
+            )
+
+            def merge(n1: MergeNode, n2: MergeNode) -> MergeNode:
+                return merge_nodes(n1, n2, weights)
+
         working = select_graph.subgraph(popular)
         for name in popular:
             working.add_node(name)

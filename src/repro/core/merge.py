@@ -11,8 +11,10 @@ chain — Section 4.2).
 
 Two evaluators of the cost vector exist:
 
-* :func:`offset_costs_fast` — the one ``merge_nodes`` runs: a sum of
-  circular cross-correlations via real FFTs, O(n·C log C);
+* :meth:`ChunkWeights.offset_costs` — the one ``merge_nodes`` runs: a
+  sum of circular cross-correlations via real FFTs, O(n·C log C), over
+  a chunk index built once per placement (:func:`offset_costs_fast`
+  builds one for a single pair);
 * :func:`offset_costs_reference` — the literal quadruple loop of
   Figure 4, O(C²·k²), its scalar twin.
 
@@ -169,6 +171,168 @@ def offset_costs_reference(
     return costs
 
 
+def _run_positions(lengths: np.ndarray) -> np.ndarray:
+    """``0..n-1`` for each run length ``n``, concatenated."""
+    return np.arange(int(lengths.sum())) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+
+
+class ChunkWeights:
+    """One placement's chunk index: occupancy patterns and weights.
+
+    Built once per placement from ``TRG_place`` and the procedures that
+    take part, it holds everything the Figure 4 cost needs as arrays:
+
+    * one *slot* per chunk of those procedures, in sorted ``ChunkId``
+      order;
+    * a dense float64 weight matrix over the chunks with a
+      ``TRG_place`` edge inside the set, plus one all-zero row and
+      column that every other chunk maps to;
+    * per procedure, its ``(relative line, chunk slot)`` pattern,
+      following :func:`line_occupancy`'s rule for chunks that straddle
+      a line.
+
+    A node's occupancy is then its procedures' patterns shifted by
+    their offsets modulo ``C``, and a merge no longer walks the graph.
+    """
+
+    def __init__(
+        self,
+        place_graph: WeightedGraph,
+        program: Program,
+        config: CacheConfig,
+        names: Sequence[str],
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+    ) -> None:
+        self.num_lines = config.num_lines
+        ordered = sorted(set(names))
+        sizes = np.asarray(
+            [program.size_of(name) for name in ordered], dtype=np.int64
+        )
+        num_chunks = -(-sizes // chunk_size)
+        first_slot = np.cumsum(num_chunks) - num_chunks
+        self._num_slots = int(num_chunks.sum())
+
+        # Every (line, chunk) pair of every procedure at offset 0, by
+        # line_occupancy's rule: line i holds bytes [i*line_size,
+        # (i+1)*line_size) and credits each chunk overlapping them.
+        line_size = config.line_size
+        lines_spanned = -(-sizes // line_size)
+        owner = np.repeat(np.arange(len(ordered)), lines_spanned)
+        line = _run_positions(lines_spanned)
+        start = line * line_size
+        first = start // chunk_size
+        last = (np.minimum(start + line_size, sizes[owner]) - 1) // chunk_size
+        per_line = last - first + 1
+        pair_owner = np.repeat(owner, per_line)
+        pair_line = np.repeat(line, per_line)
+        pair_slot = (
+            first_slot[pair_owner]
+            + np.repeat(first, per_line)
+            + _run_positions(per_line)
+        )
+        bounds = np.searchsorted(pair_owner, np.arange(len(ordered) + 1))
+        self._patterns = {
+            name: (
+                pair_line[bounds[k] : bounds[k + 1]],
+                pair_slot[bounds[k] : bounds[k + 1]],
+                np.arange(first_slot[k], first_slot[k] + num_chunks[k]),
+            )
+            for k, name in enumerate(ordered)
+        }
+
+        #: The chunk in each slot.
+        self.chunks = tuple(
+            ChunkId(name, index)
+            for k, name in enumerate(ordered)
+            for index in range(int(num_chunks[k]))
+        )
+        slot_of = {chunk: slot for slot, chunk in enumerate(self.chunks)}
+        sources: list[int] = []
+        targets: list[int] = []
+        values: list[float] = []
+        for chunk, slot in slot_of.items():
+            for neighbor in place_graph.neighbors(chunk):
+                other = slot_of.get(neighbor)
+                if other is not None:
+                    sources.append(slot)
+                    targets.append(other)
+                    values.append(place_graph.weight(chunk, neighbor))
+        source = np.asarray(sources, dtype=np.int64)
+        connected = np.unique(source)
+        self._row_of = np.full(self._num_slots, len(connected))
+        self._row_of[connected] = np.arange(len(connected))
+        self._matrix = np.zeros((len(connected) + 1, len(connected) + 1))
+        self._matrix[
+            self._row_of[source],
+            self._row_of[np.asarray(targets, dtype=np.int64)],
+        ] = values
+
+    def occupancy(
+        self, node: MergeNode
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node's ``(cache line, chunk slot)`` pairs, as two arrays,
+        and the sorted slots of all its chunks.
+
+        The pairs are :func:`line_occupancy` of the node as a multiset,
+        with chunks given by slot (see :attr:`chunks`).
+        """
+        try:
+            patterns = [self._patterns[p.name] for p in node.placements]
+        except KeyError as error:
+            raise PlacementError(
+                f"procedure {error.args[0]!r} is not in this chunk index"
+            ) from None
+        lengths = [len(pattern[0]) for pattern in patterns]
+        shifts = np.repeat([p.offset for p in node.placements], lengths)
+        lines = np.concatenate([pattern[0] for pattern in patterns]) + shifts
+        slots = np.concatenate([pattern[1] for pattern in patterns])
+        chunks = np.sort(np.concatenate([pattern[2] for pattern in patterns]))
+        return lines % self.num_lines, slots, chunks
+
+    def offset_costs(self, n1: MergeNode, n2: MergeNode) -> np.ndarray:
+        """The Figure 4 cost vector of shifting *n2* against *n1*.
+
+        With ``L1``/``L2`` the line-occupancy indicator matrices and
+        ``W`` the cross-node chunk weights, ``cost(i) = sum_j (L1 W)[(j
+        + i) % C] · L2[j]`` — a circular cross-correlation per chunk
+        column, computed with real FFTs of length ``C``.  The columns
+        are every chunk of *n2*, the rows every chunk of *n1* with an
+        edge into *n2*, both sorted: that exact shape keeps the result
+        bit-identical however large the index, which the GBSC-SA
+        tie-break relies on.  The nodes must not share a procedure.
+        """
+        num_lines = self.num_lines
+        lines1, slots1, chunks1 = self.occupancy(n1)
+        lines2, slots2, chunks2 = self.occupancy(n2)
+        block = self._matrix[
+            np.ix_(self._row_of[chunks1], self._row_of[chunks2])
+        ]
+        linked = block.any(axis=1)
+        if not linked.any():
+            return np.zeros(num_lines)
+        weights = block[linked]
+        rows = chunks1[linked]
+
+        column = np.full(self._num_slots, -1)
+        column[rows] = np.arange(len(rows))
+        column[chunks2] = np.arange(len(chunks2))
+        kept = column[slots1] >= 0
+        l1 = np.zeros((num_lines, len(rows)))
+        np.add.at(l1, (lines1[kept], column[slots1[kept]]), 1.0)
+        l2 = np.zeros((num_lines, len(chunks2)))
+        np.add.at(l2, (lines2, column[slots2]), 1.0)
+
+        g = l1 @ weights  # (C, n2): weight mass n1 projects onto each line
+        spectrum = (
+            np.fft.rfft(g, axis=0) * np.conj(np.fft.rfft(l2, axis=0))
+        ).sum(axis=1)
+        costs = np.fft.irfft(spectrum, n=num_lines)
+        # Costs are sums of non-negative weights; clip FFT round-off.
+        return np.maximum(costs, 0.0)
+
+
 @fast_path(scalar="repro.core.merge.offset_costs_reference")
 def offset_costs_fast(
     n1: MergeNode,
@@ -178,55 +342,15 @@ def offset_costs_fast(
     config: CacheConfig,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
-    """FFT evaluation of the Figure 4 cost vector.
+    """FFT evaluation of the Figure 4 cost vector for one pair.
 
-    With ``L1``/``L2`` the line-occupancy indicator matrices and ``W``
-    the cross-node chunk weights, ``cost(i) = sum_j (L1 W)[(j+i) % C]
-    · L2[j]`` — a circular cross-correlation per chunk column, computed
-    with real FFTs of length ``C``.
+    Builds a :class:`ChunkWeights` over the two nodes' procedures and
+    runs its cost; a placement builds one index and reuses it instead.
     """
-    c1 = line_occupancy(n1, program, config, chunk_size)
-    c2 = line_occupancy(n2, program, config, chunk_size)
-    num_lines = config.num_lines
-
-    chunks2 = sorted({chunk for line in c2 for chunk in line})
-    chunks2_set = set(chunks2)
-    # Only chunks of n1 with an edge into n2 can contribute any cost.
-    unique1 = {chunk for line in c1 for chunk in line}
-    chunks1 = sorted(
-        chunk
-        for chunk in unique1
-        if place_graph.has_neighbor_in(chunk, chunks2_set)
+    weights = ChunkWeights(
+        place_graph, program, config, n1.names + n2.names, chunk_size
     )
-    if not chunks1:
-        return np.zeros(num_lines)
-
-    index1 = {chunk: k for k, chunk in enumerate(chunks1)}
-    index2 = {chunk: k for k, chunk in enumerate(chunks2)}
-    l1 = np.zeros((num_lines, len(chunks1)))
-    for line, members in enumerate(c1):
-        for chunk in members:
-            k = index1.get(chunk)
-            if k is not None:
-                l1[line, k] += 1.0
-    l2 = np.zeros((num_lines, len(chunks2)))
-    for line, members in enumerate(c2):
-        for chunk in members:
-            l2[line, index2[chunk]] += 1.0
-    weights = np.zeros((len(chunks1), len(chunks2)))
-    for a, ka in index1.items():
-        for neighbor in place_graph.neighbors(a):
-            kb = index2.get(neighbor)
-            if kb is not None:
-                weights[ka, kb] = place_graph.weight(a, neighbor)
-
-    g = l1 @ weights  # (C, n2): weight mass n1 projects onto each line
-    spectrum = (np.fft.rfft(g, axis=0) * np.conj(np.fft.rfft(l2, axis=0))).sum(
-        axis=1
-    )
-    costs = np.fft.irfft(spectrum, n=num_lines)
-    # Costs are sums of non-negative weights; clip FFT round-off.
-    return np.maximum(costs, 0.0)
+    return weights.offset_costs(n1, n2)
 
 
 def tied_offsets(costs: np.ndarray) -> np.ndarray:
@@ -247,21 +371,17 @@ def best_offset(costs: np.ndarray) -> int:
 
 
 def merge_nodes(
-    n1: MergeNode,
-    n2: MergeNode,
-    place_graph: WeightedGraph,
-    program: Program,
-    config: CacheConfig,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    n1: MergeNode, n2: MergeNode, weights: ChunkWeights
 ) -> MergeNode:
     """Merge two nodes at the best relative alignment (Figure 4).
 
-    The relative alignment of procedures *within* each node is left
+    *weights* is the placement's :class:`ChunkWeights` index.  The
+    relative alignment of procedures *within* each node is left
     unchanged; only node *n2* as a whole is shifted.
     """
     if set(n1.names) & set(n2.names):
         raise PlacementError("nodes being merged share a procedure")
-    costs = offset_costs_fast(n1, n2, place_graph, program, config, chunk_size)
-    obs.inc("gbsc.merge.offsets_evaluated", config.num_lines)
+    costs = weights.offset_costs(n1, n2)
+    obs.inc("gbsc.merge.offsets_evaluated", weights.num_lines)
     offset = best_offset(costs)
-    return n1.combined_with(n2.shifted(offset, config.num_lines))
+    return n1.combined_with(n2.shifted(offset, weights.num_lines))

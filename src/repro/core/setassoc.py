@@ -23,15 +23,14 @@ from repro.cache.config import CacheConfig
 from repro.core.gbsc import gbsc_nodes
 from repro.core.linearize import linearize
 from repro.core.merge import (
+    ChunkWeights,
     MergeNode,
     best_offset,
-    offset_costs_fast,
     tied_offsets,
 )
 from repro.errors import PlacementError
 from repro.fastpath import fast_path
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import WeightedGraph
 from repro.profiles.pairdb import PairDatabase
 from repro.program.layout import Layout
 from repro.program.program import Program
@@ -130,8 +129,7 @@ def merge_nodes_sa(
     pair_db: PairDatabase,
     program: Program,
     config: CacheConfig,
-    place_graph: WeightedGraph | None = None,
-    chunk_size: int = 256,
+    weights: ChunkWeights | None = None,
 ) -> MergeNode:
     """Merge two nodes at the best set-relative alignment (Section 6).
 
@@ -140,26 +138,25 @@ def merge_nodes_sa(
     (near) zero primary cost; following the paper's remark that other
     heuristics "were found to be important for procedure placement in
     set-associative caches", ties on the primary cost are broken by the
-    direct-mapped chunk-TRG cost when *place_graph* is supplied — a
-    block that would displace ``p`` alone is still the more likely
-    half of a displacing pair.
+    direct-mapped chunk-TRG cost when the placement's *weights* index
+    is supplied — a block that would displace ``p`` alone is still the
+    more likely half of a displacing pair.
     """
     if set(n1.names) & set(n2.names):
         raise PlacementError("nodes being merged share a procedure")
     costs = sa_offset_costs(n1, n2, pair_db, program, config)
-    if place_graph is None:
+    if weights is None:
         offset = best_offset(costs)
     else:
         # Fold line-offset costs onto set alignments: line offsets
         # i, i + num_sets, ... are the same set alignment.
         dm_costs = (
-            offset_costs_fast(
-                n1, n2, place_graph, program, config, chunk_size
-            )
+            weights.offset_costs(n1, n2)
             .reshape(config.associativity, config.num_sets)
             .sum(axis=0)
         )
         tied = tied_offsets(costs)
+        # An exact argmin over FFT output: dm_costs must stay bit-exact.
         offset = int(tied[int(np.argmin(dm_costs[tied]))])
     return n1.combined_with(n2.shifted(offset, config.num_lines))
 
@@ -228,15 +225,13 @@ class GBSCSetAssociativePlacement:
         if not popular:
             popular = tuple(sorted(trgs.select.nodes))
 
+        weights = ChunkWeights(
+            trgs.place, program, config, popular, trgs.chunk_size
+        )
+
         def merge(n1: MergeNode, n2: MergeNode) -> MergeNode:
             return merge_nodes_sa(
-                n1,
-                n2,
-                pair_db,
-                program,
-                config,
-                place_graph=trgs.place,
-                chunk_size=trgs.chunk_size,
+                n1, n2, pair_db, program, config, weights=weights
             )
 
         nodes = gbsc_nodes(

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.linearize import linearize
-from repro.core.merge import MergeNode, PlacedProcedure, offset_costs_fast
+from repro.core.merge import ChunkWeights, MergeNode, PlacedProcedure
 from repro.errors import PlacementError
 from repro.placement.base import PlacementContext
 from repro.profiles.graph import WeightedGraph
@@ -34,8 +34,9 @@ class _PairTables:
 
     ``table[p][q][d]`` is the TRG_place cost of placing *q*'s start
     ``d`` cache lines after *p*'s — precomputed once per pair that has
-    at least one cross-procedure chunk edge, via the same FFT evaluator
-    the GBSC merge step uses.
+    at least one cross-procedure chunk edge, with one
+    :class:`~repro.core.merge.ChunkWeights` index over *procedures*,
+    the same FFT evaluator the GBSC merge step uses.
     """
 
     def __init__(
@@ -49,7 +50,6 @@ class _PairTables:
         self._tables: dict[str, dict[str, np.ndarray]] = {
             name: {} for name in procedures
         }
-        proc_of_chunk = {name: name for name in procedures}
         # Which procedure pairs actually share chunk edges?
         partners: dict[str, set[str]] = {name: set() for name in procedures}
         known = set(procedures)
@@ -59,18 +59,15 @@ class _PairTables:
             if pa in known and pb in known and pa != pb:
                 partners[pa].add(pb)
                 partners[pb].add(pa)
-        del proc_of_chunk
+        weights = ChunkWeights(
+            place_graph, program, config, procedures, chunk_size
+        )
         for p in procedures:
             for q in partners[p]:
                 if q in self._tables[p]:
                     continue
-                table = offset_costs_fast(
-                    MergeNode.single(p),
-                    MergeNode.single(q),
-                    place_graph,
-                    program,
-                    config,
-                    chunk_size,
+                table = weights.offset_costs(
+                    MergeNode.single(p), MergeNode.single(q)
                 )
                 self._tables[p][q] = table
                 # cost is symmetric under d -> -d with roles swapped.

@@ -180,18 +180,6 @@ class WeightedGraph:
         """Neighbors of *node* (empty when absent)."""
         yield from self._adj.get(node, {})
 
-    def has_neighbor_in(self, node: Node, candidates: set) -> bool:
-        """True when *node* has at least one neighbor in *candidates*.
-
-        Runs at C speed via ``set.isdisjoint`` — the hot path of the
-        merge-cost evaluation uses this to discard chunks with no
-        cross-node edges.
-        """
-        neighbors = self._adj.get(node)
-        if not neighbors:
-            return False
-        return not candidates.isdisjoint(neighbors)
-
     def degree(self, node: Node) -> int:
         """Number of edges incident to *node*."""
         return len(self._adj.get(node, {}))

@@ -4,11 +4,11 @@ the WCG cannot distinguish."""
 
 import pytest
 
-import repro.core.merge
+import repro.core.gbsc
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate
 from repro.core.gbsc import GBSCPlacement, gbsc_nodes
-from repro.core.merge import offset_costs_reference
+from repro.core.merge import best_offset, offset_costs_reference
 from repro.eval.experiment import build_context
 from repro.placement.base import PlacementContext
 from repro.profiles.trg import build_trgs
@@ -129,10 +129,21 @@ class TestStructure:
         refs = ["a", "b", "c", "a", "c", "b"] * 20
         context = context_from_refs(program, refs, config)
         fast = GBSCPlacement().place(context)
-        monkeypatch.setattr(
-            repro.core.merge, "offset_costs_fast", offset_costs_reference
-        )
+        place_graph = context.trgs.place
+        merges = []
+
+        def reference_merge(n1, n2, weights):
+            merges.append((n1, n2))
+            costs = offset_costs_reference(
+                n1, n2, place_graph, program, config, chunk_size=32
+            )
+            return n1.combined_with(
+                n2.shifted(best_offset(costs), config.num_lines)
+            )
+
+        monkeypatch.setattr(repro.core.gbsc, "merge_nodes", reference_merge)
         assert GBSCPlacement().place(context) == fast
+        assert merges, "the reference loop ran"
 
     def test_popular_only_merging(self, config):
         """Unpopular procedures never receive cache offsets: they trail

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.merge
 from repro.cache.config import CacheConfig
 from repro.core.merge import (
+    ChunkWeights,
     MergeNode,
     PlacedProcedure,
     best_offset,
@@ -195,6 +195,90 @@ class TestOffsetCosts:
         assert np.allclose(fast, reference, atol=1e-6)
 
 
+class TestChunkWeights:
+    """The per-placement index against the per-pair evaluator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_placement_scope_is_bit_identical_to_pair_scope(self, data):
+        """An index over a superset of procedures gives exactly the
+        costs of one over the merged pair: the GBSC-SA tie-break
+        compares those costs without tolerance."""
+        config = data.draw(
+            st.sampled_from(
+                [
+                    CacheConfig(size=128, line_size=32),
+                    CacheConfig(size=256, line_size=32),
+                    CacheConfig(size=512, line_size=32),
+                ]
+            ),
+            label="config",
+        )
+        chunk_size = data.draw(st.sampled_from([32, 48, 64]), label="chunk")
+        # Sizes reach past the largest cache, so procedures wrap.
+        sizes = data.draw(
+            st.lists(st.integers(1, 1200), min_size=3, max_size=8),
+            label="sizes",
+        )
+        program = Program.from_sizes(
+            {f"p{index}": size for index, size in enumerate(sizes)}
+        )
+        chunks = list(program.all_chunks(chunk_size))
+        edges = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(chunks),
+                    st.sampled_from(chunks),
+                    st.floats(0.01, 1000.0),
+                ),
+                max_size=40,
+            ),
+            label="edges",
+        )
+        graph = WeightedGraph()
+        for a, b, weight in edges:
+            if a != b:
+                graph.add_edge(a, b, weight)
+        names = list(program.names)
+        split = data.draw(st.integers(1, len(names) - 2), label="split")
+        stop = data.draw(st.integers(split + 1, len(names)), label="stop")
+
+        def node(members):
+            return MergeNode(
+                [
+                    PlacedProcedure(
+                        name,
+                        data.draw(st.integers(0, config.num_lines - 1)),
+                    )
+                    for name in members
+                ]
+            )
+
+        n1, n2 = node(names[:split]), node(names[split:stop])
+        placement = ChunkWeights(graph, program, config, names, chunk_size)
+        pair = offset_costs_fast(
+            n1, n2, graph, program, config, chunk_size=chunk_size
+        )
+        assert np.array_equal(placement.offset_costs(n1, n2), pair)
+        reference = offset_costs_reference(
+            n1, n2, graph, program, config, chunk_size=chunk_size
+        )
+        assert np.allclose(pair, reference, rtol=1e-9, atol=1e-9)
+
+    def test_chunks_without_edges_still_occupy_lines(self, config):
+        program = Program.from_sizes({"a": 64, "b": 600, "c": 32})
+        graph = WeightedGraph()
+        graph.add_edge(ChunkId("a", 0), ChunkId("b", 2), 4.0)
+        weights = ChunkWeights(graph, program, config, program.names, 64)
+        assert weights.chunks[:3] == (
+            ChunkId("a", 0), ChunkId("b", 0), ChunkId("b", 1)
+        )
+        lines, slots, chunks = weights.occupancy(MergeNode.single("b"))
+        # 600 bytes span 19 lines, 10 chunks: every chunk has a slot.
+        assert len(lines) == len(slots) and len(chunks) == 10
+        assert sorted(set(slots.tolist())) == chunks.tolist()
+
+
 class TestBestOffset:
     def test_first_minimum_wins(self):
         assert best_offset(np.asarray([3.0, 1.0, 1.0, 2.0])) == 1
@@ -205,6 +289,11 @@ class TestBestOffset:
     def test_fft_noise_tolerated(self):
         costs = np.asarray([1e-12, 0.0, 5.0])
         assert best_offset(costs) == 0
+
+
+def program_weights(graph, program, config, chunk_size=256):
+    """The per-placement index: every procedure of *program* takes part."""
+    return ChunkWeights(graph, program, config, program.names, chunk_size)
 
 
 class TestMergeNodes:
@@ -218,9 +307,7 @@ class TestMergeNodes:
         merged = merge_nodes(
             MergeNode.single("p"),
             MergeNode.single("q"),
-            graph,
-            program,
-            config,
+            program_weights(graph, program, config),
         )
         # p occupies lines 0-2; the first zero-cost offset for q is 3.
         assert merged.offset_of("p") == 0
@@ -233,9 +320,7 @@ class TestMergeNodes:
             merge_nodes(
                 MergeNode.single("p"),
                 MergeNode.single("p"),
-                graph,
-                program,
-                config,
+                program_weights(graph, program, config),
             )
 
     def test_unknown_method_rejected(self, config):
@@ -245,9 +330,7 @@ class TestMergeNodes:
             merge_nodes(
                 MergeNode.single("p"),
                 MergeNode.single("q"),
-                WeightedGraph(),
-                program,
-                config,
+                program_weights(WeightedGraph(), program, config),
                 method="reference",
             )
 
@@ -258,7 +341,7 @@ class TestMergeNodes:
         graph.add_edge(ChunkId("a", 0), ChunkId("c", 0), 2.0)
         n1 = MergeNode([PlacedProcedure("a", 1), PlacedProcedure("b", 4)])
         merged = merge_nodes(
-            n1, MergeNode.single("c"), graph, program, config
+            n1, MergeNode.single("c"), program_weights(graph, program, config)
         )
         assert merged.offset_of("a") == 1
         assert merged.offset_of("b") == 4
@@ -273,28 +356,31 @@ class TestMergeNodes:
         merged = merge_nodes(
             MergeNode.single("p"),
             MergeNode.single("q"),
-            graph,
-            program,
-            config,
+            program_weights(graph, program, config),
         )
         p_lines = {(merged.offset_of("p") + i) % 8 for i in range(4)}
         q_lines = {(merged.offset_of("q") + i) % 8 for i in range(4)}
         assert not (p_lines & q_lines)
 
-    def test_reference_method_agrees(self, config, monkeypatch):
+    def test_reference_method_agrees(self, config):
+        """The offset merge_nodes picks is the first minimum of the
+        Figure 4 quadruple loop."""
         program = Program.from_sizes({"p": 96, "q": 64})
         graph = WeightedGraph()
         graph.add_edge(ChunkId("p", 0), ChunkId("q", 0), 5.0)
-        args = (
-            MergeNode.single("p"), MergeNode.single("q"),
-            graph, program, config,
+        n1, n2 = MergeNode.single("p"), MergeNode.single("q")
+        merged = merge_nodes(n1, n2, program_weights(graph, program, config))
+        reference = offset_costs_reference(
+            n1, n2, graph, program, config, chunk_size=256
         )
-        fast = merge_nodes(*args)
-        monkeypatch.setattr(
-            repro.core.merge, "offset_costs_fast", offset_costs_reference
-        )
-        reference = merge_nodes(*args)
-        assert fast == reference
+        assert merged.offset_of("q") == best_offset(reference)
+        assert merged.offset_of("p") == 0
+
+    def test_unknown_procedure_rejected(self, config):
+        program = Program.from_sizes({"p": 32, "q": 32, "r": 32})
+        weights = ChunkWeights(WeightedGraph(), program, config, ("p", "q"))
+        with pytest.raises(PlacementError, match="'r'"):
+            merge_nodes(MergeNode.single("p"), MergeNode.single("r"), weights)
 
 
 class TestNonAlignedChunkSize:

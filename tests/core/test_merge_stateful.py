@@ -9,6 +9,8 @@ the paper's invariants:
 * every offset lies in ``[0, C)``;
 * the chosen offset is the first minimum of the Figure 4 reference
   cost vector, within the shared tie tolerance;
+* the per-placement chunk index maps every node onto the cache lines
+  :func:`line_occupancy` gives, line by line;
 * the linearized layout has no overlap, conserves sizes, realises
   every offset and leaves gaps below one cache size.
 """
@@ -26,7 +28,9 @@ from hypothesis.stateful import (
 from repro.cache.config import CacheConfig
 from repro.core.linearize import linearize
 from repro.core.merge import (
+    ChunkWeights,
     MergeNode,
+    line_occupancy,
     merge_nodes,
     offset_costs_reference,
     tied_offsets,
@@ -78,6 +82,13 @@ class GBSCMergeMachine(RuleBasedStateMachine):
         for a, b, weight in edges:
             if a != b:
                 self.graph.add_edge(a, b, float(weight))
+        self.weights = ChunkWeights(
+            self.graph,
+            self.program,
+            self.config,
+            self.program.names,
+            self.chunk_size,
+        )
         self.nodes = [MergeNode.single(name) for name in self.program.names]
         self.last_merge = None
 
@@ -94,9 +105,7 @@ class GBSCMergeMachine(RuleBasedStateMachine):
             label="pair",
         )
         n1, n2 = self.nodes[first], self.nodes[second]
-        merged = merge_nodes(
-            n1, n2, self.graph, self.program, self.config, self.chunk_size
-        )
+        merged = merge_nodes(n1, n2, self.weights)
         num_lines = self.config.num_lines
         for placement in n1.placements:
             assert merged.offset_of(placement.name) == placement.offset
@@ -140,6 +149,20 @@ class GBSCMergeMachine(RuleBasedStateMachine):
             assert chosen == tied_offsets(costs)[0]
             # Integer weights make the reference costs exact.
             assert costs[chosen] == costs.min()
+
+    @invariant()
+    def index_occupancy_matches_line_occupancy(self):
+        for node in self.nodes:
+            lines, slots, _ = self.weights.occupancy(node)
+            indexed = [[] for _ in range(self.config.num_lines)]
+            for line, slot in zip(lines, slots):
+                indexed[line].append(self.weights.chunks[slot])
+            expected = line_occupancy(
+                node, self.program, self.config, self.chunk_size
+            )
+            assert [sorted(line) for line in indexed] == [
+                sorted(line) for line in expected
+            ]
 
     @invariant()
     def linearized_layout_is_sound(self):

@@ -1,34 +1,7 @@
 """Edge-case tests for the weighted-graph core."""
 
-import pytest
-
 from repro.profiles.graph import WeightedGraph
 from repro.program.procedure import ChunkId
-
-
-class TestHasNeighborIn:
-    def test_true_when_edge_exists(self):
-        g = WeightedGraph()
-        g.add_edge("a", "b", 1.0)
-        assert g.has_neighbor_in("a", {"b", "z"})
-
-    def test_false_when_disjoint(self):
-        g = WeightedGraph()
-        g.add_edge("a", "b", 1.0)
-        assert not g.has_neighbor_in("a", {"c", "d"})
-
-    def test_false_for_unknown_node(self):
-        assert not WeightedGraph().has_neighbor_in("ghost", {"a"})
-
-    def test_false_for_isolated_node(self):
-        g = WeightedGraph()
-        g.add_node("lonely")
-        assert not g.has_neighbor_in("lonely", {"lonely", "x"})
-
-    def test_empty_candidates(self):
-        g = WeightedGraph()
-        g.add_edge("a", "b", 1.0)
-        assert not g.has_neighbor_in("a", set())
 
 
 class TestRemovalEdgeCases:
