@@ -1,23 +1,34 @@
-"""TRG construction — scalar twin vs vectorized kernel wall clock.
+"""Vectorized kernels — scalar twin vs kernel wall clock.
 
-Builds both TRGs for every suite workload twice — through the scalar
-Section 3 twin (:func:`repro.profiles.trg.build_trgs_scalar`) and
-through the :mod:`repro.profiles.fast` array kernel — asserts the
-results are bit-exact, and records the timings in
-``benchmarks/results/BENCH_kernels.json``.
+Two kernel families, each timed against its scalar twin and asserted
+bit-exact, with the timings recorded in
+``benchmarks/results/BENCH_kernels.json``:
+
+* **TRG construction.**  Both TRGs for every suite workload, through
+  the scalar Section 3 twin (:func:`repro.profiles.trg.build_trgs_scalar`)
+  and through the :mod:`repro.profiles.fast` array kernel.
+* **Cache simulation.**  The perl test stream (the suite's longest) at
+  the default layout, replayed through the direct-mapped kernel and
+  :class:`~repro.cache.direct.DirectMappedCache` on the paper cache,
+  and through the 2-way kernel and
+  :class:`~repro.cache.setassoc.SetAssociativeCache` on its Section 6
+  variant.  The per-access miss flags must be equal.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup and is asserted only under representative conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
-scale records honest numbers without asserting.
+scale records honest numbers without asserting.  The simulator
+speedups are gated in ``benchmarks/baselines.json`` only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+
+import numpy as np
 
 from benchmarks.conftest import (
     RESULTS_DIR,
@@ -26,7 +37,11 @@ from benchmarks.conftest import (
     scaled_suite,
     write_report,
 )
-from repro.cache.config import PAPER_CACHE
+from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY
+from repro.cache.direct import DirectMappedCache
+from repro.cache.fast import direct_mapped_miss_flags, two_way_lru_miss_flags
+from repro.cache.linetrace import line_stream
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.popular import (
     DEFAULT_COVERAGE,
     DEFAULT_MAX_POPULAR,
@@ -36,6 +51,7 @@ from repro.obs.clock import monotonic
 from repro.obs.perf import host_fingerprint
 from repro.profiles.fast import build_trgs_fast
 from repro.profiles.trg import build_trgs_scalar
+from repro.program.layout import Layout
 
 #: Required aggregate scalar/fast TRG-build speedup.
 SPEEDUP_THRESHOLD = 10.0
@@ -49,12 +65,27 @@ MIN_CORES = 4
 #: and the worst of single-shot scheduler noise.
 REPEATS = 2
 
+#: Workload whose test stream the simulator kernels replay.
+SIMULATED_WORKLOAD = "perl"
+
 
 def usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def timed(run, *args, **kwargs):
+    """``(result, best wall seconds)`` over :data:`REPEATS` calls."""
+    best = None
+    result = None
+    for _ in range(REPEATS):
+        start = monotonic()
+        result = run(*args, **kwargs)
+        elapsed = monotonic() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return result, best
 
 
 def _measure_workload(workload) -> dict:
@@ -67,18 +98,12 @@ def _measure_workload(workload) -> dict:
             max_procedures=DEFAULT_MAX_POPULAR,
         ).procedures
     )
-    def timed(build):
-        best = None
-        result = None
-        for _ in range(REPEATS):
-            start = monotonic()
-            result = build(train, PAPER_CACHE, popular=popular)
-            elapsed = monotonic() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return result, best
-
-    scalar, scalar_seconds = timed(build_trgs_scalar)
-    fast, fast_seconds = timed(build_trgs_fast)
+    scalar, scalar_seconds = timed(
+        build_trgs_scalar, train, PAPER_CACHE, popular=popular
+    )
+    fast, fast_seconds = timed(
+        build_trgs_fast, train, PAPER_CACHE, popular=popular
+    )
 
     assert fast.select == scalar.select
     assert fast.place == scalar.place
@@ -95,12 +120,47 @@ def _measure_workload(workload) -> dict:
     }
 
 
+def scalar_miss_flags(model, lines: np.ndarray, config) -> np.ndarray:
+    """Per-access miss flags of a scalar cache model, one touch each."""
+    return np.fromiter(
+        map(model(config).touch, lines.tolist()), dtype=bool, count=len(lines)
+    )
+
+
+def _measure_simulator(workload) -> dict:
+    """Scalar twin vs kernel per-access miss flags; asserts parity."""
+    lines = line_stream(
+        Layout.default(workload.program), workload.trace("test"), PAPER_CACHE
+    ).lines
+    pairs = {
+        "dm": (direct_mapped_miss_flags, DirectMappedCache, PAPER_CACHE),
+        "lru2": (
+            two_way_lru_miss_flags, SetAssociativeCache, PAPER_CACHE_2WAY
+        ),
+    }
+    results = {}
+    for name, (kernel, model, config) in pairs.items():
+        scalar, scalar_seconds = timed(
+            scalar_miss_flags, model, lines, config
+        )
+        fast, fast_seconds = timed(kernel, lines, config)
+        assert np.array_equal(fast, scalar)
+        results[name] = {
+            "scalar_seconds": scalar_seconds,
+            "fast_seconds": fast_seconds,
+            "speedup": scalar_seconds / fast_seconds,
+            "misses": int(fast.sum()),
+        }
+    return {"workload": workload.name, "lines": len(lines), **results}
+
+
 def test_kernel_speedup():
     enforced = usable_cores() >= MIN_CORES and SCALE == 1.0
 
+    suite = scaled_suite()
     workloads = {}
     total_scalar = total_fast = 0.0
-    for workload in scaled_suite():
+    for workload in suite:
         result = _measure_workload(workload)
         workloads[workload.name] = result
         total_scalar += result["scalar_seconds"]
@@ -110,6 +170,9 @@ def test_kernel_speedup():
         "fast_seconds": total_fast,
         "speedup": total_scalar / total_fast,
     }
+    simulate = _measure_simulator(
+        next(w for w in suite if w.name == SIMULATED_WORKLOAD)
+    )
 
     record = {
         "bench": "kernels",
@@ -119,6 +182,7 @@ def test_kernel_speedup():
         "threshold_enforced": enforced,
         "workloads": workloads,
         "aggregate": aggregate,
+        "simulate": simulate,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_kernels.json").write_text(
@@ -132,6 +196,10 @@ def test_kernel_speedup():
                 w["select_edges"] for w in workloads.values()
             ),
             "place_edges": sum(w["place_edges"] for w in workloads.values()),
+            "simulate": {
+                name: {"speedup": simulate[name]["speedup"]}
+                for name in ("dm", "lru2")
+            },
         },
     )
     lines = ["TRG construction (scalar twin vs vectorized kernel):"]
@@ -146,6 +214,17 @@ def test_kernel_speedup():
         f"{aggregate['fast_seconds']:6.2f}s fast  "
         f"({aggregate['speedup']:5.1f}x)"
     )
+    lines.append(
+        f"Cache simulation ({simulate['workload']} test stream, "
+        f"{simulate['lines']} lines; scalar twin vs vectorized kernel):"
+    )
+    for name in ("dm", "lru2"):
+        result = simulate[name]
+        lines.append(
+            f"  {name:<12} {result['scalar_seconds']:7.2f}s scalar, "
+            f"{result['fast_seconds']:6.2f}s fast  "
+            f"({result['speedup']:5.1f}x)"
+        )
     write_report("kernels", "\n".join(lines))
     if enforced:
         assert aggregate["speedup"] >= SPEEDUP_THRESHOLD

@@ -2,7 +2,11 @@
 
 from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY, CacheConfig
 from repro.cache.direct import DirectMappedCache
-from repro.cache.fast import count_direct_mapped_misses, direct_mapped_miss_flags
+from repro.cache.fast import (
+    count_direct_mapped_misses,
+    direct_mapped_miss_flags,
+    two_way_lru_miss_flags,
+)
 from repro.cache.hierarchy import simulate_hierarchy
 from repro.cache.linetrace import LineStream, line_stream
 from repro.cache.setassoc import SetAssociativeCache, lru_miss_flags
@@ -25,4 +29,5 @@ __all__ = [
     "simulate",
     "simulate_hierarchy",
     "simulate_stream",
+    "two_way_lru_miss_flags",
 ]

@@ -6,7 +6,9 @@ it degenerates to the direct-mapped model, which the test suite
 verifies against both other implementations.
 
 :func:`lru_miss_flags` is the model's per-access form, the one
-:mod:`repro.cache.simulator` runs for set-associative geometries.
+:mod:`repro.cache.simulator` runs for three or more ways.  The class
+is the test reference for the vectorized 2-way kernel,
+:func:`repro.cache.fast.two_way_lru_miss_flags`.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 ``simulate(layout, trace, config)`` is the one call the rest of the
 library uses: it derives the fetch stream and replays it through the
 exact model for the given geometry.  :func:`cache_model` is the only
-place that choice is made — vectorized for direct-mapped, the LRU
-model otherwise — and both :func:`simulate_stream` and
+place that choice is made — the vectorized direct-mapped and 2-way LRU
+kernels, the scalar LRU model for three or more ways — and both
+:func:`simulate_stream` and
 :func:`repro.cache.hierarchy.simulate_hierarchy` go through it.  The
-scalar :class:`~repro.cache.direct.DirectMappedCache` is the test
-reference for the vectorized kernel, not a runtime option.
+scalar :class:`~repro.cache.direct.DirectMappedCache` and
+:class:`~repro.cache.setassoc.SetAssociativeCache` are the test
+references for the vectorized kernels, not runtime options.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro import obs
 from repro.cache.config import CacheConfig
-from repro.cache.fast import direct_mapped_miss_flags
+from repro.cache.fast import direct_mapped_miss_flags, two_way_lru_miss_flags
 from repro.cache.linetrace import LineStream, line_stream
 from repro.cache.setassoc import lru_miss_flags
 from repro.cache.stats import MissStats
@@ -33,10 +35,14 @@ def cache_model(config: CacheConfig) -> tuple[str, MissFlags]:
     """The exact model for *config*'s geometry, with its span name.
 
     Associativity 1 runs the vectorized direct-mapped kernel
-    (``"fast"``); anything else runs the LRU model (``"lru"``).
+    (``"fast"``).  Set-associative geometries are ``"lru"``:
+    associativity 2 runs the vectorized 2-way kernel, anything larger
+    the scalar LRU model.
     """
     if config.is_direct_mapped:
         return "fast", direct_mapped_miss_flags
+    if config.associativity == 2:
+        return "lru", two_way_lru_miss_flags
     return "lru", lru_miss_flags
 
 

@@ -1,5 +1,7 @@
 """Tests for the multi-level cache hierarchy model."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.direct import DirectMappedCache
 from repro.cache.fast import direct_mapped_miss_flags
 from repro.cache.hierarchy import simulate_hierarchy
+from repro.cache.linetrace import line_stream
 from repro.cache.setassoc import SetAssociativeCache, lru_miss_flags
 from repro.cache.simulator import miss_flags
 from repro.errors import ConfigError
@@ -97,6 +100,37 @@ class TestHierarchy:
         assert (
             stats[2].misses <= stats[1].misses <= stats[0].misses
         )
+
+    @pytest.mark.parametrize("l2_ways", [2, 4])
+    def test_matches_chain_of_scalar_models(self, l2_ways):
+        """Each level equals its scalar model fed the previous level's
+        misses: the 2-way kernel at L2 and the LRU loop at L2 or L3."""
+        rng = random.Random(l2_ways)
+        sizes = {f"p{i}": rng.randrange(16, 400) for i in range(24)}
+        program = Program.from_sizes(sizes)
+        layout = Layout.default(program)
+        trace = full_trace(
+            program, [rng.choice(list(sizes)) for _ in range(600)]
+        )
+        levels = [
+            CacheConfig(size=256, line_size=32),
+            CacheConfig(size=1024, line_size=32, associativity=l2_ways),
+            CacheConfig(size=2048, line_size=32, associativity=6 - l2_ways),
+        ]
+        references = [
+            DirectMappedCache(levels[0]),
+            SetAssociativeCache(levels[1]),
+            SetAssociativeCache(levels[2]),
+        ]
+        lines = line_stream(layout, trace, levels[0]).lines.tolist()
+        expected = []
+        for cache in references:
+            missed = [line for line in lines if cache.touch(line)]
+            expected.append((len(lines), len(missed)))
+            lines = missed
+        stats = simulate_hierarchy(layout, trace, levels)
+        assert [(s.line_accesses, s.misses) for s in stats] == expected
+        assert stats[1].misses < stats[1].line_accesses
 
     def test_mismatched_line_sizes_rejected(self, setup, l1):
         _, layout, trace = setup
