@@ -13,14 +13,19 @@ bit-exact, with the timings recorded in
   and through the 2-way kernel and
   :class:`~repro.cache.setassoc.SetAssociativeCache` on its Section 6
   variant.  The per-access miss flags must be equal.
+* **Section 6 merge cost.**  The first merges of a GBSC-SA placement
+  of m88ksim on the 2-way paper cache, scored by the placement's
+  :class:`~repro.core.setassoc.PairIndex` and by the scalar twin
+  :func:`~repro.core.setassoc.sa_offset_costs_reference`.  The cost
+  vectors must agree to round-off.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup and is asserted only under representative conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
-scale records honest numbers without asserting.  The simulator
-speedups are gated in ``benchmarks/baselines.json`` only.
+scale records honest numbers without asserting.  The simulator and
+merge-cost speedups are gated in ``benchmarks/baselines.json`` only.
 """
 
 from __future__ import annotations
@@ -42,11 +47,19 @@ from repro.cache.direct import DirectMappedCache
 from repro.cache.fast import direct_mapped_miss_flags, two_way_lru_miss_flags
 from repro.cache.linetrace import line_stream
 from repro.cache.setassoc import SetAssociativeCache
+from repro.core.gbsc import gbsc_nodes
+from repro.core.merge import ChunkWeights
 from repro.core.popular import (
     DEFAULT_COVERAGE,
     DEFAULT_MAX_POPULAR,
     select_popular,
 )
+from repro.core.setassoc import (
+    PairIndex,
+    merge_nodes_sa,
+    sa_offset_costs_reference,
+)
+from repro.eval.experiment import build_context
 from repro.obs.clock import monotonic
 from repro.obs.perf import host_fingerprint
 from repro.profiles.fast import build_trgs_fast
@@ -67,6 +80,11 @@ REPEATS = 2
 
 #: Workload whose test stream the simulator kernels replay.
 SIMULATED_WORKLOAD = "perl"
+
+#: Workload whose GBSC-SA merges the Section 6 cost is timed on, and
+#: how many of its first merges.
+MERGED_WORKLOAD = "m88ksim"
+SA_MERGES = 10
 
 
 def usable_cores() -> int:
@@ -154,6 +172,54 @@ def _measure_simulator(workload) -> dict:
     return {"workload": workload.name, "lines": len(lines), **results}
 
 
+def _measure_sa_merge(workload) -> dict:
+    """Pair index vs loop on the first GBSC-SA merges; asserts parity."""
+    context = build_context(
+        workload.trace("train"), PAPER_CACHE_2WAY, with_pair_db=True
+    )
+    trgs = context.require_trgs()
+    program, config = context.program, context.config
+    pair_db = context.require_pair_db()
+    weights = ChunkWeights(
+        trgs.place, program, config, context.popular, trgs.chunk_size
+    )
+    pairs = PairIndex(pair_db, program, config, context.popular)
+    merges = []
+
+    def merge(n1, n2):
+        if len(merges) < SA_MERGES:
+            merges.append((n1, n2))
+        return merge_nodes_sa(n1, n2, pairs, weights)
+
+    gbsc_nodes(
+        trgs.select,
+        trgs.place,
+        context.popular,
+        program,
+        config,
+        trgs.chunk_size,
+        merge=merge,
+    )
+    reference, reference_seconds = timed(
+        lambda: [
+            sa_offset_costs_reference(n1, n2, pair_db, program, config)
+            for n1, n2 in merges
+        ]
+    )
+    fast, fast_seconds = timed(
+        lambda: [pairs.offset_costs(n1, n2) for n1, n2 in merges]
+    )
+    for fast_costs, reference_costs in zip(fast, reference):
+        assert np.allclose(fast_costs, reference_costs, rtol=1e-9, atol=1e-9)
+    return {
+        "workload": workload.name,
+        "merges": len(merges),
+        "scalar_seconds": reference_seconds,
+        "fast_seconds": fast_seconds,
+        "speedup": reference_seconds / fast_seconds,
+    }
+
+
 def test_kernel_speedup():
     enforced = usable_cores() >= MIN_CORES and SCALE == 1.0
 
@@ -173,6 +239,9 @@ def test_kernel_speedup():
     simulate = _measure_simulator(
         next(w for w in suite if w.name == SIMULATED_WORKLOAD)
     )
+    merge_sa = _measure_sa_merge(
+        next(w for w in suite if w.name == MERGED_WORKLOAD)
+    )
 
     record = {
         "bench": "kernels",
@@ -183,6 +252,7 @@ def test_kernel_speedup():
         "workloads": workloads,
         "aggregate": aggregate,
         "simulate": simulate,
+        "merge": {"sa": merge_sa},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_kernels.json").write_text(
@@ -200,6 +270,7 @@ def test_kernel_speedup():
                 name: {"speedup": simulate[name]["speedup"]}
                 for name in ("dm", "lru2")
             },
+            "merge": {"sa": {"speedup": merge_sa["speedup"]}},
         },
     )
     lines = ["TRG construction (scalar twin vs vectorized kernel):"]
@@ -225,6 +296,15 @@ def test_kernel_speedup():
             f"{result['fast_seconds']:6.2f}s fast  "
             f"({result['speedup']:5.1f}x)"
         )
+    lines.append(
+        f"Section 6 merge cost ({merge_sa['workload']}, first "
+        f"{merge_sa['merges']} GBSC-SA merges; scalar twin vs pair index):"
+    )
+    lines.append(
+        f"  {'sa':<12} {merge_sa['scalar_seconds']:7.2f}s scalar, "
+        f"{merge_sa['fast_seconds']:6.3f}s fast  "
+        f"({merge_sa['speedup']:5.1f}x)"
+    )
     write_report("kernels", "\n".join(lines))
     if enforced:
         assert aggregate["speedup"] >= SPEEDUP_THRESHOLD

@@ -21,6 +21,7 @@ from repro.core.splitting import (
 )
 from repro.core.setassoc import (
     GBSCSetAssociativePlacement,
+    PairIndex,
     merge_nodes_sa,
     sa_offset_costs,
     sa_offset_costs_reference,
@@ -34,6 +35,7 @@ __all__ = [
     "GBSCSetAssociativePlacement",
     "LinearizationResult",
     "MergeNode",
+    "PairIndex",
     "PlacedProcedure",
     "PopularSelection",
     "best_offset",

@@ -13,18 +13,31 @@ We build ``D`` at procedure granularity (the pair database at chunk
 granularity is quadratically larger; DESIGN.md records this choice) and
 score a candidate offset by ``D(p, {r, s})`` times the number of cache
 sets all three procedures share at that offset.
+
+Two evaluators of the cost vector exist:
+
+* :meth:`PairIndex.offset_costs` — the one :func:`merge_nodes_sa`
+  runs: batched cross-correlations of set masks via real FFTs, over a
+  pair index built once per placement (:func:`sa_offset_costs` builds
+  one for a single pair);
+* :func:`sa_offset_costs_reference` — a loop over every offset with
+  rolled masks, its scalar twin.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro import obs
 from repro.cache.config import CacheConfig
 from repro.core.gbsc import gbsc_nodes
 from repro.core.linearize import linearize
 from repro.core.merge import (
     ChunkWeights,
     MergeNode,
+    _run_positions,
     best_offset,
     tied_offsets,
 )
@@ -50,6 +63,157 @@ def _set_mask(
     return mask
 
 
+class PairIndex:
+    """One placement's pair database as arrays (Section 6).
+
+    Built once per placement from ``D(p, {r, s})``, the program, the
+    cache and the procedures that take part, it holds everything the
+    Section 6 cost needs:
+
+    * one id per procedure, in sorted name order;
+    * per procedure, its set mask at offset 0, a float 0/1 row by
+      :func:`_set_mask`'s rule;
+    * the database in CSR form: procedure ``p`` owns a run of
+      ``(r id, s id, count)`` rows in the order
+      ``pair_db.pairs_for(p)`` iterates them.  One-member pairs and
+      pairs with a member outside the index are dropped, since
+      neither can match a merge.
+
+    A node's masks are its procedures' base masks rotated by their
+    offsets, and a merge no longer walks the database.
+    """
+
+    def __init__(
+        self,
+        pair_db: PairDatabase,
+        program: Program,
+        config: CacheConfig,
+        names: Sequence[str],
+    ) -> None:
+        self.num_sets = config.num_sets
+        self.num_lines = config.num_lines
+        ordered = sorted(set(names))
+        self._id = {name: k for k, name in enumerate(ordered)}
+        sizes = np.asarray(
+            [program.size_of(name) for name in ordered], dtype=np.int64
+        )
+        lines_spanned = -(-sizes // config.line_size)
+        self._masks = (
+            np.arange(self.num_sets) < lines_spanned[:, None]
+        ).astype(float)
+
+        bounds = [0]
+        members_r: list[int] = []
+        members_s: list[int] = []
+        counts: list[float] = []
+        for name in ordered:
+            for pair, count in pair_db.pairs_for(name).items():
+                members = tuple(pair)
+                if len(members) != 2:
+                    continue
+                r = self._id.get(members[0])
+                s = self._id.get(members[1])
+                if r is None or s is None:
+                    continue
+                members_r.append(r)
+                members_s.append(s)
+                counts.append(float(count))
+            bounds.append(len(counts))
+        self._bounds = np.asarray(bounds, dtype=np.int64)
+        self._r = np.asarray(members_r, dtype=np.int64)
+        self._s = np.asarray(members_s, dtype=np.int64)
+        self._counts = np.asarray(counts, dtype=float)
+
+    def masks(self, node: MergeNode) -> tuple[np.ndarray, np.ndarray]:
+        """The node's procedure ids, in placement order, and their set
+        masks at their offsets (one row each, as :func:`_set_mask`)."""
+        try:
+            ids = np.asarray(
+                [self._id[p.name] for p in node.placements], dtype=np.int64
+            )
+        except KeyError as error:
+            raise PlacementError(
+                f"procedure {error.args[0]!r} is not in this pair index"
+            ) from None
+        offsets = np.asarray([p.offset for p in node.placements])
+        # Row k at offset o holds base[(j - o) mod num_sets] in set j.
+        columns = (np.arange(self.num_sets) - offsets[:, None]) % self.num_sets
+        return ids, np.take_along_axis(self._masks[ids], columns, axis=1)
+
+    def _side(
+        self,
+        ids: np.ndarray,
+        masks: np.ndarray,
+        other_ids: np.ndarray,
+        other_masks: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(p mask, r·s mask, count)`` rows of every recorded pair with
+        ``p`` in one node and ``r``, ``s`` both in the other, dropping
+        rows whose pair shares no set."""
+        starts = self._bounds[ids]
+        lengths = self._bounds[ids + 1] - starts
+        rows = np.repeat(starts, lengths) + _run_positions(lengths)
+        owner = np.repeat(np.arange(len(ids)), lengths)
+        position = np.full(len(self._id), -1)
+        position[other_ids] = np.arange(len(other_ids))
+        r = position[self._r[rows]]
+        s = position[self._s[rows]]
+        kept = (r >= 0) & (s >= 0)
+        common = other_masks[r[kept]] * other_masks[s[kept]]
+        linked = common.any(axis=1)
+        return (
+            masks[owner[kept][linked]],
+            common[linked],
+            self._counts[rows[kept][linked]],
+        )
+
+    def rows(
+        self, n1: MergeNode, n2: MergeNode
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cost's input rows: masks that stay in *n1*'s frame, masks
+        that shift with *n2*, and the association counts.
+
+        One row per recorded ``D(p, {r, s})`` with ``p`` in one node,
+        ``r`` and ``s`` both in the other and sharing a set: the ``p``
+        mask on its node's side, ``mask_r * mask_s`` on the other.  The
+        rows are the pairs of *n1*'s procedures and then of *n2*'s,
+        each node in placement order and each procedure's pairs in
+        ``pair_db.pairs_for`` order.  That exact order keeps the costs
+        bit-identical however large the index, which the tie-break of
+        :func:`merge_nodes_sa` relies on.
+        """
+        ids1, masks1 = self.masks(n1)
+        ids2, masks2 = self.masks(n2)
+        p1, pairs2, counts1 = self._side(ids1, masks1, ids2, masks2)
+        p2, pairs1, counts2 = self._side(ids2, masks2, ids1, masks1)
+        return (
+            np.concatenate([p1, pairs1]),
+            np.concatenate([pairs2, p2]),
+            np.concatenate([counts1, counts2]),
+        )
+
+    def offset_costs(self, n1: MergeNode, n2: MergeNode) -> np.ndarray:
+        """Cost of each relative *set* offset of node *n2* against *n1*.
+
+        ``costs[i]`` sums, over every recorded association
+        ``D(p, {r, s})`` with ``p`` in one node and ``{r, s}`` both in
+        the other, the association count weighted by the number of
+        sets shared by all three procedures when *n2* is shifted by
+        ``i`` lines: a weighted circular cross-correlation of the
+        :meth:`rows`, computed with real FFTs of length ``num_sets``.
+        """
+        first, second, counts = self.rows(n1, n2)
+        if len(counts) == 0:
+            return np.zeros(self.num_sets)
+        spectrum = (
+            np.fft.rfft(first, axis=1)
+            * np.conj(np.fft.rfft(second, axis=1))
+            * counts[:, None]
+        ).sum(axis=0)
+        costs = np.fft.irfft(spectrum, n=self.num_sets)
+        return np.maximum(costs, 0.0)
+
+
 @fast_path(scalar="repro.core.setassoc.sa_offset_costs_reference")
 def sa_offset_costs(
     n1: MergeNode,
@@ -58,85 +222,28 @@ def sa_offset_costs(
     program: Program,
     config: CacheConfig,
 ) -> np.ndarray:
-    """Cost of each relative *set* offset of node *n2* against *n1*.
+    """Batched evaluation of the Section 6 cost vector for one pair.
 
-    ``costs[i]`` sums, over every recorded association ``D(p, {r, s})``
-    with ``p`` in one node and ``{r, s}`` both in the other, the
-    association count weighted by the number of sets shared by all
-    three procedures when *n2* is shifted by ``i`` lines.
+    Builds a :class:`PairIndex` over the two nodes' procedures and runs
+    its cost; a placement builds one index and reuses it instead.
     """
-    num_sets = config.num_sets
-    masks1 = {
-        p.name: _set_mask(p.offset, program.size_of(p.name), config)
-        for p in n1.placements
-    }
-    masks2 = {
-        p.name: _set_mask(p.offset, program.size_of(p.name), config)
-        for p in n2.placements
-    }
-
-    first_side: list[np.ndarray] = []  # stays in the cache frame (n1)
-    second_side: list[np.ndarray] = []  # shifted with n2
-    weights: list[float] = []
-
-    def collect(
-        p_masks: dict[str, np.ndarray],
-        pair_masks: dict[str, np.ndarray],
-        p_is_n1: bool,
-    ) -> None:
-        for p_name, p_mask in p_masks.items():
-            for pair, count in pair_db.pairs_for(p_name).items():
-                members = tuple(pair)
-                if len(members) != 2:
-                    continue
-                r, s = members
-                mask_r = pair_masks.get(r)
-                mask_s = pair_masks.get(s)
-                if mask_r is None or mask_s is None:
-                    continue
-                common = mask_r * mask_s
-                if not common.any():
-                    continue
-                if p_is_n1:
-                    first_side.append(p_mask)
-                    second_side.append(common)
-                else:
-                    first_side.append(common)
-                    second_side.append(p_mask)
-                weights.append(float(count))
-
-    collect(masks1, masks2, p_is_n1=True)
-    collect(masks2, masks1, p_is_n1=False)
-
-    if not weights:
-        return np.zeros(num_sets)
-
-    first = np.asarray(first_side)
-    second = np.asarray(second_side)
-    weight_column = np.asarray(weights)[:, None]
-    spectrum = (
-        np.fft.rfft(first, axis=1)
-        * np.conj(np.fft.rfft(second, axis=1))
-        * weight_column
-    ).sum(axis=0)
-    costs = np.fft.irfft(spectrum, n=num_sets)
-    return np.maximum(costs, 0.0)
+    pairs = PairIndex(pair_db, program, config, n1.names + n2.names)
+    return pairs.offset_costs(n1, n2)
 
 
 def merge_nodes_sa(
     n1: MergeNode,
     n2: MergeNode,
-    pair_db: PairDatabase,
-    program: Program,
-    config: CacheConfig,
+    pairs: PairIndex,
     weights: ChunkWeights | None = None,
 ) -> MergeNode:
     """Merge two nodes at the best set-relative alignment (Section 6).
 
-    The primary cost is the pair-database association count.  The pair
-    database is sparse at procedure granularity, so many offsets tie at
-    (near) zero primary cost; following the paper's remark that other
-    heuristics "were found to be important for procedure placement in
+    *pairs* is the placement's :class:`PairIndex`.  The primary cost is
+    the pair-database association count.  The pair database is sparse
+    at procedure granularity, so many offsets tie at (near) zero
+    primary cost; following the paper's remark that other heuristics
+    "were found to be important for procedure placement in
     set-associative caches", ties on the primary cost are broken by the
     direct-mapped chunk-TRG cost when the placement's *weights* index
     is supplied — a block that would displace ``p`` alone is still the
@@ -144,7 +251,8 @@ def merge_nodes_sa(
     """
     if set(n1.names) & set(n2.names):
         raise PlacementError("nodes being merged share a procedure")
-    costs = sa_offset_costs(n1, n2, pair_db, program, config)
+    costs = pairs.offset_costs(n1, n2)
+    obs.inc("gbsc.merge.offsets_evaluated", pairs.num_sets)
     if weights is None:
         offset = best_offset(costs)
     else:
@@ -152,13 +260,13 @@ def merge_nodes_sa(
         # i, i + num_sets, ... are the same set alignment.
         dm_costs = (
             weights.offset_costs(n1, n2)
-            .reshape(config.associativity, config.num_sets)
+            .reshape(-1, pairs.num_sets)
             .sum(axis=0)
         )
         tied = tied_offsets(costs)
         # An exact argmin over FFT output: dm_costs must stay bit-exact.
         offset = int(tied[int(np.argmin(dm_costs[tied]))])
-    return n1.combined_with(n2.shifted(offset, config.num_lines))
+    return n1.combined_with(n2.shifted(offset, pairs.num_lines))
 
 
 def sa_offset_costs_reference(
@@ -228,11 +336,10 @@ class GBSCSetAssociativePlacement:
         weights = ChunkWeights(
             trgs.place, program, config, popular, trgs.chunk_size
         )
+        pairs = PairIndex(pair_db, program, config, popular)
 
         def merge(n1: MergeNode, n2: MergeNode) -> MergeNode:
-            return merge_nodes_sa(
-                n1, n2, pair_db, program, config, weights=weights
-            )
+            return merge_nodes_sa(n1, n2, pairs, weights)
 
         nodes = gbsc_nodes(
             trgs.select,

@@ -9,11 +9,19 @@ the paper's invariants:
 * every offset lies in ``[0, C)``;
 * the chosen offset is the first minimum of the Figure 4 reference
   cost vector, within the shared tie tolerance;
+* a Section 6 merge on the 2-way cache of the same size picks a set
+  offset tied on the pair-database reference cost, with the least
+  direct-mapped reference cost of those.  It is not always the first
+  such offset: FFT round-off still decides exact direct-mapped ties
+  (``tests/core/test_setassoc.py::TestMergeSA::
+  test_round_off_decides_exact_direct_mapped_ties``);
 * the per-placement chunk index maps every node onto the cache lines
   :func:`line_occupancy` gives, line by line;
 * the linearized layout has no overlap, conserves sizes, realises
   every offset and leaves gaps below one cache size.
 """
+
+from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -35,7 +43,13 @@ from repro.core.merge import (
     offset_costs_reference,
     tied_offsets,
 )
+from repro.core.setassoc import (
+    PairIndex,
+    merge_nodes_sa,
+    sa_offset_costs_reference,
+)
 from repro.profiles.graph import WeightedGraph
+from repro.profiles.pairdb import PairDatabase
 from repro.program.procedure import ChunkId
 from repro.program.program import Program
 
@@ -52,7 +66,13 @@ class GBSCMergeMachine(RuleBasedStateMachine):
     @initialize(data=st.data())
     def build(self, data):
         sizes = data.draw(
-            st.lists(st.integers(1, 600), min_size=2, max_size=7),
+            # Short procedures give the Section 6 cost offsets to tell
+            # apart; long ones wrap the cache.
+            st.lists(
+                st.one_of(st.integers(1, 96), st.integers(97, 600)),
+                min_size=2,
+                max_size=7,
+            ),
             label="sizes",
         )
         self.program = Program.from_sizes(
@@ -89,12 +109,32 @@ class GBSCMergeMachine(RuleBasedStateMachine):
             self.program.names,
             self.chunk_size,
         )
+        names = list(self.program.names)
+        self.pair_db = PairDatabase()
+        for p in names:
+            recorded = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(names),
+                        st.sampled_from(names),
+                        st.integers(1, 50),
+                    ),
+                    max_size=6,
+                ),
+                label=f"pairs of {p}",
+            )
+            for r, s, count in recorded:
+                self.pair_db.set_pair_count(p, r, s, count)
+        # Same size and lines, so the same offsets and chunk index.
+        self.sa_config = replace(self.config, associativity=2)
+        self.pairs = PairIndex(
+            self.pair_db, self.program, self.sa_config, names
+        )
         self.nodes = [MergeNode.single(name) for name in self.program.names]
         self.last_merge = None
+        self.last_sa_merge = None
 
-    @precondition(lambda self: len(self.nodes) > 1)
-    @rule(data=st.data())
-    def merge(self, data):
+    def _draw_pair(self, data):
         first, second = data.draw(
             st.lists(
                 st.integers(0, len(self.nodes) - 1),
@@ -104,8 +144,17 @@ class GBSCMergeMachine(RuleBasedStateMachine):
             ),
             label="pair",
         )
-        n1, n2 = self.nodes[first], self.nodes[second]
-        merged = merge_nodes(n1, n2, self.weights)
+        return first, second
+
+    def _replace(self, first, second, merged):
+        self.nodes = [
+            node
+            for index, node in enumerate(self.nodes)
+            if index not in (first, second)
+        ] + [merged]
+
+    def _shift(self, n1, n2, merged):
+        """The one shift *merged* applied to *n2*, *n1* left in place."""
         num_lines = self.config.num_lines
         for placement in n1.placements:
             assert merged.offset_of(placement.name) == placement.offset
@@ -114,15 +163,37 @@ class GBSCMergeMachine(RuleBasedStateMachine):
             for p in n2.placements
         }
         assert len(shifts) == 1, "n2 must move as a whole"
+        return shifts.pop()
+
+    @precondition(lambda self: len(self.nodes) > 1)
+    @rule(data=st.data())
+    def merge(self, data):
+        first, second = self._draw_pair(data)
+        n1, n2 = self.nodes[first], self.nodes[second]
+        merged = merge_nodes(n1, n2, self.weights)
         costs = offset_costs_reference(
             n1, n2, self.graph, self.program, self.config, self.chunk_size
         )
-        self.last_merge = (costs, shifts.pop())
-        self.nodes = [
-            node
-            for index, node in enumerate(self.nodes)
-            if index not in (first, second)
-        ] + [merged]
+        self.last_merge = (costs, self._shift(n1, n2, merged))
+        self.last_sa_merge = None
+        self._replace(first, second, merged)
+
+    @precondition(lambda self: len(self.nodes) > 1)
+    @rule(data=st.data())
+    def merge_sa(self, data):
+        """A Section 6 merge, tie-broken by the direct-mapped cost."""
+        first, second = self._draw_pair(data)
+        n1, n2 = self.nodes[first], self.nodes[second]
+        merged = merge_nodes_sa(n1, n2, self.pairs, self.weights)
+        sa_costs = sa_offset_costs_reference(
+            n1, n2, self.pair_db, self.program, self.sa_config
+        )
+        dm_costs = offset_costs_reference(
+            n1, n2, self.graph, self.program, self.config, self.chunk_size
+        )
+        self.last_sa_merge = (sa_costs, dm_costs, self._shift(n1, n2, merged))
+        self.last_merge = None
+        self._replace(first, second, merged)
 
     @precondition(lambda self: len(self.nodes) == 1)
     @rule()
@@ -130,6 +201,7 @@ class GBSCMergeMachine(RuleBasedStateMachine):
         """Everything merged: start another sequence on the same graph."""
         self.nodes = [MergeNode.single(name) for name in self.program.names]
         self.last_merge = None
+        self.last_sa_merge = None
 
     @invariant()
     def every_procedure_placed_once(self):
@@ -149,6 +221,18 @@ class GBSCMergeMachine(RuleBasedStateMachine):
             assert chosen == tied_offsets(costs)[0]
             # Integer weights make the reference costs exact.
             assert costs[chosen] == costs.min()
+
+    @invariant()
+    def sa_offset_is_a_tied_direct_mapped_minimum(self):
+        if self.last_sa_merge is not None:
+            sa_costs, dm_costs, chosen = self.last_sa_merge
+            num_sets = self.sa_config.num_sets
+            assert 0 <= chosen < num_sets
+            tied = tied_offsets(sa_costs)
+            assert chosen in tied
+            # Integer weights make both reference cost vectors exact.
+            folded = dm_costs.reshape(-1, num_sets).sum(axis=0)
+            assert folded[chosen] == folded[tied].min()
 
     @invariant()
     def index_occupancy_matches_line_occupancy(self):
