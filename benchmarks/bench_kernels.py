@@ -18,6 +18,10 @@ bit-exact, with the timings recorded in
   :class:`~repro.core.setassoc.PairIndex` and by the scalar twin
   :func:`~repro.core.setassoc.sa_offset_costs_reference`.  The cost
   vectors must agree to round-off.
+* **Placement baselines and perturbation.**  Best-of-5 wall seconds
+  per call of PH, HKC and :meth:`PlacementContext.perturbed` on gcc.
+  These have no scalar twin outside the tests, so they record plain
+  wall times.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup and is asserted only under representative conditions:
@@ -25,7 +29,8 @@ speedup and is asserted only under representative conditions:
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
 scale records honest numbers without asserting.  The simulator and
-merge-cost speedups are gated in ``benchmarks/baselines.json`` only.
+merge-cost speedups and the placement wall times are gated in
+``benchmarks/baselines.json`` only.
 """
 
 from __future__ import annotations
@@ -62,7 +67,10 @@ from repro.core.setassoc import (
 from repro.eval.experiment import build_context
 from repro.obs.clock import monotonic
 from repro.obs.perf import host_fingerprint
+from repro.placement.hkc import HashemiKaeliCalderPlacement
+from repro.placement.ph import PettisHansenPlacement
 from repro.profiles.fast import build_trgs_fast
+from repro.profiles.perturb import PAPER_SCALE
 from repro.profiles.trg import build_trgs_scalar
 from repro.program.layout import Layout
 
@@ -86,6 +94,12 @@ SIMULATED_WORKLOAD = "perl"
 MERGED_WORKLOAD = "m88ksim"
 SA_MERGES = 10
 
+#: Workload PH, HKC and the perturbation are timed on, and the calls
+#: per timing (best of).  A placement takes tens of milliseconds, so
+#: more repeats than :data:`REPEATS` are cheap and steady the minimum.
+PLACED_WORKLOAD = "gcc"
+PLACEMENT_REPEATS = 5
+
 
 def usable_cores() -> int:
     try:
@@ -94,11 +108,11 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def timed(run, *args, **kwargs):
-    """``(result, best wall seconds)`` over :data:`REPEATS` calls."""
+def timed(run, *args, repeats=REPEATS, **kwargs):
+    """``(result, best wall seconds)`` over *repeats* calls."""
     best = None
     result = None
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = monotonic()
         result = run(*args, **kwargs)
         elapsed = monotonic() - start
@@ -220,6 +234,21 @@ def _measure_sa_merge(workload) -> dict:
     }
 
 
+def _measure_placement(workload) -> dict:
+    """Best wall seconds per call of PH, HKC and one perturbed context."""
+    context = build_context(workload.trace("train"), PAPER_CACHE)
+    runs = {
+        "ph": lambda: PettisHansenPlacement().place(context),
+        "hkc": lambda: HashemiKaeliCalderPlacement().place(context),
+        "perturbed": lambda: context.perturbed(PAPER_SCALE, 1),
+    }
+    results = {"workload": workload.name}
+    for name, run in runs.items():
+        _, seconds = timed(run, repeats=PLACEMENT_REPEATS)
+        results[name] = {"seconds": seconds}
+    return results
+
+
 def test_kernel_speedup():
     enforced = usable_cores() >= MIN_CORES and SCALE == 1.0
 
@@ -242,6 +271,9 @@ def test_kernel_speedup():
     merge_sa = _measure_sa_merge(
         next(w for w in suite if w.name == MERGED_WORKLOAD)
     )
+    placement = _measure_placement(
+        next(w for w in suite if w.name == PLACED_WORKLOAD)
+    )
 
     record = {
         "bench": "kernels",
@@ -253,6 +285,7 @@ def test_kernel_speedup():
         "aggregate": aggregate,
         "simulate": simulate,
         "merge": {"sa": merge_sa},
+        "placement": placement,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_kernels.json").write_text(
@@ -271,6 +304,9 @@ def test_kernel_speedup():
                 for name in ("dm", "lru2")
             },
             "merge": {"sa": {"speedup": merge_sa["speedup"]}},
+            "placement": {
+                name: placement[name] for name in ("ph", "hkc", "perturbed")
+            },
         },
     )
     lines = ["TRG construction (scalar twin vs vectorized kernel):"]
@@ -305,6 +341,14 @@ def test_kernel_speedup():
         f"{merge_sa['fast_seconds']:6.3f}s fast  "
         f"({merge_sa['speedup']:5.1f}x)"
     )
+    lines.append(
+        f"Placement baselines and perturbation ({placement['workload']}, "
+        f"best of {PLACEMENT_REPEATS} calls):"
+    )
+    for name in ("ph", "hkc", "perturbed"):
+        lines.append(
+            f"  {name:<12} {placement[name]['seconds']:7.3f}s per call"
+        )
     write_report("kernels", "\n".join(lines))
     if enforced:
         assert aggregate["speedup"] >= SPEEDUP_THRESHOLD

@@ -66,8 +66,10 @@ def line_stream(
 
     total = int(counts.sum())
     offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    lines = np.repeat(first, counts) + within
+    # Built in place: one line-length temporary fewer at the peak.
+    lines = np.arange(total, dtype=np.int64)
+    lines -= np.repeat(offsets, counts)
+    lines += np.repeat(first, counts)
 
     isize = config.instruction_size
     fetches = int(np.maximum(lengths // isize, 1).sum())

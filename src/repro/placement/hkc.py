@@ -79,24 +79,33 @@ def hkc_order(
     Returns ``(order, gaps_before)`` suitable for
     :meth:`repro.program.layout.Layout.from_order`.
     """
+    order, gaps, _ = _colour_and_order(program, wcg, config, popular)
+    return order, gaps
+
+
+def _colour_and_order(
+    program: Program,
+    wcg: WeightedGraph,
+    config: CacheConfig,
+    popular: set[str] | None,
+) -> tuple[list[str], dict[str, int], dict[str, int]]:
+    """:func:`hkc_order` plus each coloured procedure's line bitmask."""
     if popular is None:
         popular = {name for name in wcg.nodes}
     colourable = [n for n in program.names if n in popular]
 
     compounds: list[_Compound] = []
     compound_of: dict[str, _Compound] = {}
-    lines_of: dict[str, set[int]] = {}
+    lines_of: dict[str, int] = {}
     num_lines = config.num_lines
     line_size = config.line_size
 
-    def colour(name: str, offset: int) -> set[int]:
-        first = offset // line_size
-        count = len(config.lines_spanned(offset, program.size_of(name)))
-        return {(first + i) % num_lines for i in range(count)}
+    def colour(name: str, offset: int) -> int:
+        return line_mask(offset, program.size_of(name), line_size, num_lines)
 
-    def avoid_lines(name: str, partner: str) -> set[int]:
+    def avoid_lines(name: str, partner: str) -> int:
         """Lines of *partner* plus *name*'s placed immediate neighbours."""
-        avoid = set(lines_of.get(partner, ()))
+        avoid = lines_of.get(partner, 0)
         for neighbor in wcg.neighbors(name):
             if neighbor in lines_of and neighbor != name:
                 avoid |= lines_of[neighbor]
@@ -112,7 +121,7 @@ def hkc_order(
         best_overlap: int | None = None
         for k in range(num_lines):
             offset = base + k * line_size
-            overlap = len(colour(name, offset) & avoid)
+            overlap = (colour(name, offset) & avoid).bit_count()
             if overlap == 0:
                 best_offset = offset
                 break
@@ -197,7 +206,26 @@ def hkc_order(
     order.extend(
         n for n in program.names if n not in popular_placed
     )
-    return order, gaps
+    return order, gaps, lines_of
+
+
+def line_mask(offset: int, size: int, line_size: int, num_lines: int) -> int:
+    """The cache lines *size* bytes at *offset* cover, as a bitmask.
+
+    Bit ``i`` stands for cache line ``i``: a run of one bit per line
+    spanned, rotated to the first line's index, or every bit when the
+    extent spans the whole cache.  A zero-size extent covers nothing.
+    """
+    if size == 0:
+        return 0
+    every_line = (1 << num_lines) - 1
+    first = offset // line_size
+    count = (offset + size - 1) // line_size - first + 1
+    if count >= num_lines:
+        return every_line
+    run = (1 << count) - 1
+    shift = first % num_lines
+    return ((run << shift) | (run >> (num_lines - shift))) & every_line
 
 
 def _compound_strength(compound: _Compound, wcg: WeightedGraph) -> float:

@@ -6,7 +6,10 @@ heaviest edge of a *working graph*, merge its two endpoint nodes
 When chains A and B combine there are four candidate orders — AB, AB',
 A'B, A'B' (primes are reversals) — and PH picks the one that minimizes
 the byte distance between the two procedures connected by the heaviest
-*original* edge crossing the chains.
+*original* edge crossing the chains.  With ``p`` in A and ``q`` in B,
+that distance is the bytes after ``p`` in A (before it, if A is
+reversed) plus the bytes before ``q`` in B (after it, if B is
+reversed), so one pass over each chain scores all four orders.
 
 The heaviest-edge search uses a lazy max-heap: stale entries (edges
 whose endpoint was merged away or whose weight has since grown) are
@@ -41,7 +44,7 @@ def ph_order(program: Program, wcg: WeightedGraph) -> list[str]:
     chains: dict[str, list[str]] = {
         node: [node] for node in working.nodes
     }
-    chain_of: dict[str, str] = {node: node for node in working.nodes}
+    sizes = {name: program.size_of(name) for name in chains}
 
     heap: list[tuple[float, str, str, str, str]] = []
     for a, b, weight in working.edges():
@@ -54,7 +57,7 @@ def ph_order(program: Program, wcg: WeightedGraph) -> list[str]:
         if working.weight(u, v) != -neg_weight:
             continue  # stale entry
 
-        _combine_chains(chains, chain_of, u, v, wcg, program)
+        _combine_chains(chains, u, v, wcg, sizes)
         working.merge_nodes_into(u, v)
         for neighbor in working.neighbors(u):
             weight = working.weight(u, neighbor)
@@ -83,31 +86,48 @@ def _chain_strength(chain: Iterable[str], wcg: WeightedGraph) -> float:
 
 def _combine_chains(
     chains: dict[str, list[str]],
-    chain_of: dict[str, str],
     u: str,
     v: str,
     original: WeightedGraph,
-    program: Program,
+    sizes: dict[str, int],
 ) -> None:
     """Merge chain of *v* into chain of *u*, choosing the best of the
-    four concatenation orders (AB, AB', A'B, A'B')."""
+    four concatenation orders (AB, AB', A'B, A'B'); ties go to the
+    first."""
     chain_a = chains[u]
     chain_b = chains[v]
     p, q = _heaviest_cross_edge(chain_a, chain_b, original)
-    candidates = [
-        chain_a + chain_b,
-        chain_a + chain_b[::-1],
-        chain_a[::-1] + chain_b,
-        chain_a[::-1] + chain_b[::-1],
-    ]
-    best = min(
-        candidates,
-        key=lambda merged: _byte_distance(merged, p, q, program),
+    before_p, after_p = _bytes_around(chain_a, p, sizes)
+    before_q, after_q = _bytes_around(chain_b, q, sizes)
+    distances = (
+        after_p + before_q,  # AB
+        after_p + after_q,  # AB'
+        before_p + before_q,  # A'B
+        before_p + after_q,  # A'B'
     )
-    chains[u] = best
+    best = distances.index(min(distances))
+    if best >= 2:
+        chain_a = chain_a[::-1]
+    if best % 2:
+        chain_b = chain_b[::-1]
+    chains[u] = chain_a + chain_b
     del chains[v]
-    for name in chain_b:
-        chain_of[name] = u
+
+
+def _bytes_around(
+    chain: list[str], member: str, sizes: dict[str, int]
+) -> tuple[int, int]:
+    """Bytes before and after *member* in a contiguous *chain*."""
+    before = after = 0
+    seen = False
+    for name in chain:
+        if name == member:
+            seen = True
+        elif seen:
+            after += sizes[name]
+        else:
+            before += sizes[name]
+    return before, after
 
 
 def _heaviest_cross_edge(
@@ -133,19 +153,3 @@ def _heaviest_cross_edge(
         # edges, so a cross edge must exist; fall back defensively.
         return chain_a[0], chain_b[0]
     return best[1], best[2]
-
-
-def _byte_distance(
-    order: list[str], p: str, q: str, program: Program
-) -> int:
-    """Bytes separating procedures *p* and *q* in a contiguous layout."""
-    starts: dict[str, int] = {}
-    cursor = 0
-    for name in order:
-        starts[name] = cursor
-        cursor += program.size_of(name)
-    p_start, p_end = starts[p], starts[p] + program.size_of(p)
-    q_start, q_end = starts[q], starts[q] + program.size_of(q)
-    if p_end <= q_start:
-        return q_start - p_end
-    return p_start - q_end

@@ -340,10 +340,12 @@ def _credit_counts(
         t_starts = starts[batch_start:batch_end].astype(np.int32)
         t_spans = spans[batch_start:batch_end].astype(np.int32)
         total = int(t_spans.sum())
-        offsets = np.arange(total, dtype=np.int32) - np.repeat(
+        # Built in place: one batch-length temporary fewer at the peak.
+        q_index = np.arange(total, dtype=np.int32)
+        q_index -= np.repeat(
             np.cumsum(t_spans, dtype=np.int32) - t_spans, t_spans
         )
-        q_index = np.repeat(t_starts, t_spans) + offsets
+        q_index += np.repeat(t_starts, t_spans)
         t_index = np.repeat(t_hits, t_spans)
         live = nxt32[q_index] >= t_index
         a = codes32[t_index[live]]

@@ -5,9 +5,9 @@ Section 2) and the temporal relationship graph (TRG, Section 3) — are
 undirected graphs with non-negative edge weights whose nodes are code
 blocks (procedure names or :class:`~repro.program.procedure.ChunkId`
 chunks).  This module provides that shared structure, with the
-deterministic heaviest-edge selection the greedy placement algorithms
-need (the paper notes ties are "decided arbitrarily"; we break them by
-a canonical node-pair key so every run is reproducible).
+canonical edge order the greedy placement algorithms break ties on
+(the paper notes ties are "decided arbitrarily"; a canonical node-pair
+key makes every run reproducible).
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def _canon_key(node: Node) -> tuple:
     ``("p", 1, "")``).
     """
     return (structural_node_key(node), repr(node))
-
-
-def _canon(a: Node, b: Node) -> tuple[Node, Node]:
-    """Canonical ordering of an edge's endpoints (structural, total)."""
-    return (a, b) if _canon_key(a) <= _canon_key(b) else (b, a)
 
 
 class WeightedGraph:
@@ -180,42 +175,33 @@ class WeightedGraph:
         """Neighbors of *node* (empty when absent)."""
         yield from self._adj.get(node, {})
 
-    def degree(self, node: Node) -> int:
-        """Number of edges incident to *node*."""
-        return len(self._adj.get(node, {}))
-
     def edges(self) -> Iterator[tuple[Node, Node, float]]:
-        """All edges once each, as ``(a, b, weight)``."""
-        seen: set[tuple[Node, Node]] = set()
-        for a, neighbors in self._adj.items():
+        """All edges once each, as ``(a, b, weight)``.
+
+        An edge comes from the row of whichever endpoint was inserted
+        first, and its endpoints in canonical order (see
+        :func:`structural_node_key`, then ``repr``).
+        """
+        adj = self._adj
+        rank = {
+            node: index
+            for index, node in enumerate(sorted(adj, key=_canon_key))
+        }
+        done: set[Node] = set()
+        for a, neighbors in adj.items():
+            rank_a = rank[a]
             for b, weight in neighbors.items():
-                key = _canon(a, b)
-                if key in seen:
+                if b in done:
                     continue
-                seen.add(key)
-                yield key[0], key[1], weight
+                if rank_a < rank[b]:
+                    yield a, b, weight
+                else:
+                    yield b, a, weight
+            done.add(a)
 
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
         return sum(len(n) for n in self._adj.values()) // 2
-
-    def total_weight(self) -> float:
-        """Sum of all edge weights."""
-        return sum(w for _, _, w in self.edges())
-
-    def heaviest_edge(self) -> tuple[Node, Node, float] | None:
-        """The maximum-weight edge, ties broken by canonical key.
-
-        Returns ``None`` when the graph has no edges.
-        """
-        best: tuple[Node, Node, float] | None = None
-        best_key: tuple[float, str, str] | None = None
-        for a, b, weight in self.edges():
-            key = (-weight, repr(a), repr(b))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (a, b, weight)
-        return best
 
     def copy(self) -> "WeightedGraph":
         """An independent deep copy (adjacency dicts are not shared)."""
@@ -263,7 +249,7 @@ class WeightedGraph:
         return dict(self._edge_dict()) == dict(other._edge_dict())
 
     def _edge_dict(self) -> dict[tuple[Node, Node], float]:
-        return {_canon(a, b): w for a, b, w in self.edges()}
+        return {(a, b): w for a, b, w in self.edges()}
 
     def __repr__(self) -> str:
         """Size summary, e.g. ``WeightedGraph(4 nodes, 3 edges)``."""

@@ -45,18 +45,18 @@ def perturbed(
     """
     if scale < 0:
         raise ConfigError(f"perturbation scale must be >= 0, got {scale}")
-    rng = _random.Random(seed)
+    gauss = _random.Random(seed).gauss
+    keys = {node: structural_node_key(node) for node in graph.nodes}
     out = WeightedGraph()
-    for node in sorted(graph.nodes, key=structural_node_key):
+    for node in sorted(keys, key=keys.__getitem__):
         out.add_node(node)
     edges = sorted(
-        graph.edges(),
-        key=lambda edge: (
-            structural_node_key(edge[0]),
-            structural_node_key(edge[1]),
-        ),
+        graph.edges(), key=lambda edge: (keys[edge[0]], keys[edge[1]])
     )
-    for a, b, weight in edges:
-        noisy = weight * math.exp(scale * rng.gauss(0.0, 1.0))
-        out.set_weight(a, b, noisy)
+    # One draw per edge in sorted order, scaled by math.exp: np.exp can
+    # differ in the last ulp, which would change perturbed layouts.
+    out.set_edges(
+        (a, b, weight * math.exp(scale * gauss(0.0, 1.0)))
+        for a, b, weight in edges
+    )
     return out

@@ -65,8 +65,8 @@ class TestQueries:
         assert set(graph.neighbors("a")) == {"b", "c"}
 
     def test_degree(self, graph):
-        assert graph.degree("b") == 2
-        assert graph.degree("missing") == 0
+        assert len(list(graph.neighbors("b"))) == 2
+        assert list(graph.neighbors("missing")) == []
 
     def test_edges_enumerated_once(self, graph):
         edges = list(graph.edges())
@@ -74,22 +74,7 @@ class TestQueries:
         assert graph.num_edges() == 3
 
     def test_total_weight(self, graph):
-        assert graph.total_weight() == 9.0
-
-    def test_heaviest_edge(self, graph):
-        a, b, w = graph.heaviest_edge()
-        assert {a, b} == {"b", "c"}
-        assert w == 5.0
-
-    def test_heaviest_edge_empty(self):
-        assert WeightedGraph().heaviest_edge() is None
-
-    def test_heaviest_edge_deterministic_tie_break(self):
-        g = WeightedGraph()
-        g.add_edge("x", "y", 5.0)
-        g.add_edge("a", "b", 5.0)
-        a, b, _ = g.heaviest_edge()
-        assert (a, b) == ("a", "b")  # canonical repr order
+        assert sum(w for _, _, w in graph.edges()) == 9.0
 
     def test_equality(self, graph):
         clone = graph.copy()
@@ -156,13 +141,16 @@ def test_total_weight_invariant_under_merge(edges):
     for a, b, w in edges:
         if a != b:
             g.add_edge(a, b, w)
-    heaviest = g.heaviest_edge()
-    if heaviest is None:
+    if not g.num_edges():
         return
-    a, b, w = heaviest
-    before = g.total_weight()
+    a, b, w = max(g.edges(), key=lambda edge: edge[2])
+    before = _total_weight(g)
     g.merge_nodes_into(a, b)
-    assert g.total_weight() == pytest.approx(before - w)
+    assert _total_weight(g) == pytest.approx(before - w)
+
+
+def _total_weight(graph: WeightedGraph) -> float:
+    return sum(w for _, _, w in graph.edges())
 
 
 class TestCanonicalOrdering:
