@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.cache.config import CacheConfig
 from repro.errors import LayoutError
 from repro.program.layout import Layout
@@ -50,6 +51,14 @@ def line_stream(
         raise LayoutError(
             "the trace and the layout describe different programs"
         )
+    with obs.span("line_stream") as record:
+        stream = _expand(layout, trace, config)
+        if record is not None:
+            record.attributes["lines"] = len(stream.lines)
+    return stream
+
+
+def _expand(layout: Layout, trace: Trace, config: CacheConfig) -> LineStream:
     n_events = len(trace)
     if n_events == 0:
         return LineStream(np.empty(0, dtype=np.int64), 0)

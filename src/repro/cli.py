@@ -20,16 +20,13 @@ manifest), ``--trace-out`` (span events only) and ``-v`` (phase
 narration on stderr)::
 
     repro-layout place train.npz -o layout.json --metrics-out run.jsonl
-    repro-layout report run.jsonl       # render timings + metrics
+    repro-layout report run.jsonl       # timings, stage self times, metrics
 
 The perf lab (:mod:`repro.obs.perf`) makes runs comparable::
 
     repro-layout perf diff A.jsonl B.jsonl      # structural manifest diff
-    repro-layout report --diff A.jsonl B.jsonl  # same, as a report mode
     repro-layout perf record table1:fast --from-json BENCH.json
     repro-layout perf check                     # gate vs baselines.json
-    repro-layout place t.npz -o l.json --profile --metrics-out run.jsonl
-    repro-layout perf profile run.jsonl         # hottest repro.* functions
 
 Static verification (:mod:`repro.analysis`)::
 
@@ -159,12 +156,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         "-v", "--verbose", action="store_true",
         help="narrate pipeline phases and timings on stderr",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="deterministic profiling: attribute span time to repro.* "
-        "functions and publish a 'profile' manifest section (render "
-        "with 'perf profile'); off by default and invisible when off",
-    )
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -240,7 +231,6 @@ def _obs_session(
         metrics_out=getattr(args, "metrics_out", None),
         trace_out=getattr(args, "trace_out", None),
         verbose=getattr(args, "verbose", False),
-        profile=getattr(args, "profile", False),
     )
 
 
@@ -732,22 +722,8 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import load_run_manifest
-    from repro.errors import PerfError
     from repro.eval.reporting import format_manifest_report
 
-    if args.diff or args.other:
-        # Thin frontend over `perf diff`: report --diff A.jsonl B.jsonl
-        if not (args.diff and args.other):
-            raise PerfError(
-                "diff mode needs both: report --diff A.jsonl B.jsonl"
-            )
-        from repro.obs.perf import diff_manifests, format_diff
-
-        diff = diff_manifests(
-            load_run_manifest(args.run), load_run_manifest(args.other)
-        )
-        print(format_diff(diff))
-        return 0
     manifest = load_run_manifest(args.run)
     print(format_manifest_report(manifest, width=args.width))
     return 0
@@ -892,22 +868,6 @@ def cmd_perf_check(args: argparse.Namespace) -> int:
     print(format_checks(checks))
     failed = any(check.failed for check in checks)
     return 1 if failed or findings else 0
-
-
-def cmd_perf_profile(args: argparse.Namespace) -> int:
-    from repro.analysis import load_run_manifest
-    from repro.errors import PerfError
-    from repro.obs.perf import format_profile
-
-    manifest = load_run_manifest(args.run)
-    profile = manifest.get("profile")
-    if profile is None:
-        raise PerfError(
-            f"{args.run}: manifest has no profile section "
-            "(run the command with --profile)"
-        )
-    print(format_profile(profile, limit=args.limit))
-    return 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -1236,19 +1196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report",
-        help="render a JSONL run file's manifest (timings + metrics)",
+        help="render a JSONL run file's manifest (timings, stage self "
+        "times, metrics)",
     )
     report.add_argument(
         "run", help="run file written by --metrics-out"
-    )
-    report.add_argument(
-        "other", nargs="?", default=None,
-        help="second run file (diff mode; requires --diff)",
-    )
-    report.add_argument(
-        "--diff", action="store_true",
-        help="structural diff of two run files instead of a report "
-        "(thin frontend over 'perf diff')",
     )
     report.add_argument(
         "--width", type=int, default=40,
@@ -1259,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf = subparsers.add_parser(
         "perf",
         help="the perf lab: bench history ledger, manifest diffing, "
-        "regression gating, profiles",
+        "regression gating",
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     perf_record = perf_sub.add_parser(
@@ -1320,18 +1272,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"baselines file (default: {_DEFAULT_BASELINES})",
     )
     perf_check.set_defaults(func=cmd_perf_check)
-    perf_profile = perf_sub.add_parser(
-        "profile",
-        help="render the profile section of a --profile run manifest",
-    )
-    perf_profile.add_argument(
-        "run", help="run file written with --profile --metrics-out"
-    )
-    perf_profile.add_argument(
-        "--limit", type=int, default=25,
-        help="maximum function rows to print (default: 25)",
-    )
-    perf_profile.set_defaults(func=cmd_perf_profile)
 
     lint = subparsers.add_parser(
         "lint",

@@ -382,6 +382,7 @@ def merge_nodes(
     if set(n1.names) & set(n2.names):
         raise PlacementError("nodes being merged share a procedure")
     costs = weights.offset_costs(n1, n2)
+    obs.inc("gbsc.merge.merges")
     obs.inc("gbsc.merge.offsets_evaluated", weights.num_lines)
     offset = best_offset(costs)
     return n1.combined_with(n2.shifted(offset, weights.num_lines))

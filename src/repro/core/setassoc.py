@@ -252,6 +252,7 @@ def merge_nodes_sa(
     if set(n1.names) & set(n2.names):
         raise PlacementError("nodes being merged share a procedure")
     costs = pairs.offset_costs(n1, n2)
+    obs.inc("gbsc.merge.merges")
     obs.inc("gbsc.merge.offsets_evaluated", pairs.num_sets)
     if weights is None:
         offset = best_offset(costs)

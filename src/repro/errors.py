@@ -40,8 +40,7 @@ class ObservabilityError(ReproError):
 
 class PerfError(ReproError):
     """The perf lab was driven with unusable inputs (a history ledger
-    that does not parse, a malformed baselines file, a manifest with no
-    profile section)."""
+    that does not parse, a malformed baselines file)."""
 
 
 class AnalysisError(ReproError):

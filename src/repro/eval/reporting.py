@@ -13,7 +13,7 @@ from typing import Any, Mapping, Sequence
 from repro.cache.simulator import simulate
 from repro.eval.asciiplot import ascii_bars
 from repro.eval.randomization import SweepResult
-from repro.obs import format_duration
+from repro.obs import format_duration, self_times
 from repro.placement.base import PlacementContext
 from repro.program.layout import Layout
 from repro.trace.trace import Trace
@@ -145,9 +145,10 @@ def format_manifest_report(
 ) -> str:
     """Human-readable rendering of a run manifest (``report`` command).
 
-    Three sections: a header echoing the run identity, the phase timing
-    tree with a bar chart of the top-level phases, and the final metric
-    snapshot.
+    Four sections: a header echoing the run identity, the phase timing
+    tree with a bar chart of the top-level phases, the per-stage self
+    times (:func:`repro.obs.self_times`, largest first), and the final
+    metric snapshot.
     """
     command = manifest.get("command", "?")
     git = manifest.get("git")
@@ -176,6 +177,19 @@ def format_manifest_report(
         lines.append("timings:")
         for root in timings:
             _timing_lines(root, 0, lines)
+        lines.append("")
+        lines.append("stages (self time):")
+        lines.append(f"  {'self':>10} {'total':>10} {'calls':>6}  stage")
+        stages = sorted(
+            self_times(timings).items(),
+            key=lambda item: (-item[1]["self_s"], item[0]),
+        )
+        for key, stage in stages:
+            lines.append(
+                f"  {format_duration(stage['self_s']):>10} "
+                f"{format_duration(stage['total_s']):>10} "
+                f"{stage['calls']:>6}  {key}"
+            )
 
     metrics = manifest.get("metrics") or {}
     if metrics:
@@ -190,14 +204,6 @@ def format_manifest_report(
         hit_rate_line = _store_hit_rate_line(metrics)
         if hit_rate_line is not None:
             lines.append(hit_rate_line)
-    profile = manifest.get("profile")
-    if isinstance(profile, Mapping):
-        functions = profile.get("functions") or {}
-        lines.append("")
-        lines.append(
-            f"profile: {len(functions)} repro.* function(s) sampled "
-            "(render with 'repro-layout perf profile')"
-        )
     return "\n".join(lines)
 
 

@@ -242,10 +242,14 @@ def read_trace_npz(source: str | Path | BinaryIO) -> Trace | None:
 
     Returns ``None`` for a readable archive that is not a
     ``repro/trace``; a damaged one raises one of
-    :data:`NPZ_READ_ERRORS` (or a :class:`SerializationError` from the
-    embedded program), which the caller words for its own source.
+    :data:`NPZ_READ_ERRORS` (or a :class:`SerializationError` for a
+    bare ``.npy`` array or a bad embedded program), which the caller
+    words for its own source.
     """
-    with np.load(source, allow_pickle=False) as payload:
+    payload = np.load(source, allow_pickle=False)
+    if not isinstance(payload, np.lib.npyio.NpzFile):
+        raise SerializationError("not an npz archive (a bare .npy array)")
+    with payload:
         if str(payload["format"]) != "repro/trace":
             return None
         program = program_from_dict(json.loads(str(payload["program"])))

@@ -12,7 +12,9 @@ on per run:
 * :class:`RunSession` — one observed run: installs a fresh state,
   streams span events to JSONL sinks, and finishes with a **manifest**
   (config echo, git describe, phase-timing tree, metric snapshot) that
-  ``repro-layout report`` renders and ``repro.analysis`` audits.
+  ``repro-layout report`` renders and ``repro.analysis`` audits;
+* :func:`self_times` — the per-stage self-time fold of a manifest's
+  timing tree, the program's one stage-timing table.
 
 Instrumentation must only *watch* the pipeline: with observability on
 or off, every layout, miss count and report is byte-identical.
@@ -54,6 +56,7 @@ from repro.obs.sinks import (
     MANIFEST_VERSION,
     JsonlSink,
     build_manifest,
+    self_times,
     span_event,
 )
 from repro.obs.tracer import SpanRecord, Tracer
@@ -82,6 +85,7 @@ __all__ = [
     "monotonic",
     "observe",
     "restore",
+    "self_times",
     "set_gauge",
     "span",
     "span_event",

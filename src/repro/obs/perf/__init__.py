@@ -10,13 +10,6 @@ is what a measurement pipeline is actually for:
   diffed instrument-wise, and config-echo drift (the classic "you
   benchmarked two different configurations" mistake) is surfaced
   first.  Rendered as deterministic text or JSON.
-* :mod:`repro.obs.perf.profile` — an opt-in deterministic profiler
-  (``--profile``): a :func:`sys.setprofile` hook scoped inside the
-  run's :func:`~repro.obs.span` boundaries that attributes cumulative
-  time, self time and call counts to ``repro.*`` functions, published
-  as the manifest's ``profile`` section.  Off by default; with it off
-  every artifact stays byte-identical, the same contract as the rest
-  of :mod:`repro.obs`.
 * :mod:`repro.obs.perf.history` — the benchmark history ledger:
   every bench result appends one record (bench id, flat numeric
   metrics, git describe, host fingerprint) to an append-only JSONL
@@ -28,9 +21,13 @@ is what a measurement pipeline is actually for:
   (higher/lower-is-better) and noise tolerance; drives the
   ``repro-layout perf check`` exit code.
 
-CLI frontends: ``repro-layout perf {record,diff,check,profile}`` and
-``report --diff A.jsonl B.jsonl``.  The ``perf/*`` audit rules in
-:mod:`repro.analysis.perf_audit` verify ledgers offline.
+Where a run spent its time is not this package's job: the obs spans
+are the one stage-timing source, and :func:`repro.obs.self_times`
+folds them into the per-stage table ``repro-layout report`` prints.
+
+CLI frontend: ``repro-layout perf {record,diff,check}``.  The
+``perf/*`` audit rules in :mod:`repro.analysis.perf_audit` verify
+ledgers offline.
 """
 
 from repro.obs.perf.baseline import (
@@ -59,11 +56,6 @@ from repro.obs.perf.history import (
     latest_records,
     read_history,
 )
-from repro.obs.perf.profile import (
-    PROFILE_CLOCK,
-    Profiler,
-    format_profile,
-)
 
 __all__ = [
     "BASELINES_FORMAT",
@@ -72,8 +64,6 @@ __all__ = [
     "HISTORY_NAME",
     "HISTORY_VERSION",
     "MetricCheck",
-    "PROFILE_CLOCK",
-    "Profiler",
     "append_record",
     "bench_record",
     "check_records",
@@ -82,7 +72,6 @@ __all__ = [
     "flatten_metrics",
     "format_checks",
     "format_diff",
-    "format_profile",
     "format_record_diff",
     "host_fingerprint",
     "is_history_file",

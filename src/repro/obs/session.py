@@ -64,7 +64,6 @@ class RunSession:
         trace_out: str | Path | None = None,
         verbose: bool = False,
         with_git: bool = True,
-        profile: bool = False,
     ) -> None:
         self.command = command
         self.config = dict(config) if config else {}
@@ -81,14 +80,6 @@ class RunSession:
         )
         if self._metrics_sink or self._trace_sink or verbose:
             self.state.tracer.add_listener(self._on_span_end)
-        # The profiler import is deferred so the common unprofiled path
-        # never touches repro.obs.perf at all.
-        self.profiler = None
-        if profile:
-            from repro.obs.perf.profile import Profiler
-
-            self.profiler = Profiler(self.state.tracer)
-            self.profiler.install()
 
     # ------------------------------------------------------------------
     # Span streaming
@@ -129,17 +120,12 @@ class RunSession:
         """
         if self.manifest is not None:
             return self.manifest
-        profile = None
-        if self.profiler is not None:
-            self.profiler.uninstall()
-            profile = self.profiler.snapshot()
         manifest = build_manifest(
             command=self.command,
             state=self.state,
             config=self.config,
             git=git_revision() if self._with_git else None,
             unix_time=wall_time(),
-            profile=profile,
         )
         if self._metrics_sink is not None:
             try:
@@ -166,9 +152,6 @@ class RunSession:
         runtime state like :meth:`finish` but never builds or emits a
         manifest; :attr:`manifest` stays ``None``.
         """
-        if self.profiler is not None:
-            self.profiler.uninstall()
-            self.profiler = None
         if self._metrics_sink is not None:
             self._metrics_sink.close()
         if self._trace_sink is not None:

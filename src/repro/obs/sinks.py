@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.chaos.sites import fire as _chaos_fire
 from repro.errors import ObservabilityError
@@ -103,15 +103,9 @@ def build_manifest(
     config: Mapping[str, Any] | None = None,
     git: str | None = None,
     unix_time: float | None = None,
-    profile: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Assemble the end-of-run manifest from an observability state.
-
-    The ``profile`` section exists only when a profile snapshot is
-    passed — an unprofiled run's manifest is byte-identical to one
-    built before profiling existed.
-    """
-    manifest = {
+    """Assemble the end-of-run manifest from an observability state."""
+    return {
         "type": "manifest",
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -123,6 +117,35 @@ def build_manifest(
         "timings": [root.to_dict() for root in state.tracer.roots],
         "metrics": state.registry.snapshot(),
     }
-    if profile is not None:
-        manifest["profile"] = dict(profile)
-    return manifest
+
+
+def self_times(
+    timings: Sequence[Mapping[str, Any]],
+) -> dict[str, dict[str, float]]:
+    """Fold a manifest timing tree into per-stage ``self_s``,
+    ``total_s`` and ``calls``, sorted by stage key.
+
+    A span's key is its name, or ``name.algorithm`` when it carries an
+    ``algorithm`` attribute (``place.GBSC``).  Its self time is its
+    duration minus its direct children's durations, so the self times
+    of every stage sum to the root durations: the manifest's
+    ``elapsed``.
+    """
+    stages: dict[str, dict[str, float]] = {}
+    pending = list(timings)
+    while pending:
+        node = pending.pop()
+        children = node.get("children") or ()
+        duration = float(node.get("duration") or 0.0)
+        algorithm = (node.get("attributes") or {}).get("algorithm")
+        key = node["name"] if algorithm is None else f"{node['name']}.{algorithm}"
+        stage = stages.setdefault(
+            key, {"self_s": 0.0, "total_s": 0.0, "calls": 0}
+        )
+        stage["self_s"] += duration - sum(
+            float(child.get("duration") or 0.0) for child in children
+        )
+        stage["total_s"] += duration
+        stage["calls"] += 1
+        pending.extend(children)
+    return {key: stages[key] for key in sorted(stages)}

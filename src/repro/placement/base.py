@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
+from repro import obs
 from repro.cache.config import CacheConfig
 from repro.errors import PlacementError
 from repro.profiles.graph import WeightedGraph
@@ -102,14 +103,15 @@ class PlacementContext:
         algorithms reading different graphs see consistent but
         uncorrelated noise.
         """
-        new_wcg = perturbed(self.wcg, scale, seed)
-        new_trgs = self.trgs
-        if self.trgs is not None:
-            new_trgs = replace(
-                self.trgs,
-                select=perturbed(self.trgs.select, scale, seed + 1),
-                place=perturbed(self.trgs.place, scale, seed + 2),
-            )
+        with obs.span("perturb"):
+            new_wcg = perturbed(self.wcg, scale, seed)
+            new_trgs = self.trgs
+            if self.trgs is not None:
+                new_trgs = replace(
+                    self.trgs,
+                    select=perturbed(self.trgs.select, scale, seed + 1),
+                    place=perturbed(self.trgs.place, scale, seed + 2),
+                )
         return replace(self, wcg=new_wcg, trgs=new_trgs)
 
 

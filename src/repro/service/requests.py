@@ -79,7 +79,13 @@ def check_deadline(deadline: float | None) -> None:
         raise ServiceError(
             f"deadline must be a number of seconds, got {deadline!r}"
         )
-    if not math.isfinite(deadline):
+    try:
+        finite = math.isfinite(deadline)
+    except OverflowError:  # an int beyond float range
+        raise ServiceError(
+            "deadline must be finite, got an integer beyond float range"
+        ) from None
+    if not finite:
         raise ServiceError(f"deadline must be finite, got {deadline!r}")
     if deadline <= 0:
         raise ServiceError(f"deadline must be positive, got {deadline!r}")

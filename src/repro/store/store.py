@@ -173,6 +173,13 @@ class ArtifactStore:
         quarantine (when writable) so the next build overwrites a
         clean slot instead of rediscovering the same corruption.
         """
+        with obs.span("store.get") as record:
+            data = self._read(digest)
+            if record is not None:
+                record.attributes["hit"] = int(data is not None)
+        return data
+
+    def _read(self, digest: str) -> bytes | None:
         entry = self._index.get(digest)
         if entry is None:
             self._refresh()
@@ -237,27 +244,28 @@ class ArtifactStore:
         """
         if not self.writable:
             return False
-        try:
-            atomic_write_bytes(
-                self.blob_path(digest), data, site="store.blob"
-            )
-            self._refresh()
-            sequence = 1 + max(
-                (entry.get("seq", 0) for entry in self._index.values()),
-                default=0,
-            )
-            self._index[digest] = {
-                "kind": kind,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "file": blob_relpath(digest),
-                "bytes": len(data),
-                "seq": sequence,
-                "key": key,
-            }
-            self._write_index()
-        except OSError:
-            obs.inc("store.write_failed")
-            return False
+        with obs.span("store.put", bytes=len(data)):
+            try:
+                atomic_write_bytes(
+                    self.blob_path(digest), data, site="store.blob"
+                )
+                self._refresh()
+                sequence = 1 + max(
+                    (entry.get("seq", 0) for entry in self._index.values()),
+                    default=0,
+                )
+                self._index[digest] = {
+                    "kind": kind,
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "file": blob_relpath(digest),
+                    "bytes": len(data),
+                    "seq": sequence,
+                    "key": key,
+                }
+                self._write_index()
+            except OSError:
+                obs.inc("store.write_failed")
+                return False
         obs.inc("store.bytes", len(data))
         return True
 

@@ -129,18 +129,16 @@ class TestFormatManifestReport:
     def test_no_hit_rate_line_without_store_counters(self, manifest):
         assert "store.hit_rate" not in format_manifest_report(manifest)
 
-    def test_profile_section_is_summarised(self, manifest):
-        manifest["profile"] = {
-            "clock": "monotonic",
-            "functions": {
-                "repro.core.gbsc.place": {
-                    "calls": 1, "cum": 0.5, "self": 0.2,
-                }
-            },
-        }
-        text = format_manifest_report(manifest)
-        assert "profile: 1 repro.* function(s) sampled" in text
-        assert "perf profile" in text
+    def test_stage_table_is_largest_self_time_first(self, manifest):
+        manifest["timings"][1]["attributes"] = {"algorithm": "GBSC"}
+        lines = format_manifest_report(manifest).splitlines()
+        start = lines.index("stages (self time):")
+        assert lines[start + 1].split() == ["self", "total", "calls", "stage"]
+        assert [line.split() for line in lines[start + 2:start + 5]] == [
+            ["60.0ms", "100.0ms", "1", "build_context"],
+            ["50.0ms", "50.0ms", "1", "place.GBSC"],
+            ["40.0ms", "40.0ms", "1", "build_wcg"],
+        ]
 
 
 class TestReportCommand:
@@ -155,6 +153,34 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "run: place" in out
         assert "cache.sim.misses" in out
+
+    def test_profile_key_of_an_older_run_file_is_ignored(
+        self, tmp_path, capsys
+    ):
+        """Run files once carried a ``profile`` section; ``report`` and
+        ``check`` still accept them and ignore it."""
+        from repro import obs
+        from repro.obs import RunSession
+
+        run = tmp_path / "run.jsonl"
+        session = RunSession("place", metrics_out=run, with_git=False)
+        with obs.span("place"):
+            pass
+        manifest = session.finish()
+        manifest["profile"] = {
+            "clock": "monotonic",
+            "functions": {
+                "repro.core.gbsc.place": {"calls": 1, "cum": 0.5, "self": 0.2}
+            },
+        }
+        lines = run.read_text().splitlines()
+        lines[-1] = json.dumps(manifest)
+        run.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "stages (self time):" in out
+        assert "profile" not in out
+        assert main(["check", str(run)]) == 0
 
     def test_manifest_less_file_exits_2(self, tmp_path, capsys):
         run = tmp_path / "run.jsonl"

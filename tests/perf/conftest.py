@@ -1,14 +1,12 @@
 """Fixtures for the perf-lab tests.
 
 Same isolation contract as ``tests/obs``: every test runs with the
-global observability state saved and restored, so profiling sessions
-cannot leak a ``sys.setprofile`` hook or an enabled runtime into the
-rest of the suite.
+global observability state saved and restored, so a session cannot
+leak an enabled runtime into the rest of the suite.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator
 
 import pytest
@@ -19,12 +17,10 @@ from repro.obs import runtime
 @pytest.fixture(autouse=True)
 def isolated_obs() -> Iterator[None]:
     previous = runtime.current()
-    hook = sys.getprofile()
     runtime.disable()
     try:
         yield
     finally:
-        sys.setprofile(hook)
         runtime.restore(previous)
 
 

@@ -1,4 +1,4 @@
-"""The ``repro-layout perf {record,diff,check,profile}`` family."""
+"""The ``repro-layout perf {record,diff,check}`` family."""
 
 from __future__ import annotations
 
@@ -19,14 +19,13 @@ from repro.obs.perf import (
 )
 
 
-def make_run(path: Path, *, profile: bool = False):
+def make_run(path: Path):
     """Write a real run file via a RunSession and return its manifest."""
     session = RunSession(
         "place",
         config={"algorithm": "gbsc"},
         metrics_out=path,
         with_git=False,
-        profile=profile,
     )
     with obs.span("phase"):
         obs.inc("events", 2)
@@ -147,21 +146,6 @@ class TestPerfDiff:
         make_run(a)
         assert main(["perf", "diff", str(a)]) == 2
 
-    def test_report_diff_is_a_thin_frontend(self, tmp_path, capsys):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        make_run(a)
-        make_run(b)
-        assert main(["perf", "diff", str(a), str(b)]) == 0
-        via_perf = capsys.readouterr().out
-        assert main(["report", "--diff", str(a), str(b)]) == 0
-        assert capsys.readouterr().out == via_perf
-
-    def test_report_diff_needs_both_files(self, tmp_path, capsys):
-        a = tmp_path / "a.jsonl"
-        make_run(a)
-        assert main(["report", "--diff", str(a)]) == 2
-        assert "diff mode needs both" in capsys.readouterr().err
-
 
 class TestPerfCheck:
     def test_clean_baseline_exits_0(self, tmp_path, ledger, capsys):
@@ -222,33 +206,25 @@ class TestPerfCheck:
         ]) == 2
 
 
-class TestPerfProfile:
-    def test_renders_profiled_manifest(self, tmp_path, capsys):
-        run = tmp_path / "run.jsonl"
-        make_run(run, profile=True)
-        assert main(["perf", "profile", str(run)]) == 0
-        out = capsys.readouterr().out
-        assert "profile (monotonic clock" in out
-        assert "repro." in out
-
-    def test_limit_flag(self, tmp_path, capsys):
-        run = tmp_path / "run.jsonl"
-        make_run(run, profile=True)
-        assert main(["perf", "profile", str(run), "--limit", "1"]) == 0
-        assert "more functions elided" in capsys.readouterr().out
-
-    def test_unprofiled_manifest_exits_2(self, tmp_path, capsys):
-        run = tmp_path / "run.jsonl"
-        make_run(run)
-        assert main(["perf", "profile", str(run)]) == 2
-        assert "--profile" in capsys.readouterr().err
-
-
-class TestProfileFlagPlumbing:
-    def test_obs_commands_accept_profile_flag(self, tmp_path):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([
-            "place", "t.npz", "-o", "l.json", "--profile",
-        ])
-        assert args.profile is True
+class TestRemovedSurfaces:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["place", "t.npz", "-o", "l.json", "--profile"],
+                id="profile-flag",
+            ),
+            pytest.param(["perf", "profile", "run.jsonl"], id="perf-profile"),
+            pytest.param(
+                ["report", "--diff", "a.jsonl", "b.jsonl"], id="report-diff"
+            ),
+            pytest.param(
+                ["report", "a.jsonl", "b.jsonl"], id="report-two-runs"
+            ),
+        ],
+    )
+    def test_exits_2_as_unrecognised(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err

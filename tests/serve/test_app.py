@@ -86,6 +86,7 @@ class TestParsePlacePayload:
             {"trace": "abc", "deadline": 0},
             {"trace": "abc", "deadline": float("nan")},
             {"trace": "abc", "deadline": float("inf")},
+            {"trace": "abc", "deadline": 10**400},
         ],
     )
     def test_rejected_shapes(self, payload):

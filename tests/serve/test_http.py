@@ -214,10 +214,19 @@ class TestErrorStatuses:
         assert status == 504
         assert body["error"]["type"] == "TaskTimeout"
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            pytest.param("1" + "0" * 400, id="int-beyond-float"),
+        ],
+    )
     def test_non_finite_deadline_is_400(self, served, literal):
-        """Python's json accepts these literals; the request must not
-        run with no deadline at all."""
+        """Python's json accepts these literals (the last one parses to
+        an int beyond float range); the request must not run with no
+        deadline at all."""
         base, _ = served
         status, body = request(
             f"{base}/layouts",
@@ -239,6 +248,21 @@ class TestErrorStatuses:
         assert body["error"]["type"] == "ConfigError"
         assert "exceeds the limit" in body["error"]["message"]
         assert time.monotonic() - started < 10
+
+    def test_bare_npy_upload_is_400(self, served):
+        """``np.save`` bytes load as a bare array, not an npz archive."""
+        import io
+
+        import numpy as np
+
+        buffer = io.BytesIO()
+        np.save(buffer, np.arange(3))
+        base, _ = served
+        status, body = request(
+            f"{base}/traces", method="POST", data=buffer.getvalue()
+        )
+        assert status == 400
+        assert body["error"]["type"] == "SerializationError"
 
     def test_malformed_json_is_400(self, served):
         base, _ = served

@@ -145,7 +145,13 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize(
-        "deadline", [float("nan"), float("inf"), float("-inf")]
+        "deadline",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10**400, id="int-beyond-float"),
+        ],
     )
     def test_non_finite_deadline(self, train_trace, deadline):
         """NaN compares false with everything, so without this check it

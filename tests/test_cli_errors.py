@@ -71,6 +71,20 @@ class TestBadInputs:
             "error: the trace and the layout describe different programs\n"
         )
 
+    def test_place_bare_npy_trace(self, capsys, tmp_path):
+        """An ``.npz`` path holding ``np.save`` bytes is a bad artifact,
+        not a crash."""
+        import numpy as np
+
+        trace = tmp_path / "bad.npz"
+        with open(trace, "wb") as handle:
+            np.save(handle, np.arange(3))
+        _assert_error_exit(
+            capsys,
+            ["place", str(trace), "-o", str(tmp_path / "out.json")],
+            "bad.npz",
+        )
+
     def test_visualize_garbage_layout(self, capsys, tmp_path):
         layout = tmp_path / "garbage.json"
         layout.write_text("[]")
