@@ -22,21 +22,31 @@ bit-exact, with the timings recorded in
   per call of PH, HKC and :meth:`PlacementContext.perturbed` on gcc.
   These have no scalar twin outside the tests, so they record plain
   wall times.
+* **Store kinds.**  Over every suite workload, the build of the
+  ``trg`` and ``pairdb`` profiles against a warm
+  :class:`~repro.store.ArtifactStore` hit on the same key (index
+  lookup, blob read, content hash and decode), plus the blob bytes.
+  The decoded value must equal the built one.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
-speedup and is asserted only under representative conditions:
+speedup, and the store's decision rule — keep a kind only if a warm
+hit is at least 3× cheaper than its build — to each store kind's
+build/hit ratio.  Both are asserted only under representative
+conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
 scale records honest numbers without asserting.  The simulator and
 merge-cost speedups and the placement wall times are gated in
-``benchmarks/baselines.json`` only.
+``benchmarks/baselines.json`` only; the store ratios and blob bytes
+are gated there too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 
 import numpy as np
 
@@ -70,9 +80,16 @@ from repro.obs.perf import host_fingerprint
 from repro.placement.hkc import HashemiKaeliCalderPlacement
 from repro.placement.ph import PettisHansenPlacement
 from repro.profiles.fast import build_trgs_fast
+from repro.profiles.pairdb import get_or_build_pair_database
 from repro.profiles.perturb import PAPER_SCALE
-from repro.profiles.trg import build_trgs_scalar
+from repro.profiles.trg import (
+    DEFAULT_Q_MULTIPLIER,
+    build_trgs_scalar,
+    get_or_build_trgs,
+)
 from repro.program.layout import Layout
+from repro.store import ArtifactStore
+from repro.store.fingerprint import trace_content_fingerprint
 
 #: Required aggregate scalar/fast TRG-build speedup.
 SPEEDUP_THRESHOLD = 10.0
@@ -100,6 +117,10 @@ SA_MERGES = 10
 PLACED_WORKLOAD = "gcc"
 PLACEMENT_REPEATS = 5
 
+#: Store decision rule: a kind stays only if a warm hit is at least
+#: this many times cheaper than its build.
+HIT_THRESHOLD = 3.0
+
 
 def usable_cores() -> int:
     try:
@@ -120,16 +141,20 @@ def timed(run, *args, repeats=REPEATS, **kwargs):
     return result, best
 
 
-def _measure_workload(workload) -> dict:
-    """Scalar vs fast build_trgs on one workload; asserts parity."""
-    train = workload.trace("train")
-    popular = set(
+def _popular(train) -> set[str]:
+    return set(
         select_popular(
             train,
             coverage=DEFAULT_COVERAGE,
             max_procedures=DEFAULT_MAX_POPULAR,
         ).procedures
     )
+
+
+def _measure_workload(workload) -> dict:
+    """Scalar vs fast build_trgs on one workload; asserts parity."""
+    train = workload.trace("train")
+    popular = _popular(train)
     scalar, scalar_seconds = timed(
         build_trgs_scalar, train, PAPER_CACHE, popular=popular
     )
@@ -249,6 +274,60 @@ def _measure_placement(workload) -> dict:
     return results
 
 
+def _get_trgs(train, popular, fingerprint, store):
+    return get_or_build_trgs(
+        train,
+        PAPER_CACHE,
+        popular=popular,
+        store=store,
+        trace_fingerprint=fingerprint,
+    )
+
+
+def _get_pair_db(train, popular, fingerprint, store):
+    database, _ = get_or_build_pair_database(
+        train,
+        popular,
+        DEFAULT_Q_MULTIPLIER * PAPER_CACHE.size,
+        store=store,
+        trace_fingerprint=fingerprint,
+    )
+    return database
+
+
+def _measure_store(suite) -> dict:
+    """Build vs warm-hit seconds of the trg and pairdb kinds, summed
+    over *suite*; asserts each hit equals the build."""
+    getters = {"trg": _get_trgs, "pairdb": _get_pair_db}
+    totals = {
+        kind: {"build_seconds": 0.0, "hit_seconds": 0.0} for kind in getters
+    }
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        for workload in suite:
+            train = workload.trace("train")
+            inputs = (train, _popular(train), trace_content_fingerprint(train))
+            for kind, get in getters.items():
+                built, build_seconds = timed(get, *inputs, None)
+                get(*inputs, store)
+                hit, hit_seconds = timed(get, *inputs, store)
+                if kind == "trg":
+                    assert (hit.select, hit.place) == (built.select, built.place)
+                else:
+                    assert all(
+                        hit.pairs_for(block) == built.pairs_for(block)
+                        for block in built.blocks
+                    )
+                totals[kind]["build_seconds"] += build_seconds
+                totals[kind]["hit_seconds"] += hit_seconds
+        kinds = store.stats()["kinds"]
+        assert store.hits == len(suite) * len(getters) * REPEATS
+    for kind, total in totals.items():
+        total["build_over_hit"] = total["build_seconds"] / total["hit_seconds"]
+        total["bytes"] = kinds[kind]["bytes"]
+    return totals
+
+
 def test_kernel_speedup():
     enforced = usable_cores() >= MIN_CORES and SCALE == 1.0
 
@@ -274,6 +353,7 @@ def test_kernel_speedup():
     placement = _measure_placement(
         next(w for w in suite if w.name == PLACED_WORKLOAD)
     )
+    store = _measure_store(suite)
 
     record = {
         "bench": "kernels",
@@ -286,6 +366,7 @@ def test_kernel_speedup():
         "simulate": simulate,
         "merge": {"sa": merge_sa},
         "placement": placement,
+        "store": store,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_kernels.json").write_text(
@@ -306,6 +387,13 @@ def test_kernel_speedup():
             "merge": {"sa": {"speedup": merge_sa["speedup"]}},
             "placement": {
                 name: placement[name] for name in ("ph", "hkc", "perturbed")
+            },
+            "store": {
+                kind: {
+                    "build_over_hit": result["build_over_hit"],
+                    "bytes": result["bytes"],
+                }
+                for kind, result in store.items()
             },
         },
     )
@@ -349,6 +437,19 @@ def test_kernel_speedup():
         lines.append(
             f"  {name:<12} {placement[name]['seconds']:7.3f}s per call"
         )
+    lines.append(
+        "Store kinds (build vs warm hit, summed over the suite; "
+        f"a kind stays at >= {HIT_THRESHOLD:.0f}x):"
+    )
+    for kind, result in store.items():
+        lines.append(
+            f"  {kind:<12} {result['build_seconds']:7.3f}s build, "
+            f"{result['hit_seconds']:6.3f}s hit  "
+            f"({result['build_over_hit']:5.1f}x), "
+            f"{result['bytes']} blob bytes"
+        )
     write_report("kernels", "\n".join(lines))
     if enforced:
         assert aggregate["speedup"] >= SPEEDUP_THRESHOLD
+        for result in store.values():
+            assert result["build_over_hit"] >= HIT_THRESHOLD

@@ -146,9 +146,9 @@ def format_manifest_report(
     """Human-readable rendering of a run manifest (``report`` command).
 
     Four sections: a header echoing the run identity, the phase timing
-    tree with a bar chart of the top-level phases, the per-stage self
-    times (:func:`repro.obs.self_times`, largest first), and the final
-    metric snapshot.
+    tree with a bar chart of the top-level phases (one bar per root
+    span name), the per-stage self times (:func:`repro.obs.self_times`,
+    largest first), and the final metric snapshot.
     """
     command = manifest.get("command", "?")
     git = manifest.get("git")
@@ -167,9 +167,14 @@ def format_manifest_report(
     if timings:
         lines.append("")
         lines.append("phases:")
-        items = [
-            (t["name"], float(t.get("duration") or 0.0)) for t in timings
-        ]
+        # One bar per root span name (durations summed, first-seen
+        # order), so the chart grows with the stages, not the run.
+        phases: dict[str, float] = {}
+        for root in timings:
+            phases[root["name"]] = phases.get(root["name"], 0.0) + float(
+                root.get("duration") or 0.0
+            )
+        items = list(phases.items())
         bars = ascii_bars(items, width=width)
         for bar, (_, duration) in zip(bars, items):
             lines.append(f"  {bar} {format_duration(duration)}")

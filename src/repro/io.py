@@ -6,7 +6,8 @@ linker.  This module serialises every pipeline artifact:
 
 * **programs** and **layouts** — JSON (human-readable, diff-able);
 * **traces** — compressed ``.npz`` (three integer arrays plus the
-  program);
+  program), through the one ``.npz`` codec :func:`write_npz` /
+  :func:`read_npz` that the artifact store's blobs use too;
 * **weighted graphs** (WCG/TRGs) — JSON with canonical edge order.
 
 All writers produce deterministic output for identical inputs, and all
@@ -35,9 +36,10 @@ import json
 import os
 import tempfile
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -207,55 +209,119 @@ def load_layout(path: str | Path) -> Layout:
 # ----------------------------------------------------------------------
 
 
-#: What reading a damaged ``.npz`` trace can raise; each caller wraps
-#: these in a :class:`SerializationError` worded for its own source.
-NPZ_READ_ERRORS = (
+#: What reading a damaged ``.npz`` archive can raise;
+#: :func:`read_npz` maps each to a :class:`SerializationError`.
+_NPZ_READ_ERRORS = (
     OSError,
     EOFError,
     KeyError,
+    TypeError,
     ValueError,
     zipfile.BadZipFile,
-    json.JSONDecodeError,
+    zlib.error,
 )
+
+
+def write_npz(
+    handle: BinaryIO,
+    form: str,
+    version: int,
+    arrays: Mapping[str, np.ndarray],
+) -> None:
+    """Write *arrays* to *handle* as a compressed ``.npz`` archive
+    tagged with ``format`` *form* and *version*.
+
+    The one ``.npz`` encoder: trace files and every artifact-store
+    blob use it.  Identical arrays give identical bytes (the zip
+    members carry numpy's fixed timestamp), which content hashes of
+    store blobs rely on.
+    """
+    np.savez_compressed(
+        handle,
+        format=np.array(form),
+        version=np.array(version),
+        **arrays,
+    )
+
+
+def read_npz(
+    source: str | Path | BinaryIO,
+    form: str,
+    version: int,
+    names: Iterable[str],
+) -> dict[str, np.ndarray]:
+    """Inverse of :func:`write_npz`: the arrays named in *names*.
+
+    Raises :class:`SerializationError` for a damaged archive, a bare
+    ``.npy`` array, a ``format`` other than *form*, a ``version``
+    other than *version*, or a missing array; the caller adds the
+    source to the message.
+    """
+    try:
+        payload = np.load(source, allow_pickle=False)
+        if not isinstance(payload, np.lib.npyio.NpzFile):
+            raise SerializationError(
+                "not an npz archive (a bare .npy array)"
+            )
+        with payload:
+            found = str(payload["format"]) if "format" in payload else None
+            if found != form:
+                raise SerializationError(
+                    f"not a {form!r} archive (format {found!r})"
+                )
+            if "version" not in payload or int(payload["version"]) != version:
+                raise SerializationError(
+                    f"unsupported {form} version "
+                    f"(expected {version})"
+                )
+            missing = [name for name in names if name not in payload]
+            if missing:
+                raise SerializationError(
+                    f"{form} archive lacks array(s) {missing}"
+                )
+            return {name: payload[name] for name in names}
+    except _NPZ_READ_ERRORS as error:
+        raise SerializationError(f"unreadable npz archive: {error}") from error
+
+
+_TRACE_ARRAYS = ("program", "procs", "starts", "lengths")
 
 
 def write_trace_npz(trace: Trace, handle: BinaryIO) -> None:
     """Write *trace* to *handle* in the ``repro/trace`` ``.npz``
-    layout (compressed, program embedded as JSON).
-
-    The one encoder of that layout: trace files and the artifact
-    store's trace blobs both use it.
-    """
-    np.savez_compressed(
+    layout (compressed, program embedded as JSON)."""
+    write_npz(
         handle,
-        format=np.array("repro/trace"),
-        version=np.array(_FORMAT_VERSION),
-        program=np.array(json.dumps(program_to_dict(trace.program))),
-        procs=np.asarray(trace.proc_indices),
-        starts=np.asarray(trace.extent_starts),
-        lengths=np.asarray(trace.extent_lengths),
+        "repro/trace",
+        _FORMAT_VERSION,
+        {
+            "program": np.array(
+                json.dumps(program_to_dict(trace.program))
+            ),
+            "procs": np.asarray(trace.proc_indices),
+            "starts": np.asarray(trace.extent_starts),
+            "lengths": np.asarray(trace.extent_lengths),
+        },
     )
 
 
-def read_trace_npz(source: str | Path | BinaryIO) -> Trace | None:
+def read_trace_npz(source: str | Path | BinaryIO) -> Trace:
     """Inverse of :func:`write_trace_npz`, from a path or binary file.
 
-    Returns ``None`` for a readable archive that is not a
-    ``repro/trace``; a damaged one raises one of
-    :data:`NPZ_READ_ERRORS` (or a :class:`SerializationError` for a
-    bare ``.npy`` array or a bad embedded program), which the caller
-    words for its own source.
+    Any damage — an unreadable archive, another format, a bad
+    embedded program — raises :class:`SerializationError`, which the
+    caller words for its own source.
     """
-    payload = np.load(source, allow_pickle=False)
-    if not isinstance(payload, np.lib.npyio.NpzFile):
-        raise SerializationError("not an npz archive (a bare .npy array)")
-    with payload:
-        if str(payload["format"]) != "repro/trace":
-            return None
-        program = program_from_dict(json.loads(str(payload["program"])))
-        return Trace.from_arrays(
-            program, payload["procs"], payload["starts"], payload["lengths"]
-        )
+    arrays = read_npz(source, "repro/trace", _FORMAT_VERSION, _TRACE_ARRAYS)
+    try:
+        program = program_from_dict(json.loads(str(arrays["program"])))
+    except json.JSONDecodeError as error:
+        raise SerializationError(
+            f"malformed embedded program: {error}"
+        ) from error
+    return Trace.from_arrays(
+        program, arrays["procs"], arrays["starts"], arrays["lengths"]
+    )
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -266,14 +332,11 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> Trace:
     try:
-        trace = read_trace_npz(path)
-    except (*NPZ_READ_ERRORS, SerializationError) as error:
+        return read_trace_npz(path)
+    except SerializationError as error:
         raise SerializationError(
             f"cannot load trace artifact from {path}: {error}"
         ) from error
-    if trace is None:
-        raise SerializationError(f"{path} is not a repro trace file")
-    return trace
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +345,8 @@ def load_trace(path: str | Path) -> Trace:
 
 
 def node_to_json(node: Any) -> Any:
-    """JSON form of a graph node (a procedure name or a :class:`ChunkId`).
-
-    Shared by the graph writers here and the artifact-store codecs
-    (:mod:`repro.store.codecs`), so every serialised node uses one
-    canonical encoding.
-    """
+    """JSON form of a graph node (a procedure name or a :class:`ChunkId`)
+    in the ``repro/graph`` format."""
     if isinstance(node, ChunkId):
         return {"procedure": node.procedure, "index": node.index}
     if isinstance(node, str):
@@ -311,20 +370,15 @@ def node_from_json(payload: Any) -> Any:
     raise SerializationError(f"malformed graph node: {payload!r}")
 
 
-# Backwards-compatible private aliases (pre-store internal names).
-_node_to_json = node_to_json
-_node_from_json = node_from_json
-
-
 def graph_to_dict(graph: WeightedGraph) -> dict[str, Any]:
     nodes = sorted(graph.nodes, key=repr)
     edges = sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1])))
     return {
         "format": "repro/graph",
         "version": _FORMAT_VERSION,
-        "nodes": [_node_to_json(node) for node in nodes],
+        "nodes": [node_to_json(node) for node in nodes],
         "edges": [
-            [_node_to_json(a), _node_to_json(b), weight]
+            [node_to_json(a), node_to_json(b), weight]
             for a, b, weight in edges
         ],
     }
@@ -335,10 +389,10 @@ def graph_from_dict(data: dict[str, Any]) -> WeightedGraph:
     graph = WeightedGraph()
     try:
         for node in data["nodes"]:
-            graph.add_node(_node_from_json(node))
+            graph.add_node(node_from_json(node))
         for a, b, weight in data["edges"]:
             graph.set_weight(
-                _node_from_json(a), _node_from_json(b), float(weight)
+                node_from_json(a), node_from_json(b), float(weight)
             )
     except (KeyError, TypeError, ValueError) as error:
         raise SerializationError(

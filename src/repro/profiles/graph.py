@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, ItemsView, Iterable, Iterator
 
 from repro.errors import PlacementError
 from repro.program.procedure import ChunkId
@@ -76,6 +76,16 @@ class WeightedGraph:
     def __init__(self) -> None:
         """Create an empty graph."""
         self._adj: dict[Node, dict[Node, float]] = {}
+
+    @classmethod
+    def from_rows(cls, rows: dict[Node, dict[Node, float]]) -> "WeightedGraph":
+        """Adopt *rows* (``{node: {neighbour: weight}}``) as the
+        adjacency, unchecked: the inverse of :meth:`rows` for a
+        decoder that has validated the rows in bulk (symmetric, no
+        self-edge, no negative weight)."""
+        graph = cls()
+        graph._adj = rows
+        return graph
 
     # ------------------------------------------------------------------
     # Mutation
@@ -162,6 +172,14 @@ class WeightedGraph:
     def nodes(self) -> list[Node]:
         """All nodes, in insertion order."""
         return list(self._adj)
+
+    def rows(self) -> ItemsView[Node, dict[Node, float]]:
+        """Every node with its neighbour row ``{neighbour: weight}``,
+        both in insertion order; each edge appears in both rows.
+
+        A read-only view of the graph's own rows: do not mutate them.
+        """
+        return self._adj.items()
 
     def weight(self, a: Node, b: Node) -> float:
         """Weight of edge ``{a, b}``; 0 when absent."""

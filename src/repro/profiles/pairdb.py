@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro import obs
 from repro.profiles.qset import WorkingSet
@@ -54,15 +54,19 @@ class PairDatabase:
     def set_pair_count(
         self, block: Block, r: Block, s: Block, count: int
     ) -> None:
-        """Set ``D(p, {r, s})`` directly.
+        """Set ``D(p, {r, s})`` directly."""
+        self.set_pairs(block, {frozenset((r, s)): int(count)})
+
+    def set_pairs(self, block: Block, pairs: Mapping[frozenset, int]) -> None:
+        """Set ``D(p, pair)`` for every pair of *pairs* (keyed as
+        :meth:`pairs_for` returns them), in their order.
 
         Used by deserialisers (:mod:`repro.store.codecs`) to restore a
         database without replaying the reference stream.
         """
         self.add_block(block)
-        self._db.setdefault(block, Counter())[frozenset((r, s))] = int(
-            count
-        )
+        if pairs:
+            dict.update(self._db.setdefault(block, Counter()), pairs)
 
     def pairs_for(self, block: Block) -> Counter:
         """All recorded pairs for *block* (empty counter when none)."""

@@ -146,7 +146,14 @@ def compare_batch(
             shared = shared_profile(env)
             context = shared["context"]
             if seed is not None:
-                context = context.perturbed(PAPER_SCALE, SEED_STRIDE * seed)
+                # One perturbation per seed, shared by every algorithm
+                # as the direct sweep shares it.
+                context = env.get(
+                    f"perturbed:{workload.name}:{seed}",
+                    lambda: shared["context"].perturbed(
+                        PAPER_SCALE, SEED_STRIDE * seed
+                    ),
+                )
             stats = place_and_simulate(
                 context, shared["test"], algorithm
             ).stats

@@ -1,41 +1,74 @@
 """Byte codecs for store blobs.
 
 Every artifact kind the store holds gets an ``encode`` (value →
-``bytes``) and ``decode`` (``bytes`` → value) pair.  The codecs reuse
-the :mod:`repro.io` serialisers — traces as compressed ``.npz``,
-graphs as canonical JSON — so a blob is the same byte format as the
-corresponding standalone artifact file, and decoding validates through
-the ordinary constructors: a corrupt blob raises
-:class:`~repro.io.SerializationError`, which the store treats as a
+``bytes``) and ``decode`` (``bytes`` → value) pair.  Every blob is a
+compressed ``.npz`` archive written and read by the one codec in
+:mod:`repro.io` (:func:`~repro.io.write_npz`/:func:`~repro.io.read_npz`):
+
+* a **trace** blob is the same bytes as a ``gen-trace`` file;
+* a **graph** (the WCG, each TRG) is a node table plus CSR rows in
+  adjacency insertion order, so a decoded graph equals the built one
+  down to the order of its nodes and of every row;
+* a **pair database** is a node table, the registered blocks and, per
+  block, CSR runs of ``(r, s, count)`` in :meth:`pairs_for
+  <repro.profiles.pairdb.PairDatabase.pairs_for>` order.
+
+A **node table** is a name array plus a chunk-index array holding −1
+for a procedure name and the index of a
+:class:`~repro.program.procedure.ChunkId` otherwise.  Decoding checks
+every array against the table (ids in range, row lengths summing to
+the edge count) and rejects a self-edge or a negative weight as
+:meth:`WeightedGraph.set_weight
+<repro.profiles.graph.WeightedGraph.set_weight>` does.  Every failure
+is a :class:`~repro.errors.ReproError`, which the store treats as a
 cache miss and rebuilds.
 """
 
 from __future__ import annotations
 
 import io as _stdio
-import json
-from dataclasses import asdict
-from typing import Any
+from dataclasses import astuple
+from itertools import chain
+from typing import Any, Mapping
 
+import numpy as np
+
+from repro.errors import PlacementError
 from repro.io import (
-    NPZ_READ_ERRORS,
     SerializationError,
-    graph_from_dict,
-    graph_to_dict,
-    node_from_json,
-    node_to_json,
+    read_npz,
     read_trace_npz,
+    write_npz,
     write_trace_npz,
 )
+from repro.profiles.graph import WeightedGraph
 from repro.profiles.pairdb import PairDatabase
 from repro.profiles.trg import TRGBuildStats, TRGPair
+from repro.program.procedure import ChunkId
 from repro.trace.trace import Trace
 
-_BLOB_VERSION = 1
+#: Version of the wcg/trg/pairdb blob layouts.  Version 1 was JSON; a
+#: v1 blob no longer decodes, so the store rebuilds it at its digest.
+_BLOB_VERSION = 2
+
+Arrays = dict[str, np.ndarray]
+
+
+def _encode(form: str, arrays: Mapping[str, np.ndarray]) -> bytes:
+    buffer = _stdio.BytesIO()
+    write_npz(buffer, form, _BLOB_VERSION, arrays)
+    return buffer.getvalue()
+
+
+def _decode(data: bytes, form: str, names: tuple[str, ...]) -> Arrays:
+    try:
+        return read_npz(_stdio.BytesIO(data), form, _BLOB_VERSION, names)
+    except SerializationError as error:
+        raise SerializationError(f"cannot decode {form} blob: {error}") from error
 
 
 # ----------------------------------------------------------------------
-# Traces (npz, through repro.io's one trace codec)
+# Traces
 # ----------------------------------------------------------------------
 
 
@@ -49,173 +82,305 @@ def encode_trace(trace: Trace) -> bytes:
 def decode_trace(data: bytes) -> Trace:
     """Inverse of :func:`encode_trace`; validates via the constructor."""
     try:
-        trace = read_trace_npz(_stdio.BytesIO(data))
-    except NPZ_READ_ERRORS as error:
+        return read_trace_npz(_stdio.BytesIO(data))
+    except SerializationError as error:
         raise SerializationError(
             f"cannot decode trace blob: {error}"
         ) from error
-    if trace is None:
-        raise SerializationError("blob is not a repro trace")
-    return trace
 
 
 # ----------------------------------------------------------------------
-# JSON-payload kinds (graphs, TRG pairs, pair databases)
+# Array helpers: node tables, id checks, build stats
 # ----------------------------------------------------------------------
 
 
-def _json_bytes(payload: dict[str, Any]) -> bytes:
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode()
+def _node_table(nodes: list[Any], prefix: str) -> Arrays:
+    names: list[str] = []
+    chunks: list[int] = []
+    for node in nodes:
+        if isinstance(node, ChunkId):
+            names.append(node.procedure)
+            chunks.append(node.index)
+        elif isinstance(node, str):
+            names.append(node)
+            chunks.append(-1)
+        else:
+            raise SerializationError(
+                f"cannot serialise graph node of type {type(node).__name__}"
+            )
+    if "\x00" in "".join(names):
+        # numpy's fixed-width strings drop trailing NULs.
+        raise SerializationError("cannot serialise a node name with NUL")
+    return {
+        f"{prefix}names": np.array(names, dtype=str),
+        f"{prefix}chunks": np.array(chunks, dtype=np.int64),
+    }
 
 
-def _json_payload(data: bytes, expected: str) -> dict[str, Any]:
-    try:
-        payload = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise SerializationError(
-            f"cannot decode {expected} blob: {error}"
-        ) from error
+def _nodes(arrays: Arrays, prefix: str) -> list[Any]:
+    """Inverse of :func:`_node_table`; raises on a malformed node."""
+    names = arrays[f"{prefix}names"]
+    chunks = arrays[f"{prefix}chunks"]
     if (
-        not isinstance(payload, dict)
-        or payload.get("format") != expected
-        or payload.get("version") != _BLOB_VERSION
+        names.ndim != 1
+        or names.dtype.kind != "U"
+        or chunks.ndim != 1
+        or chunks.dtype.kind not in "iu"
+        or len(names) != len(chunks)
     ):
-        raise SerializationError(f"blob is not {expected!r}")
-    return payload
+        raise SerializationError("malformed node table")
+    if len(chunks) and chunks.min() < -1:
+        raise SerializationError("malformed chunk node: negative index")
+    nodes = [
+        name if index < 0 else ChunkId(name, index)
+        for name, index in zip(names.tolist(), chunks.tolist())
+    ]
+    if len(set(nodes)) != len(nodes):
+        raise SerializationError("node table repeats a node")
+    return nodes
 
 
-def encode_wcg(graph: Any) -> bytes:
-    """Serialise a weighted graph (the WCG) to canonical JSON bytes."""
-    return _json_bytes(
-        {
-            "format": "repro/store-wcg",
-            "version": _BLOB_VERSION,
-            "graph": graph_to_dict(graph),
-        }
+def _ids(array: np.ndarray, bound: int, what: str) -> np.ndarray:
+    """*array* as int64 ids, each in ``[0, bound)``."""
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise SerializationError(f"malformed {what} array")
+    if len(array) and (array.min() < 0 or array.max() >= bound):
+        raise SerializationError(
+            f"{what} id outside the node table of {bound}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+def _runs(rowlen: np.ndarray, rows: int, *columns: np.ndarray) -> None:
+    """Check CSR run lengths: one per row, none negative, summing to
+    the length of every column."""
+    if rowlen.ndim != 1 or rowlen.dtype.kind not in "iu":
+        raise SerializationError("malformed rowlen array")
+    if len(rowlen) != rows:
+        raise SerializationError(
+            f"{len(rowlen)} row lengths for {rows} rows"
+        )
+    if len(rowlen) and rowlen.min() < 0:
+        raise SerializationError("negative row length")
+    total = int(rowlen.sum())
+    if any(column.ndim != 1 or len(column) != total for column in columns):
+        raise SerializationError(
+            f"row lengths sum to {total}, not the column lengths "
+            f"{[len(column) for column in columns]}"
+        )
+
+
+def _stats_arrays(stats: TRGBuildStats, prefix: str) -> Arrays:
+    # (refs_processed, avg_q_entries, evictions); float64 holds the
+    # two counts exactly.
+    return {f"{prefix}stats": np.array(astuple(stats), dtype=np.float64)}
+
+
+def _stats(arrays: Arrays, prefix: str) -> TRGBuildStats:
+    values = arrays[f"{prefix}stats"]
+    if values.shape != (3,) or values.dtype.kind != "f":
+        raise SerializationError("malformed build stats")
+    refs, average, evictions = values.tolist()
+    return TRGBuildStats(int(refs), average, int(evictions))
+
+
+# ----------------------------------------------------------------------
+# Graphs (WCG, TRGs)
+# ----------------------------------------------------------------------
+
+
+def _graph_names(prefix: str) -> tuple[str, ...]:
+    return tuple(
+        prefix + name for name in ("names", "chunks", "rowlen", "col", "weight")
     )
 
 
-def decode_wcg(data: bytes) -> Any:
-    """Inverse of :func:`encode_wcg`."""
-    payload = _json_payload(data, "repro/store-wcg")
-    try:
-        return graph_from_dict(payload["graph"])
-    except KeyError as error:
-        raise SerializationError("malformed wcg blob") from error
+def _graph_arrays(graph: WeightedGraph, prefix: str = "") -> Arrays:
+    rows = graph.rows()
+    nodes = [node for node, _ in rows]
+    index = {node: position for position, node in enumerate(nodes)}
+    neighbours = [row for _, row in rows]
+    total = sum(map(len, neighbours))
+    return {
+        **_node_table(nodes, prefix),
+        f"{prefix}rowlen": np.fromiter(
+            map(len, neighbours), dtype=np.int64, count=len(nodes)
+        ),
+        f"{prefix}col": np.fromiter(
+            map(index.__getitem__, chain.from_iterable(neighbours)),
+            dtype=np.int32,
+            count=total,
+        ),
+        f"{prefix}weight": np.fromiter(
+            chain.from_iterable(map(dict.values, neighbours)),
+            dtype=np.float64,
+            count=total,
+        ),
+    }
 
 
-def _stats_from_json(payload: Any) -> TRGBuildStats:
-    try:
-        return TRGBuildStats(
-            refs_processed=int(payload["refs_processed"]),
-            avg_q_entries=float(payload["avg_q_entries"]),
-            evictions=int(payload["evictions"]),
+def _graph(arrays: Arrays, prefix: str = "") -> WeightedGraph:
+    """Inverse of :func:`_graph_arrays`, with every check."""
+    nodes = _nodes(arrays, prefix)
+    rowlen = arrays[f"{prefix}rowlen"]
+    weight = arrays[f"{prefix}weight"]
+    col = arrays[f"{prefix}col"]
+    _runs(rowlen, len(nodes), col, weight)
+    col = _ids(col, len(nodes), "col")
+    if weight.dtype.kind != "f":
+        raise SerializationError("malformed weight array")
+    row = np.repeat(np.arange(len(nodes)), rowlen)
+    loops = np.flatnonzero(row == col)
+    if len(loops):
+        node = nodes[int(col[loops[0]])]
+        raise PlacementError(f"self-edge on {node!r} is not allowed")
+    negative = np.flatnonzero(weight < 0)
+    if len(negative):
+        raise PlacementError(
+            f"edge weight must be >= 0, got {weight[negative[0]]}"
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(
-            f"malformed build stats: {error}"
-        ) from error
+    # Each edge sits once in each of its two rows, with one weight.
+    forward = row * len(nodes) + col
+    backward = col * len(nodes) + row
+    ahead = np.argsort(forward)
+    behind = np.argsort(backward)
+    if not (
+        np.array_equal(forward[ahead], backward[behind])
+        and np.array_equal(weight[ahead], weight[behind], equal_nan=True)
+        and np.all(np.diff(forward[ahead]))
+    ):
+        raise SerializationError("graph rows are not symmetric")
+    neighbours = [nodes[i] for i in col.tolist()]
+    weights = weight.tolist()
+    adjacency = {}
+    end = 0
+    for node, length in zip(nodes, rowlen.tolist()):
+        start, end = end, end + length
+        adjacency[node] = dict(zip(neighbours[start:end], weights[start:end]))
+    return WeightedGraph.from_rows(adjacency)
+
+
+def encode_wcg(graph: WeightedGraph) -> bytes:
+    """Serialise a weighted graph (the WCG) to ``.npz`` bytes."""
+    return _encode("repro/store-wcg", _graph_arrays(graph))
+
+
+def decode_wcg(data: bytes) -> WeightedGraph:
+    """Inverse of :func:`encode_wcg`."""
+    return _graph(_decode(data, "repro/store-wcg", _graph_names("")))
+
+
+_TRG_NAMES = (
+    *_graph_names("select_"),
+    *_graph_names("place_"),
+    "select_stats",
+    "place_stats",
+    "chunk_size",
+)
 
 
 def encode_trgs(pair: TRGPair) -> bytes:
-    """Serialise a :class:`~repro.profiles.trg.TRGPair` to JSON bytes."""
-    return _json_bytes(
+    """Serialise a :class:`~repro.profiles.trg.TRGPair` to ``.npz``
+    bytes."""
+    return _encode(
+        "repro/store-trgs",
         {
-            "format": "repro/store-trgs",
-            "version": _BLOB_VERSION,
-            "chunk_size": pair.chunk_size,
-            "select": graph_to_dict(pair.select),
-            "place": graph_to_dict(pair.place),
-            "select_stats": asdict(pair.select_stats),
-            "place_stats": asdict(pair.place_stats),
-        }
+            **_graph_arrays(pair.select, "select_"),
+            **_graph_arrays(pair.place, "place_"),
+            **_stats_arrays(pair.select_stats, "select_"),
+            **_stats_arrays(pair.place_stats, "place_"),
+            "chunk_size": np.array(pair.chunk_size, dtype=np.int64),
+        },
     )
 
 
 def decode_trgs(data: bytes) -> TRGPair:
     """Inverse of :func:`encode_trgs`."""
-    payload = _json_payload(data, "repro/store-trgs")
-    try:
-        return TRGPair(
-            select=graph_from_dict(payload["select"]),
-            place=graph_from_dict(payload["place"]),
-            select_stats=_stats_from_json(payload["select_stats"]),
-            place_stats=_stats_from_json(payload["place_stats"]),
-            chunk_size=int(payload["chunk_size"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(
-            f"malformed trgs blob: {error}"
-        ) from error
+    arrays = _decode(data, "repro/store-trgs", _TRG_NAMES)
+    chunk_size = arrays["chunk_size"]
+    if chunk_size.shape != () or chunk_size.dtype.kind not in "iu":
+        raise SerializationError("malformed chunk_size")
+    return TRGPair(
+        select=_graph(arrays, "select_"),
+        place=_graph(arrays, "place_"),
+        select_stats=_stats(arrays, "select_"),
+        place_stats=_stats(arrays, "place_"),
+        chunk_size=int(chunk_size),
+    )
 
 
-def _node_sort_key(node_json: Any) -> str:
-    return json.dumps(node_json, sort_keys=True)
+# ----------------------------------------------------------------------
+# Pair databases
+# ----------------------------------------------------------------------
+
+_PAIRDB_NAMES = ("names", "chunks", "blocks", "rowlen", "r", "s", "count", "stats")
 
 
 def encode_pair_db(value: tuple[PairDatabase, TRGBuildStats]) -> bytes:
     """Serialise a ``(PairDatabase, TRGBuildStats)`` build result.
 
-    Blocks and pairs are emitted in canonical (JSON-sorted) order so
-    identical databases always produce identical bytes.
+    The node table is sorted by ``repr`` and each pair's members
+    are written by table id, smaller first, so identical databases
+    give identical bytes in every process: iterating a ``frozenset``
+    pair depends on ``PYTHONHASHSEED``, its table ids do not.
     """
     database, stats = value
-    blocks = sorted(
-        (node_to_json(block) for block in database.blocks),
-        key=_node_sort_key,
-    )
-    pairs: list[list[Any]] = []
-    for block_json in blocks:
-        block = node_from_json(block_json)
-        counter = database.pairs_for(block)
-        if not counter:
-            continue
-        entries = []
+    blocks = database.blocks
+    counters = {block: database.pairs_for(block) for block in blocks}
+    members = set(blocks)
+    for counter in counters.values():
+        members.update(chain.from_iterable(counter))
+    nodes = sorted(members, key=repr)
+    index = {node: position for position, node in enumerate(nodes)}
+    block_ids = sorted(index[block] for block in blocks)
+    rowlen: list[int] = []
+    first: list[int] = []
+    second: list[int] = []
+    counts: list[int] = []
+    for block_id in block_ids:
+        counter = counters[nodes[block_id]]
+        rowlen.append(len(counter))
         for pair, count in counter.items():
-            members = sorted(
-                (node_to_json(member) for member in pair),
-                key=_node_sort_key,
-            )
-            if len(members) == 1:
-                members = members * 2
-            entries.append([members[0], members[1], count])
-        entries.sort(key=lambda e: (_node_sort_key(e[0]), _node_sort_key(e[1])))
-        pairs.append([block_json, entries])
-    return _json_bytes(
+            ids = sorted(map(index.__getitem__, pair))
+            first.append(ids[0])
+            second.append(ids[-1])
+            counts.append(count)
+    return _encode(
+        "repro/store-pairdb",
         {
-            "format": "repro/store-pairdb",
-            "version": _BLOB_VERSION,
-            "blocks": blocks,
-            "pairs": pairs,
-            "stats": asdict(stats),
-        }
+            **_node_table(nodes, ""),
+            "blocks": np.array(block_ids, dtype=np.int64),
+            "rowlen": np.array(rowlen, dtype=np.int64),
+            "r": np.array(first, dtype=np.int32),
+            "s": np.array(second, dtype=np.int32),
+            "count": np.array(counts, dtype=np.int64),
+            **_stats_arrays(stats, ""),
+        },
     )
 
 
 def decode_pair_db(data: bytes) -> tuple[PairDatabase, TRGBuildStats]:
-    """Inverse of :func:`encode_pair_db`."""
-    payload = _json_payload(data, "repro/store-pairdb")
+    """Inverse of :func:`encode_pair_db`; each block's pairs iterate
+    in build (first-credit) order."""
+    arrays = _decode(data, "repro/store-pairdb", _PAIRDB_NAMES)
+    nodes = _nodes(arrays, "")
+    blocks = _ids(arrays["blocks"], len(nodes), "blocks")
+    count = arrays["count"]
+    _runs(arrays["rowlen"], len(blocks), arrays["r"], arrays["s"], count)
+    if count.dtype.kind not in "iu":
+        raise SerializationError("malformed count array")
+    first = _ids(arrays["r"], len(nodes), "r").tolist()
+    second = _ids(arrays["s"], len(nodes), "s").tolist()
+    pairs = [frozenset((nodes[r], nodes[s])) for r, s in zip(first, second)]
+    counts = count.tolist()
     database = PairDatabase()
-    try:
-        for block_json in payload["blocks"]:
-            database.add_block(node_from_json(block_json))
-        for block_json, entries in payload["pairs"]:
-            block = node_from_json(block_json)
-            for r_json, s_json, count in entries:
-                database.set_pair_count(
-                    block,
-                    node_from_json(r_json),
-                    node_from_json(s_json),
-                    int(count),
-                )
-        stats = _stats_from_json(payload["stats"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(
-            f"malformed pairdb blob: {error}"
-        ) from error
-    return database, stats
+    end = 0
+    for block_id, length in zip(blocks.tolist(), arrays["rowlen"].tolist()):
+        start, end = end, end + length
+        database.set_pairs(
+            nodes[block_id], dict(zip(pairs[start:end], counts[start:end]))
+        )
+    return database, _stats(arrays, "")
 
 
 #: kind → (encode, decode); the registry the cache-aware builders use.

@@ -81,8 +81,8 @@ GOLDEN_STATIC = {
     "serve": {"cache", "errors", "io", "obs", "service", "store"},
     "service": {"cache", "core", "errors", "eval", "obs", "placement",
                 "program", "runner", "store", "trace", "workloads"},
-    "store": {"cache", "errors", "io", "obs", "profiles", "resilience",
-              "trace"},
+    "store": {"cache", "errors", "io", "obs", "profiles", "program",
+              "resilience", "trace"},
     "trace": {"errors", "obs", "program"},
     "workloads": {"errors", "program", "trace"},
 }

@@ -76,6 +76,27 @@ class TestFormatManifestReport:
             for l in lines
         )
 
+    def test_phase_bars_fold_roots_by_name(self):
+        """A run with many root spans of a few names draws one bar
+        per name, durations summed, in first-seen order."""
+        roots = [
+            {"name": name, "start": 0.0, "duration": duration}
+            for name, duration in [("place", 0.25), ("simulate", 0.5)] * 20
+        ]
+        roots.insert(1, {"name": "perturb", "start": 0.0, "duration": 1.0})
+        text = format_manifest_report(
+            {"command": "compare", "elapsed": 16.0, "timings": roots},
+            width=10,
+        )
+        lines = text.splitlines()
+        start = lines.index("phases:") + 1
+        bars = lines[start : lines.index("", start)]
+        assert bars == [
+            "  place    |#####      5.00s",
+            "  perturb  |#          1.00s",
+            "  simulate |########## 10.00s",
+        ]
+
     def test_empty_sections_are_omitted(self):
         text = format_manifest_report(
             {"command": "x", "elapsed": 0.0, "timings": [], "metrics": {}}

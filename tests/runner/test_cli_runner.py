@@ -17,6 +17,7 @@ import pytest
 
 from repro import cli, service
 from repro.analysis import load_run_manifest
+from repro.obs import self_times
 from repro.errors import RunnerError
 from repro.runner import (
     FAULTPLAN_FORMAT,
@@ -391,3 +392,29 @@ class TestDirectAndBatchParity:
         assert counts["direct"] == counts["batch"] == {
             "default": 2, "PH": 2, "HKC": 2, "GBSC": 2,
         }
+
+    def test_batch_perturbs_once_per_seed(
+        self, tiny_workload, tmp_path, capsys
+    ):
+        """The ``--checkpoint`` path perturbs each seed once, as the
+        direct sweep does, and renders the same sweep table."""
+        reports, perturbs = {}, {}
+        for name, extra in (
+            ("direct", []),
+            ("batch", ["--checkpoint", str(tmp_path / "ck")]),
+        ):
+            run = tmp_path / f"{name}.jsonl"
+            argv = [
+                "compare", "m88ksim", "--runs", "2",
+                "--metrics-out", str(run), *extra,
+            ]
+            assert cli.main(argv) == 0
+            reports[name] = capsys.readouterr().out
+            stages = self_times(load_run_manifest(run)["timings"])
+            perturbs[name] = stages["perturb"]["calls"]
+        assert perturbs == {"direct": 2, "batch": 2}
+
+        def table(report: str) -> str:
+            return report[report.index("algorithm"):]
+
+        assert table(reports["batch"]) == table(reports["direct"])

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.io import SerializationError
+from repro.errors import ReproError
+from repro.io import SerializationError, write_npz
+from repro.profiles.graph import WeightedGraph
 from repro.profiles.pairdb import PairDatabase, build_pair_database
-from repro.profiles.trg import build_trgs, procedure_refs
+from repro.profiles.trg import (
+    TRGBuildStats,
+    TRGPair,
+    build_trgs,
+    procedure_refs,
+)
 from repro.profiles.wcg import build_wcg
 from repro.program.procedure import ChunkId
 from repro.store.codecs import (
@@ -21,6 +36,8 @@ from repro.store.codecs import (
     encode_trgs,
     encode_wcg,
 )
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +114,6 @@ class TestPairDbCodec:
         database = PairDatabase()
         a, b = ChunkId("f", 0), ChunkId("g", 1)
         database.record("p", [a, b])
-        from repro.profiles.trg import TRGBuildStats
-
         stats = TRGBuildStats(
             refs_processed=3, avg_q_entries=1.0, evictions=0
         )
@@ -108,8 +123,6 @@ class TestPairDbCodec:
     def test_degenerate_single_member_pair(self):
         """A frozenset pair that collapsed to one member decodes back
         to the same count."""
-        from repro.profiles.trg import TRGBuildStats
-
         database = PairDatabase()
         database.set_pair_count("p", "r", "r", 4)
         stats = TRGBuildStats(
@@ -127,6 +140,300 @@ class TestPairDbCodec:
             2 * paper_cache.size,
         )
         assert encode_pair_db(value) == encode_pair_db(value)
+
+
+# ----------------------------------------------------------------------
+# Exact round trips for arbitrary graphs and databases
+# ----------------------------------------------------------------------
+
+names = st.text(
+    alphabet=st.characters(exclude_characters="\x00"), max_size=6
+)
+nodes = st.one_of(
+    names, st.builds(ChunkId, names, st.integers(0, 2**40))
+)
+weights = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+
+
+@st.composite
+def graphs(draw) -> WeightedGraph:
+    """A graph built the way the profilers build one: isolated nodes
+    and edges added in any order, weights summed on repeats."""
+    graph = WeightedGraph()
+    pool = draw(st.lists(nodes, max_size=12, unique=True))
+    for _ in range(draw(st.integers(0, 30)) if len(pool) > 1 else 0):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if a == b:
+            graph.add_node(a)
+        else:
+            graph.add_edge(a, b, draw(weights))
+    return graph
+
+
+@st.composite
+def databases(draw) -> PairDatabase:
+    """Blocks with and without pairs, 2-subsets credited as the build
+    does (repeats collapse to one-member pairs), and set counts."""
+    database = PairDatabase()
+    pool = draw(st.lists(nodes, min_size=1, max_size=8, unique=True))
+    for _ in range(draw(st.integers(0, 12))):
+        block = draw(st.sampled_from(pool))
+        action = draw(st.sampled_from(["add", "record", "set"]))
+        if action == "add":
+            database.add_block(block)
+        elif action == "record":
+            database.record(
+                block, draw(st.lists(st.sampled_from(pool), max_size=5))
+            )
+        else:
+            database.set_pair_count(
+                block,
+                draw(st.sampled_from(pool)),
+                draw(st.sampled_from(pool)),
+                draw(st.integers(0, 2**40)),
+            )
+    return database
+
+
+stats = st.builds(
+    TRGBuildStats,
+    st.integers(0, 2**40),
+    st.floats(min_value=0.0, max_value=1e9),
+    st.integers(0, 2**40),
+)
+
+
+def rows(graph: WeightedGraph) -> list:
+    """Node order and every row's items, in order."""
+    return [(node, list(row.items())) for node, row in graph.rows()]
+
+
+def pair_rows(database: PairDatabase) -> dict:
+    return {
+        block: list(database.pairs_for(block).items())
+        for block in database.blocks
+    }
+
+
+class TestExactRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=graphs())
+    def test_wcg(self, graph):
+        restored = decode_wcg(encode_wcg(graph))
+        assert rows(restored) == rows(graph)
+        assert restored == graph
+
+    @settings(max_examples=75, deadline=None)
+    @given(
+        select=graphs(),
+        place=graphs(),
+        select_stats=stats,
+        place_stats=stats,
+        chunk_size=st.integers(1, 4096),
+    )
+    def test_trgs(self, select, place, select_stats, place_stats, chunk_size):
+        pair = TRGPair(select, place, select_stats, place_stats, chunk_size)
+        restored = decode_trgs(encode_trgs(pair))
+        assert rows(restored.select) == rows(select)
+        assert rows(restored.place) == rows(place)
+        assert restored.select_stats == select_stats
+        assert restored.place_stats == place_stats
+        assert restored.chunk_size == chunk_size
+
+    @settings(max_examples=150, deadline=None)
+    @given(database=databases(), build_stats=stats)
+    def test_pair_db(self, database, build_stats):
+        data = encode_pair_db((database, build_stats))
+        restored, restored_stats = decode_pair_db(data)
+        assert restored.blocks == database.blocks
+        assert pair_rows(restored) == pair_rows(database)
+        assert restored.total_records() == database.total_records()
+        assert restored_stats == build_stats
+        assert encode_pair_db((restored, restored_stats)) == data
+
+    def test_empty_values(self):
+        empty = TRGBuildStats(0, 0.0, 0)
+        assert rows(decode_wcg(encode_wcg(WeightedGraph()))) == []
+        pair = decode_trgs(
+            encode_trgs(TRGPair(WeightedGraph(), WeightedGraph(), empty, empty, 32))
+        )
+        assert len(pair.select) == len(pair.place) == 0
+        database, _ = decode_pair_db(encode_pair_db((PairDatabase(), empty)))
+        assert database.blocks == set()
+
+
+_ENCODE_SCRIPT = """
+import hashlib
+from repro.cache.config import PAPER_CACHE
+from repro.profiles.pairdb import build_pair_database
+from repro.profiles.trg import (
+    TRGBuildStats,
+    TRGPair,
+    build_trgs,
+    procedure_refs,
+)
+from repro.profiles.wcg import build_wcg
+from repro.store.codecs import encode_pair_db, encode_trgs, encode_wcg
+from repro.workloads.suite import by_name
+
+trace = by_name("m88ksim").scaled(0.02).trace("train")
+pair_db = build_pair_database(
+    procedure_refs(trace), trace.program.size_of, 2 * PAPER_CACHE.size
+)
+for blob in (
+    encode_wcg(build_wcg(trace)),
+    encode_trgs(build_trgs(trace, PAPER_CACHE)),
+    encode_pair_db(pair_db),
+):
+    print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_blob_bytes_do_not_depend_on_the_hash_seed():
+    """Two processes with different string hashing write the same
+    wcg, trg and pairdb bytes (a pair's member order comes from the
+    node table, never from iterating its frozenset)."""
+    digests = []
+    for seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": str(REPO / "src"),
+        }
+        result = subprocess.run(
+            [sys.executable, "-c", _ENCODE_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
+# ----------------------------------------------------------------------
+# Malformed archives
+# ----------------------------------------------------------------------
+
+
+def _arrays(data: bytes) -> dict[str, np.ndarray]:
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _rewrite(data: bytes, **changes) -> bytes:
+    """*data* with arrays replaced (``None`` drops one)."""
+    arrays = _arrays(data)
+    form, version = str(arrays.pop("format")), int(arrays.pop("version"))
+    form = changes.pop("format", form)
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = np.asarray(value)
+    buffer = io.BytesIO()
+    write_npz(buffer, form, version, arrays)
+    return buffer.getvalue()
+
+
+def _triangle() -> bytes:
+    graph = WeightedGraph()
+    graph.add_edge("a", "b", 1.0)
+    graph.add_edge("b", "c", 2.0)
+    graph.add_edge("c", "a", 3.0)
+    return encode_wcg(graph)
+
+
+def _bare_npy() -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.arange(3))
+    return buffer.getvalue()
+
+
+# Row "a" is cols [1, 2]; row "b" is [0, 2]; row "c" is [1, 0].
+MALFORMED_WCG = {
+    "bare-npy": lambda: _bare_npy(),
+    "wrong-format": lambda: _rewrite(_triangle(), format="repro/store-trgs"),
+    "missing-array": lambda: _rewrite(_triangle(), col=None),
+    "col-out-of-range": lambda: _rewrite(_triangle(), col=[1, 2, 0, 9, 1, 0]),
+    "col-negative": lambda: _rewrite(_triangle(), col=[1, 2, 0, -1, 1, 0]),
+    "negative-rowlen": lambda: _rewrite(_triangle(), rowlen=[3, -1, 2]),
+    "rowlen-sum": lambda: _rewrite(_triangle(), rowlen=[2, 2, 1]),
+    "rowlen-count": lambda: _rewrite(_triangle(), rowlen=[2, 4]),
+    "self-edge": lambda: _rewrite(_triangle(), col=[0, 2, 0, 2, 1, 0]),
+    "negative-weight": lambda: _rewrite(
+        _triangle(), weight=[1.0, -3.0, 1.0, 2.0, 2.0, -3.0]
+    ),
+    "asymmetric-weight": lambda: _rewrite(
+        _triangle(), weight=[1.0, 3.0, 1.0, 2.0, 2.0, 4.0]
+    ),
+    "duplicate-neighbour": lambda: _rewrite(
+        _triangle(), col=[1, 1, 0, 2, 1, 0]
+    ),
+    "weight-not-float": lambda: _rewrite(_triangle(), weight=["x"] * 6),
+    "chunk-below-minus-one": lambda: _rewrite(_triangle(), chunks=[-1, -2, -1]),
+    "names-not-text": lambda: _rewrite(_triangle(), names=[1, 2, 3]),
+    "repeated-node": lambda: _rewrite(_triangle(), names=["a", "a", "c"]),
+    "truncated": lambda: _triangle()[:40],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WCG))
+def test_malformed_wcg_blob_raises_repro_error(case):
+    with pytest.raises(ReproError):
+        decode_wcg(MALFORMED_WCG[case]())
+
+
+def test_self_edge_and_negative_weight_are_placement_errors():
+    """The same errors :meth:`WeightedGraph.set_weight` raises."""
+    from repro.errors import PlacementError
+
+    with pytest.raises(PlacementError, match="self-edge"):
+        decode_wcg(MALFORMED_WCG["self-edge"]())
+    with pytest.raises(PlacementError, match="must be >= 0"):
+        decode_wcg(MALFORMED_WCG["negative-weight"]())
+
+
+def _pairs() -> bytes:
+    database = PairDatabase()
+    database.record("p", ["q", "r", "s"])
+    database.add_block("q")
+    return encode_pair_db((database, TRGBuildStats(1, 1.0, 0)))
+
+
+# Nodes p, q, r, s (ids 0-3); blocks [0, 1]; p's run holds 3 pairs.
+MALFORMED_PAIRDB = {
+    "wrong-format": lambda: _rewrite(_pairs(), format="repro/store-wcg"),
+    "missing-array": lambda: _rewrite(_pairs(), count=None),
+    "block-out-of-range": lambda: _rewrite(_pairs(), blocks=[0, 4]),
+    "r-out-of-range": lambda: _rewrite(_pairs(), r=[1, 1, 7]),
+    "s-negative": lambda: _rewrite(_pairs(), s=[2, -3, 3]),
+    "negative-rowlen": lambda: _rewrite(_pairs(), rowlen=[4, -1]),
+    "rowlen-sum": lambda: _rewrite(_pairs(), rowlen=[3, 1]),
+    "stats-shape": lambda: _rewrite(_pairs(), stats=[1.0, 2.0]),
+    "count-not-integer": lambda: _rewrite(_pairs(), count=[1.5, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAIRDB))
+def test_malformed_pairdb_blob_raises_repro_error(case):
+    with pytest.raises(ReproError):
+        decode_pair_db(MALFORMED_PAIRDB[case]())
+
+
+def test_malformed_trgs_blob_raises_repro_error():
+    empty = TRGBuildStats(0, 0.0, 0)
+    graph = decode_wcg(_triangle())
+    data = encode_trgs(TRGPair(graph, graph, empty, empty, 32))
+    for change in (
+        {"place_col": [1, 2, 0, 2, 1, 3]},
+        {"chunk_size": [32, 32]},
+        {"select_stats": None},
+    ):
+        with pytest.raises(ReproError):
+            decode_trgs(_rewrite(data, **change))
 
 
 class TestRegistry:

@@ -124,6 +124,39 @@ class TestGetOrBuild:
         store.get_or_build("wcg", KEY, build)
         assert store.hits == 1
 
+    def test_v1_json_blob_is_rebuilt_at_its_digest(self, tmp_path):
+        """A blob in the retired JSON layout (version 1) still passes
+        its content hash but no longer decodes: a miss, a rebuild that
+        overwrites the same digest, then a hit."""
+        from repro.profiles.graph import WeightedGraph
+
+        store = ArtifactStore(tmp_path / "s")
+        v1 = {
+            "format": "repro/store-wcg",
+            "version": 1,
+            "graph": {
+                "format": "repro/graph",
+                "version": 1,
+                "nodes": ["a", "b"],
+                "edges": [["a", "b", 2.0]],
+            },
+        }
+        store.put(DIGEST, "wcg", json.dumps(v1).encode(), KEY)
+        calls = []
+
+        def build():
+            calls.append(1)
+            graph = WeightedGraph()
+            graph.add_edge("a", "b", 2.0)
+            return graph
+
+        built = store.get_or_build("wcg", KEY, build)
+        assert (calls, store.hits, store.misses) == ([1], 0, 1)
+        assert store.stats()["entries"] == 1
+        assert store.blob_path(DIGEST).read_bytes()[:2] == b"PK"
+        assert store.get_or_build("wcg", KEY, build) == built
+        assert (calls, store.hits, store.misses) == ([1], 1, 1)
+
     def test_unknown_kind_is_an_error(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
         with pytest.raises(StoreError):
