@@ -18,28 +18,34 @@ bit-exact, with the timings recorded in
   :class:`~repro.core.setassoc.PairIndex` and by the scalar twin
   :func:`~repro.core.setassoc.sa_offset_costs_reference`.  The cost
   vectors must agree to round-off.
-* **Placement baselines and perturbation.**  Best-of-5 wall seconds
-  per call of PH, HKC and :meth:`PlacementContext.perturbed` on gcc.
-  These have no scalar twin outside the tests, so they record plain
-  wall times.
+* **Section 6 pair database.**  Over every suite workload, the scalar
+  twin :func:`~repro.profiles.pairdb.build_pair_database` against the
+  array build :func:`~repro.profiles.fast.build_pair_database_fast`.
+  Blocks, every block's pairs in order, and the stats must be equal.
+* **Placement baselines, perturbation and trace generation.**
+  Best-of-5 wall seconds per call of PH, HKC and
+  :meth:`PlacementContext.perturbed` on gcc, and of
+  :func:`~repro.trace.generator.generate_trace` for the perl test
+  trace.  These have no scalar twin outside the tests, so they record
+  plain wall times.
 * **Store kinds.**  Over every suite workload, the build of the
-  ``trg`` and ``pairdb`` profiles against a warm
-  :class:`~repro.store.ArtifactStore` hit on the same key (index
-  lookup, blob read, content hash and decode), plus the blob bytes.
-  The decoded value must equal the built one.
+  ``trg`` profiles against a warm :class:`~repro.store.ArtifactStore`
+  hit on the same key (index lookup, blob read, content hash and
+  decode), plus the blob bytes.  The decoded value must equal the
+  built one.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup, and the store's decision rule — keep a kind only if a warm
-hit is at least 3× cheaper than its build — to each store kind's
+hit is at least 3× cheaper than its build — to the ``trg`` kind's
 build/hit ratio.  Both are asserted only under representative
 conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
 ``REPRO_FAST=1`` the quarter-scale traces shrink the arrays until
 fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
 scale records honest numbers without asserting.  The simulator and
-merge-cost speedups and the placement wall times are gated in
-``benchmarks/baselines.json`` only; the store ratios and blob bytes
-are gated there too.
+merge-cost and pair-database speedups and the placement and
+generation wall times are gated in ``benchmarks/baselines.json`` only;
+the store ratio and blob bytes are gated there too.
 """
 
 from __future__ import annotations
@@ -79,17 +85,19 @@ from repro.obs.clock import monotonic
 from repro.obs.perf import host_fingerprint
 from repro.placement.hkc import HashemiKaeliCalderPlacement
 from repro.placement.ph import PettisHansenPlacement
-from repro.profiles.fast import build_trgs_fast
-from repro.profiles.pairdb import get_or_build_pair_database
+from repro.profiles.fast import build_pair_database_fast, build_trgs_fast
+from repro.profiles.pairdb import build_pair_database
 from repro.profiles.perturb import PAPER_SCALE
 from repro.profiles.trg import (
     DEFAULT_Q_MULTIPLIER,
     build_trgs_scalar,
     get_or_build_trgs,
+    procedure_refs,
 )
 from repro.program.layout import Layout
 from repro.store import ArtifactStore
 from repro.store.fingerprint import trace_content_fingerprint
+from repro.trace.generator import generate_trace
 
 #: Required aggregate scalar/fast TRG-build speedup.
 SPEEDUP_THRESHOLD = 10.0
@@ -116,6 +124,10 @@ SA_MERGES = 10
 #: more repeats than :data:`REPEATS` are cheap and steady the minimum.
 PLACED_WORKLOAD = "gcc"
 PLACEMENT_REPEATS = 5
+
+#: Workload whose test trace (the suite's longest) generation is
+#: timed, best of :data:`PLACEMENT_REPEATS`.
+GENERATED_WORKLOAD = "perl"
 
 #: Store decision rule: a kind stays only if a warm hit is at least
 #: this many times cheaper than its build.
@@ -259,6 +271,51 @@ def _measure_sa_merge(workload) -> dict:
     }
 
 
+def _scalar_pair_database(train, popular, capacity):
+    return build_pair_database(
+        procedure_refs(train, popular), train.program.size_of, capacity
+    )
+
+
+def _measure_pair_database(suite) -> dict:
+    """Scalar twin vs array build of the Section 6 pair database,
+    summed over *suite*; asserts parity on every workload."""
+    capacity = DEFAULT_Q_MULTIPLIER * PAPER_CACHE.size
+    scalar_seconds = fast_seconds = 0.0
+    for workload in suite:
+        train = workload.trace("train")
+        popular = _popular(train)
+        (scalar, scalar_stats), seconds = timed(
+            _scalar_pair_database, train, popular, capacity
+        )
+        scalar_seconds += seconds
+        (fast, fast_stats), seconds = timed(
+            build_pair_database_fast, train, popular, capacity
+        )
+        fast_seconds += seconds
+        assert fast.blocks == scalar.blocks
+        assert all(
+            list(fast.pairs_for(block).items())
+            == list(scalar.pairs_for(block).items())
+            for block in scalar.blocks
+        )
+        assert fast_stats == scalar_stats
+    return {
+        "scalar_seconds": scalar_seconds,
+        "fast_seconds": fast_seconds,
+        "speedup": scalar_seconds / fast_seconds,
+    }
+
+
+def _measure_generation(workload) -> dict:
+    """Best wall seconds of generating *workload*'s test trace."""
+    graph = workload.call_graph()
+    trace, seconds = timed(
+        generate_trace, graph, workload.test, repeats=PLACEMENT_REPEATS
+    )
+    return {"workload": workload.name, "events": len(trace), "seconds": seconds}
+
+
 def _measure_placement(workload) -> dict:
     """Best wall seconds per call of PH, HKC and one perturbed context."""
     context = build_context(workload.trace("train"), PAPER_CACHE)
@@ -284,48 +341,25 @@ def _get_trgs(train, popular, fingerprint, store):
     )
 
 
-def _get_pair_db(train, popular, fingerprint, store):
-    database, _ = get_or_build_pair_database(
-        train,
-        popular,
-        DEFAULT_Q_MULTIPLIER * PAPER_CACHE.size,
-        store=store,
-        trace_fingerprint=fingerprint,
-    )
-    return database
-
-
 def _measure_store(suite) -> dict:
-    """Build vs warm-hit seconds of the trg and pairdb kinds, summed
-    over *suite*; asserts each hit equals the build."""
-    getters = {"trg": _get_trgs, "pairdb": _get_pair_db}
-    totals = {
-        kind: {"build_seconds": 0.0, "hit_seconds": 0.0} for kind in getters
-    }
+    """Build vs warm-hit seconds of the trg kind, summed over *suite*;
+    asserts each hit equals the build."""
+    total = {"build_seconds": 0.0, "hit_seconds": 0.0}
     with tempfile.TemporaryDirectory() as root:
         store = ArtifactStore(root)
         for workload in suite:
             train = workload.trace("train")
             inputs = (train, _popular(train), trace_content_fingerprint(train))
-            for kind, get in getters.items():
-                built, build_seconds = timed(get, *inputs, None)
-                get(*inputs, store)
-                hit, hit_seconds = timed(get, *inputs, store)
-                if kind == "trg":
-                    assert (hit.select, hit.place) == (built.select, built.place)
-                else:
-                    assert all(
-                        hit.pairs_for(block) == built.pairs_for(block)
-                        for block in built.blocks
-                    )
-                totals[kind]["build_seconds"] += build_seconds
-                totals[kind]["hit_seconds"] += hit_seconds
-        kinds = store.stats()["kinds"]
-        assert store.hits == len(suite) * len(getters) * REPEATS
-    for kind, total in totals.items():
-        total["build_over_hit"] = total["build_seconds"] / total["hit_seconds"]
-        total["bytes"] = kinds[kind]["bytes"]
-    return totals
+            built, build_seconds = timed(_get_trgs, *inputs, None)
+            _get_trgs(*inputs, store)
+            hit, hit_seconds = timed(_get_trgs, *inputs, store)
+            assert (hit.select, hit.place) == (built.select, built.place)
+            total["build_seconds"] += build_seconds
+            total["hit_seconds"] += hit_seconds
+        assert store.hits == len(suite) * REPEATS
+        total["bytes"] = store.stats()["kinds"]["trg"]["bytes"]
+    total["build_over_hit"] = total["build_seconds"] / total["hit_seconds"]
+    return {"trg": total}
 
 
 def test_kernel_speedup():
@@ -350,8 +384,12 @@ def test_kernel_speedup():
     merge_sa = _measure_sa_merge(
         next(w for w in suite if w.name == MERGED_WORKLOAD)
     )
+    pairdb = _measure_pair_database(suite)
     placement = _measure_placement(
         next(w for w in suite if w.name == PLACED_WORKLOAD)
+    )
+    generation = _measure_generation(
+        next(w for w in suite if w.name == GENERATED_WORKLOAD)
     )
     store = _measure_store(suite)
 
@@ -365,7 +403,9 @@ def test_kernel_speedup():
         "aggregate": aggregate,
         "simulate": simulate,
         "merge": {"sa": merge_sa},
+        "pairdb": pairdb,
         "placement": placement,
+        "trace": {"generate": generation},
         "store": store,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -385,9 +425,11 @@ def test_kernel_speedup():
                 for name in ("dm", "lru2")
             },
             "merge": {"sa": {"speedup": merge_sa["speedup"]}},
+            "pairdb": {"speedup": pairdb["speedup"]},
             "placement": {
                 name: placement[name] for name in ("ph", "hkc", "perturbed")
             },
+            "trace": {"generate": {"seconds": generation["seconds"]}},
             "store": {
                 kind: {
                     "build_over_hit": result["build_over_hit"],
@@ -430,6 +472,15 @@ def test_kernel_speedup():
         f"({merge_sa['speedup']:5.1f}x)"
     )
     lines.append(
+        "Section 6 pair database (summed over the suite; scalar twin vs "
+        "array build):"
+    )
+    lines.append(
+        f"  {'pairdb':<12} {pairdb['scalar_seconds']:7.2f}s scalar, "
+        f"{pairdb['fast_seconds']:6.3f}s fast  "
+        f"({pairdb['speedup']:5.1f}x)"
+    )
+    lines.append(
         f"Placement baselines and perturbation ({placement['workload']}, "
         f"best of {PLACEMENT_REPEATS} calls):"
     )
@@ -437,6 +488,11 @@ def test_kernel_speedup():
         lines.append(
             f"  {name:<12} {placement[name]['seconds']:7.3f}s per call"
         )
+    lines.append(
+        f"Trace generation ({generation['workload']} test trace, "
+        f"{generation['events']} events, best of {PLACEMENT_REPEATS}):"
+    )
+    lines.append(f"  {'generate':<12} {generation['seconds']:7.3f}s per call")
     lines.append(
         "Store kinds (build vs warm hit, summed over the suite; "
         f"a kind stays at >= {HIT_THRESHOLD:.0f}x):"

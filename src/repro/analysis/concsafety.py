@@ -53,6 +53,9 @@ RAW_WRITE_ALLOWLIST: dict[str, str] = {
 GLOBAL_MUTATION_ALLOWLIST: dict[tuple[str, str], str] = {
     ("repro.obs.runtime", "_STATE"):
         "the observability on/off switch; single-threaded by design",
+    ("repro.store.fingerprint", "_CALLGRAPH_DIGESTS"):
+        "per-process call-graph digest memo, weakly keyed by immutable "
+        "models; holds deterministic derived data only",
     ("repro.workloads.spec", "_TRACE_MEMO"):
         "bounded per-process trace memo with an explicit clear hook; "
         "holds deterministic derived data only",
@@ -147,7 +150,7 @@ class RawWriteRule(ProjectRule):
 
 _MUTABLE_VALUE_CALLS = frozenset(
     {"list", "dict", "set", "bytearray", "defaultdict", "Counter",
-     "deque", "OrderedDict"}
+     "deque", "OrderedDict", "WeakKeyDictionary"}
 )
 
 _MUTATOR_METHODS = frozenset(

@@ -87,8 +87,6 @@ LAZY_ALLOWLIST: dict[tuple[str, str], str] = {
         "get_or_build_wcg keys the store; instance supplied by caller",
     ("repro.profiles.trg", "repro.store.fingerprint"):
         "get_or_build_trgs keys the store; instance supplied by caller",
-    ("repro.profiles.pairdb", "repro.store.fingerprint"):
-        "get_or_build_pair_database keys the store; instance from caller",
     ("repro.workloads.custom", "repro.io"):
         "save_workload defers to the atomic writer at call time only",
 }

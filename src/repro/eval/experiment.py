@@ -83,11 +83,7 @@ def build_context(
         pair_db = None
         if with_pair_db:
             pair_db, _ = get_or_build_pair_database(
-                train_trace,
-                popular_set,
-                q_multiplier * config.size,
-                store=store,
-                trace_fingerprint=trace_fingerprint,
+                train_trace, popular_set, q_multiplier * config.size
             )
     obs.set_gauge("profile.popular_procedures", len(popular.procedures))
     obs.set_gauge("profile.total_procedures", len(program))

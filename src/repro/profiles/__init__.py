@@ -1,6 +1,7 @@
 """Profile summaries: WCG, TRG, the working set Q, pair DB, perturbation."""
 
 from repro.profiles.fast import (
+    build_pair_database_fast,
     build_trg_fast,
     build_trgs_fast,
     chunk_ref_codes,
@@ -30,6 +31,7 @@ __all__ = [
     "WeightedGraph",
     "WorkingSet",
     "build_pair_database",
+    "build_pair_database_fast",
     "build_trg",
     "build_trg_fast",
     "build_trgs",

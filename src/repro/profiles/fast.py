@@ -34,7 +34,7 @@ same graphs, same :class:`~repro.profiles.trg.TRGBuildStats`
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.fastpath import fast_path
 from repro.profiles.graph import WeightedGraph
+from repro.profiles.pairdb import PairDatabase
 from repro.profiles.trg import (
     DEFAULT_Q_MULTIPLIER,
     TRGBuildStats,
@@ -285,6 +286,32 @@ def _sweep(
     return miss, q_len_total, evictions
 
 
+def _batch_ranges(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[start, end)`` ranges over *lengths* whose sum
+    stays within :data:`_BATCH_CANDIDATES` (one unit at least, however
+    long)."""
+    cumulative = np.cumsum(lengths)
+    start = 0
+    while start < len(lengths):
+        consumed = int(cumulative[start - 1]) if start else 0
+        end = int(
+            np.searchsorted(
+                cumulative, consumed + _BATCH_CANDIDATES, side="right"
+            )
+        )
+        end = max(end, start + 1)
+        yield start, end
+        start = end
+
+
+def _within(lengths: np.ndarray) -> np.ndarray:
+    """Each slot's int32 offset inside its run, for runs of *lengths*
+    laid end to end (``[0, 1, 0, 1, 2]`` for ``[2, 3]``)."""
+    offsets = np.arange(int(lengths.sum()), dtype=np.int32)
+    offsets -= np.repeat(np.cumsum(lengths, dtype=np.int32) - lengths, lengths)
+    return offsets
+
+
 def _credit_counts(
     codes: np.ndarray,
     prev: np.ndarray,
@@ -322,18 +349,9 @@ def _credit_counts(
     if len(hits) == 0:
         return empty, empty
 
-    cumulative = np.cumsum(spans)
     keys_parts: list[np.ndarray] = []
     count_parts: list[np.ndarray] = []
-    batch_start = 0
-    while batch_start < len(hits):
-        consumed = int(cumulative[batch_start - 1]) if batch_start else 0
-        batch_end = int(
-            np.searchsorted(
-                cumulative, consumed + _BATCH_CANDIDATES, side="right"
-            )
-        )
-        batch_end = max(batch_end, batch_start + 1)
+    for batch_start, batch_end in _batch_ranges(spans):
         # int32 index arrays: positions fit comfortably and the
         # expansion is memory-bandwidth bound.
         t_hits = hits[batch_start:batch_end].astype(np.int32)
@@ -356,7 +374,6 @@ def _credit_counts(
         unique, counts = np.unique(keys, return_counts=True)
         keys_parts.append(unique)
         count_parts.append(counts.astype(np.int64))
-        batch_start = batch_end
 
     keys = np.concatenate(keys_parts)
     counts = np.concatenate(count_parts)
@@ -480,3 +497,152 @@ def build_trgs_fast(
         place_stats=place_stats,
         chunk_size=chunk_size,
     )
+
+
+# ----------------------------------------------------------------------
+# The Section 6 pair database
+# ----------------------------------------------------------------------
+
+
+def _pair_credits(
+    dense: np.ndarray,
+    prev: np.ndarray,
+    nxt: np.ndarray,
+    hit: np.ndarray,
+    num_codes: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair credits as ``(key, first credit, count)`` arrays.
+
+    A hit at ``t`` credits every 2-subset of its between-set to the
+    block at ``t``.  The between-set is the *live* positions ``q`` in
+    ``(prev[t], t)`` (``nxt[q] >= t``); each stands for a distinct
+    block, and ascending ``q`` is ``Q``'s oldest-to-newest order, the
+    order the scalar walk lists them in.  Pair ``(i, j)``, ``i < j``,
+    of that list is expanded row by row (row ``i`` holds ``j = i + 1
+    .. k - 1``), so credits are numbered in exactly the order the
+    scalar builder makes them.  *dense* holds codes relabelled to
+    ``[0, num_codes)``; a key packs ``(block, lo, hi)`` into one
+    int64 (``num_codes < 2**21``).  Both expansions run in int32
+    batches bounded by :data:`_BATCH_CANDIDATES`.
+    """
+    hits = np.nonzero(hit)[0]
+    starts = prev[hits] + 1
+    spans = hits - starts
+    # Fewer than two positions between the references credit nothing.
+    pairable = spans > 1
+    hits = hits[pairable].astype(np.int32)
+    starts = starts[pairable].astype(np.int32)
+    spans = spans[pairable].astype(np.int32)
+    codes32 = dense.astype(np.int32)
+    nxt32 = nxt.astype(np.int32)
+    keys_parts: list[np.ndarray] = []
+    first_parts: list[np.ndarray] = []
+    count_parts: list[np.ndarray] = []
+    credited = 0
+    for batch_start, batch_end in _batch_ranges(spans):
+        t_hits = hits[batch_start:batch_end]
+        t_spans = spans[batch_start:batch_end]
+        owner = np.repeat(np.arange(len(t_hits), dtype=np.int32), t_spans)
+        q_index = _within(t_spans)
+        q_index += np.repeat(starts[batch_start:batch_end], t_spans)
+        live = nxt32[q_index] >= t_hits[owner]
+        live_codes = codes32[q_index[live]]
+        k = np.bincount(owner[live], minlength=len(t_hits)).astype(np.int32)
+        # Row i of a hit pairs its live position i with every later one.
+        rows = np.maximum(k - 1, 0)
+        row_owner = np.repeat(np.arange(len(t_hits), dtype=np.int32), rows)
+        row_i = _within(rows)
+        row_len = k[row_owner] - 1 - row_i
+        row_at = (np.cumsum(k, dtype=np.int32) - k)[row_owner] + row_i
+        row_block = codes32[t_hits[row_owner]]
+        for row_start, row_end in _batch_ranges(row_len):
+            lengths = row_len[row_start:row_end]
+            a_at = np.repeat(row_at[row_start:row_end], lengths)
+            b_at = _within(lengths)
+            b_at += a_at + 1
+            a = live_codes[a_at]
+            b = live_codes[b_at]
+            block = np.repeat(row_block[row_start:row_end], lengths)
+            keys = (
+                block.astype(np.int64) * num_codes + np.minimum(a, b)
+            ) * num_codes + np.maximum(a, b)
+            unique, first, counts = np.unique(
+                keys, return_index=True, return_counts=True
+            )
+            keys_parts.append(unique)
+            first_parts.append(first + credited)
+            count_parts.append(counts)
+            credited += len(keys)
+
+    empty = np.empty(0, dtype=np.int64)
+    keys = np.concatenate(keys_parts) if keys_parts else empty
+    first = np.concatenate(first_parts) if first_parts else empty
+    counts = np.concatenate(count_parts) if count_parts else empty
+    if len(keys_parts) > 1:
+        # Parts are in credit order, so a stable sort puts each key's
+        # earliest part, and so its first credit, at the group head.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        boundary = np.empty(len(keys), dtype=bool)
+        boundary[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+        counts = np.add.reduceat(counts[order], np.nonzero(boundary)[0])
+        first = first[order][boundary]
+        keys = keys[boundary]
+    return keys, first, counts
+
+
+@fast_path(scalar="repro.profiles.pairdb.build_pair_database")
+def build_pair_database_fast(
+    trace: Trace, popular: set[str] | None, capacity: int
+) -> tuple[PairDatabase, TRGBuildStats]:
+    """Array twin of :func:`~repro.profiles.pairdb.build_pair_database`
+    on ``procedure_refs(trace, popular)``.
+
+    Runs the ``TRG_select`` kernel's prev/next arrays and ``Q`` sweep,
+    counts pair credits with :func:`_pair_credits`, and loads each
+    block's pairs in first-credit order, blocks in the order of their
+    first credit.  The database, its :meth:`~repro.profiles.pairdb
+    .PairDatabase.pairs_for` order and the stats equal the scalar
+    build's.
+    """
+    if capacity <= 0:
+        raise ConfigError(f"capacity must be positive, got {capacity}")
+    names = trace.program.names
+    codes = procedure_ref_codes(trace, popular)
+    n = len(codes)
+    database = PairDatabase()
+    stats = TRGBuildStats(0, 0.0, 0)
+    with obs.span("build_pair_db", q_capacity=capacity):
+        if n:
+            present, first_at, dense = np.unique(
+                codes, return_index=True, return_inverse=True
+            )
+            for code in codes[np.sort(first_at)].tolist():
+                database.add_block(names[code])
+            prev, nxt = _prev_next(codes)
+            hit, q_len_total, evictions = _sweep(
+                codes, prev, nxt, _proc_sizes(trace.program), capacity
+            )
+            num_codes = len(present)
+            keys, first, counts = _pair_credits(
+                dense, prev, nxt, hit, num_codes
+            )
+            order = np.argsort(first)
+            block, pair = np.divmod(keys[order], num_codes * num_codes)
+            lo, hi = np.divmod(pair, num_codes)
+            labels = [names[code] for code in present.tolist()]
+            rows: dict[int, dict[frozenset, int]] = {}
+            for p, r, s, count in zip(
+                block.tolist(), lo.tolist(), hi.tolist(), counts[order].tolist()
+            ):
+                row = rows.get(p)
+                if row is None:
+                    row = rows[p] = {}
+                row[frozenset((labels[r], labels[s]))] = count
+            for p, row in rows.items():
+                database.set_pairs(labels[p], row)
+            stats = TRGBuildStats(n, q_len_total / n, evictions)
+    obs.inc("pairdb.refs_processed", n)
+    obs.inc("pairdb.records", database.total_records())
+    return database, stats

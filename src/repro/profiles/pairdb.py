@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from repro import obs
 from repro.profiles.qset import WorkingSet
-from repro.profiles.trg import TRGBuildStats, procedure_refs
+from repro.profiles.trg import TRGBuildStats
 from repro.trace.trace import Trace
 
 Block = Hashable
@@ -61,8 +61,9 @@ class PairDatabase:
         """Set ``D(p, pair)`` for every pair of *pairs* (keyed as
         :meth:`pairs_for` returns them), in their order.
 
-        Used by deserialisers (:mod:`repro.store.codecs`) to restore a
-        database without replaying the reference stream.
+        Used by the array builder
+        (:func:`~repro.profiles.fast.build_pair_database_fast`) to load
+        each block's counted pairs in first-credit order.
         """
         self.add_block(block)
         if pairs:
@@ -110,37 +111,20 @@ def build_pair_database(
 
 
 def get_or_build_pair_database(
-    trace: Trace,
-    popular: set[str] | None,
-    capacity: int,
-    store: Any = None,
-    trace_fingerprint: str | None = None,
+    trace: Trace, popular: set[str] | None, capacity: int
 ) -> tuple[PairDatabase, TRGBuildStats]:
-    """Cache-aware procedure-granularity :func:`build_pair_database`.
+    """The procedure-granularity pair database of *trace*.
 
-    Keys on the trace's content fingerprint, the popular set and the
-    working-set capacity; a hit restores the database from the store
-    instead of replaying the reference stream.  Pass
-    *trace_fingerprint* to reuse a fingerprint the caller already
-    computed.  The :mod:`repro.store` import is deferred because that
-    package sits above this one in the layering.
+    Runs the array builder
+    :func:`~repro.profiles.fast.build_pair_database_fast`, bit-exact
+    with :func:`build_pair_database` on ``procedure_refs(trace,
+    popular)``.  The database is always built, never stored: a warm
+    store hit is only about 3× cheaper than this build, the bare
+    minimum the store asks of a kind, while storing it costs every
+    cold run an encode (see ``docs/caching.md``).  The
+    :mod:`repro.profiles.fast` import is deferred because that module
+    imports this one.
     """
+    from repro.profiles.fast import build_pair_database_fast
 
-    def build() -> tuple[PairDatabase, TRGBuildStats]:
-        return build_pair_database(
-            procedure_refs(trace, popular),
-            trace.program.size_of,
-            capacity,
-        )
-
-    if store is None:
-        return build()
-    from repro.store.fingerprint import (
-        pairdb_key,
-        trace_content_fingerprint,
-    )
-
-    fingerprint = trace_fingerprint or trace_content_fingerprint(trace)
-    return store.get_or_build(
-        "pairdb", pairdb_key(fingerprint, popular, capacity), build
-    )
+    return build_pair_database_fast(trace, popular, capacity)

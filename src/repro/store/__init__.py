@@ -1,8 +1,8 @@
 """Persistent content-addressed caching of pipeline artifacts.
 
 Every grid cell of ``compare``/``table1`` needs the same expensive
-derived data — synthetic traces, TRGs, the WCG, pair databases — and
-without a cache each process rebuilds them from scratch.  This package
+derived data — synthetic traces, the WCG, TRGs — and without a cache
+each process rebuilds them from scratch.  This package
 makes those artifacts persistent: an :class:`ArtifactStore` directory
 keyed by sha256 fingerprints of each artifact's full input closure
 (program/workload config + trace parameters + builder version salt),
@@ -24,11 +24,9 @@ See ``docs/caching.md`` for the user-facing contract.
 
 from repro.store.codecs import (
     CODECS,
-    decode_pair_db,
     decode_trace,
     decode_trgs,
     decode_wcg,
-    encode_pair_db,
     encode_trace,
     encode_trgs,
     encode_wcg,
@@ -41,7 +39,6 @@ from repro.store.fingerprint import (
     canonical_json,
     config_key,
     fingerprint,
-    pairdb_key,
     trace_content_fingerprint,
     trace_key,
     trg_key,
@@ -70,16 +67,13 @@ __all__ = [
     "callgraph_fingerprint",
     "canonical_json",
     "config_key",
-    "decode_pair_db",
     "decode_trace",
     "decode_trgs",
     "decode_wcg",
-    "encode_pair_db",
     "encode_trace",
     "encode_trgs",
     "encode_wcg",
     "fingerprint",
-    "pairdb_key",
     "trace_content_fingerprint",
     "trace_key",
     "trg_key",

@@ -8,10 +8,7 @@ compressed ``.npz`` archive written and read by the one codec in
 * a **trace** blob is the same bytes as a ``gen-trace`` file;
 * a **graph** (the WCG, each TRG) is a node table plus CSR rows in
   adjacency insertion order, so a decoded graph equals the built one
-  down to the order of its nodes and of every row;
-* a **pair database** is a node table, the registered blocks and, per
-  block, CSR runs of ``(r, s, count)`` in :meth:`pairs_for
-  <repro.profiles.pairdb.PairDatabase.pairs_for>` order.
+  down to the order of its nodes and of every row.
 
 A **node table** is a name array plus a chunk-index array holding −1
 for a procedure name and the index of a
@@ -42,12 +39,11 @@ from repro.io import (
     write_trace_npz,
 )
 from repro.profiles.graph import WeightedGraph
-from repro.profiles.pairdb import PairDatabase
 from repro.profiles.trg import TRGBuildStats, TRGPair
 from repro.program.procedure import ChunkId
 from repro.trace.trace import Trace
 
-#: Version of the wcg/trg/pairdb blob layouts.  Version 1 was JSON; a
+#: Version of the wcg/trg blob layouts.  Version 1 was JSON; a
 #: v1 blob no longer decodes, so the store rebuilds it at its digest.
 _BLOB_VERSION = 2
 
@@ -309,84 +305,9 @@ def decode_trgs(data: bytes) -> TRGPair:
     )
 
 
-# ----------------------------------------------------------------------
-# Pair databases
-# ----------------------------------------------------------------------
-
-_PAIRDB_NAMES = ("names", "chunks", "blocks", "rowlen", "r", "s", "count", "stats")
-
-
-def encode_pair_db(value: tuple[PairDatabase, TRGBuildStats]) -> bytes:
-    """Serialise a ``(PairDatabase, TRGBuildStats)`` build result.
-
-    The node table is sorted by ``repr`` and each pair's members
-    are written by table id, smaller first, so identical databases
-    give identical bytes in every process: iterating a ``frozenset``
-    pair depends on ``PYTHONHASHSEED``, its table ids do not.
-    """
-    database, stats = value
-    blocks = database.blocks
-    counters = {block: database.pairs_for(block) for block in blocks}
-    members = set(blocks)
-    for counter in counters.values():
-        members.update(chain.from_iterable(counter))
-    nodes = sorted(members, key=repr)
-    index = {node: position for position, node in enumerate(nodes)}
-    block_ids = sorted(index[block] for block in blocks)
-    rowlen: list[int] = []
-    first: list[int] = []
-    second: list[int] = []
-    counts: list[int] = []
-    for block_id in block_ids:
-        counter = counters[nodes[block_id]]
-        rowlen.append(len(counter))
-        for pair, count in counter.items():
-            ids = sorted(map(index.__getitem__, pair))
-            first.append(ids[0])
-            second.append(ids[-1])
-            counts.append(count)
-    return _encode(
-        "repro/store-pairdb",
-        {
-            **_node_table(nodes, ""),
-            "blocks": np.array(block_ids, dtype=np.int64),
-            "rowlen": np.array(rowlen, dtype=np.int64),
-            "r": np.array(first, dtype=np.int32),
-            "s": np.array(second, dtype=np.int32),
-            "count": np.array(counts, dtype=np.int64),
-            **_stats_arrays(stats, ""),
-        },
-    )
-
-
-def decode_pair_db(data: bytes) -> tuple[PairDatabase, TRGBuildStats]:
-    """Inverse of :func:`encode_pair_db`; each block's pairs iterate
-    in build (first-credit) order."""
-    arrays = _decode(data, "repro/store-pairdb", _PAIRDB_NAMES)
-    nodes = _nodes(arrays, "")
-    blocks = _ids(arrays["blocks"], len(nodes), "blocks")
-    count = arrays["count"]
-    _runs(arrays["rowlen"], len(blocks), arrays["r"], arrays["s"], count)
-    if count.dtype.kind not in "iu":
-        raise SerializationError("malformed count array")
-    first = _ids(arrays["r"], len(nodes), "r").tolist()
-    second = _ids(arrays["s"], len(nodes), "s").tolist()
-    pairs = [frozenset((nodes[r], nodes[s])) for r, s in zip(first, second)]
-    counts = count.tolist()
-    database = PairDatabase()
-    end = 0
-    for block_id, length in zip(blocks.tolist(), arrays["rowlen"].tolist()):
-        start, end = end, end + length
-        database.set_pairs(
-            nodes[block_id], dict(zip(pairs[start:end], counts[start:end]))
-        )
-    return database, _stats(arrays, "")
-
-
 #: kind → (encode, decode); the registry the cache-aware builders use.
 CODECS: dict[str, tuple[Any, Any]] = {
     "trace": (encode_trace, decode_trace),
     "wcg": (encode_wcg, decode_wcg),
     "trg": (encode_trgs, decode_trgs),
-    "pairdb": (encode_pair_db, decode_pair_db),
 }

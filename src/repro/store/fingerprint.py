@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import asdict
 from typing import Any
 
@@ -47,7 +48,6 @@ BUILDER_SALTS: dict[str, int] = {
     "trace": 1,
     "wcg": 1,
     "trg": 1,
-    "pairdb": 1,
 }
 
 
@@ -99,14 +99,30 @@ def artifact_digest(kind: str, key: Any) -> str:
 # ----------------------------------------------------------------------
 
 
+#: Call-graph model -> its content fingerprint.  A model never changes
+#: after construction, so each is hashed once however many traces of
+#: it are keyed (a workload keys a train and a test trace).
+_CALLGRAPH_DIGESTS: weakref.WeakKeyDictionary[CallGraphModel, str] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def callgraph_fingerprint(graph: CallGraphModel) -> str:
     """Content fingerprint of a call-graph model.
 
     Hashes everything trace generation reads from the model — root,
     procedure names and sizes, call sites with weights, invocation
     means and body fractions — so hand-built and generated graphs key
-    identically when they are behaviourally identical.
+    identically when they are behaviourally identical.  The digest is
+    memoised per model object.
     """
+    digest = _CALLGRAPH_DIGESTS.get(graph)
+    if digest is None:
+        digest = _CALLGRAPH_DIGESTS[graph] = _hash_callgraph(graph)
+    return digest
+
+
+def _hash_callgraph(graph: CallGraphModel) -> str:
     procedures = []
     for proc in graph.program:
         model = graph.model_of(proc.name)
@@ -177,15 +193,3 @@ def trg_key(
         "q_multiplier": q_multiplier,
     }
 
-
-def pairdb_key(
-    trace_fingerprint: str,
-    popular: set[str] | None,
-    capacity: int,
-) -> dict[str, Any]:
-    """Cache key for a Section 6 pair-database build."""
-    return {
-        "trace": trace_fingerprint,
-        "popular": sorted(popular) if popular is not None else None,
-        "capacity": capacity,
-    }

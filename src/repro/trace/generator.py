@@ -18,7 +18,9 @@ different parts of the trace alternate among different callee subsets.
 from __future__ import annotations
 
 import random as _random
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import log
 from typing import Any
 
 import numpy as np
@@ -27,6 +29,9 @@ from repro import obs
 from repro.errors import TraceError
 from repro.trace.callgraph import CallGraphModel, ProcedureModel
 from repro.trace.trace import Trace
+
+#: ``b - a`` of the ``uniform(0.6, 1.4)`` draw that scales an extent.
+_UNIFORM_SPAN = 1.4 - 0.6
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,17 +118,6 @@ class _PhaseTables:
         return entry
 
 
-class _Frame:
-    """One activation on the synthetic call stack."""
-
-    __slots__ = ("model", "remaining", "cursor")
-
-    def __init__(self, model: ProcedureModel, remaining: int) -> None:
-        self.model = model
-        self.remaining = remaining
-        self.cursor = 0
-
-
 def generate_trace(graph: CallGraphModel, inp: TraceInput) -> Trace:
     """Run the stochastic call/return process and return the trace."""
     with obs.span(
@@ -165,76 +159,115 @@ def get_or_generate_trace(
 
 
 def _generate_trace(graph: CallGraphModel, inp: TraceInput) -> Trace:
-    rng = _random.Random(inp.seed)
+    """The call/return process as one lean loop.
+
+    All draws come from one ``Random(inp.seed)`` in a fixed order: a
+    call site (``random``), then the callee's invocation count
+    (``expovariate``), then its entry extent's length (``uniform``).
+    ``uniform(0.6, 1.4)`` and ``expovariate(rate)`` are written out
+    as the standard library defines them, so the loop makes exactly
+    their draws without their call overhead.  The stack is three
+    parallel lists (procedure index, invocations left, body cursor)
+    and per-procedure constants are looked up by procedure index.
+    """
+    random = _random.Random(inp.seed).random
     tables = _PhaseTables(graph, inp)
     program = graph.program
-    name_to_index = {name: i for i, name in enumerate(program.names)}
+    index_of = {name: i for i, name in enumerate(program.names)}
+    models = [graph.model_of(name) for name in program.names]
+    sizes = [model.procedure.size for model in models]
+    # Mean extent bytes of an entry (scale 1.0) and of a resume in the
+    # caller after a return (scale 0.5).
+    entry_bytes = [
+        model.procedure.size * model.body_fraction * inp.body_scale
+        for model in models
+    ]
+    resume_bytes = [mean * 0.5 for mean in entry_bytes]
+    # ``expovariate``'s rate; None for a procedure that calls nothing.
+    rates = [
+        1.0 / model.mean_invocations if model.mean_invocations > 0 else None
+        for model in models
+    ]
+    phases = inp.phases
+    # Per phase and caller index: (cumulative weights, last site index,
+    # callee indices), or an empty list for a caller without sites.
+    site_tables: list[list[Any]] = [[None] * len(models) for _ in range(phases)]
+    root = index_of[graph.root]
+    max_depth = inp.max_depth
+    target = inp.target_events
 
     procs: list[int] = []
     starts: list[int] = []
     lengths: list[int] = []
-
-    def emit(frame: _Frame, scale: float) -> None:
-        """Emit one extent for *frame*, advancing its body cursor."""
-        size = frame.model.procedure.size
-        mean_bytes = size * frame.model.body_fraction * inp.body_scale
-        nbytes = int(mean_bytes * scale * rng.uniform(0.6, 1.4))
-        nbytes = max(4, min(size, nbytes))
-        index = name_to_index[frame.model.name]
-        cursor = frame.cursor
+    stack: list[int] = []
+    remaining: list[int] = []
+    cursors: list[int] = []
+    emitted = 0
+    while emitted < target:
+        top = len(stack) - 1
+        if top >= 0 and (remaining[top] <= 0 or top + 1 >= max_depth):
+            stack.pop()
+            remaining.pop()
+            cursors.pop()
+            if not top:
+                continue  # the stack emptied: the next step pushes a root
+            # Resume extent in the caller after the return.
+            top -= 1
+            proc = stack[top]
+            mean = resume_bytes[proc]
+        else:
+            if top < 0:
+                proc = root
+            else:
+                remaining[top] -= 1
+                caller = stack[top]
+                phase = min(phases - 1, emitted * phases // target)
+                sites = site_tables[phase][caller]
+                if sites is None:
+                    cumulative, callees = tables.sites_for(
+                        models[caller], phase
+                    )
+                    sites = callees and [
+                        cumulative,
+                        len(cumulative) - 1,
+                        [index_of[callee] for callee in callees],
+                    ]
+                    site_tables[phase][caller] = sites
+                if not sites:
+                    remaining[top] = 0
+                    continue
+                cumulative, last, callees = sites
+                chosen = bisect_right(cumulative, random() * cumulative[-1])
+                proc = callees[chosen if chosen < last else last]
+            rate = rates[proc]
+            stack.append(proc)
+            remaining.append(
+                0 if rate is None else 1 + int(-log(1.0 - random()) / rate)
+            )
+            cursors.append(0)
+            top += 1
+            mean = entry_bytes[proc]
+        # One extent for the activation at ``top``, advancing its cursor.
+        size = sizes[proc]
+        nbytes = int(mean * (0.6 + _UNIFORM_SPAN * random()))
+        if nbytes > size:
+            nbytes = size
+        if nbytes < 4:
+            nbytes = 4
+        cursor = cursors[top]
+        procs.append(proc)
+        starts.append(cursor)
         if cursor + nbytes <= size:
-            procs.append(index)
-            starts.append(cursor)
             lengths.append(nbytes)
+            emitted += 1
         else:
             head = size - cursor
-            procs.append(index)
-            starts.append(cursor)
             lengths.append(head)
-            tail = nbytes - head
-            if tail > 0:
-                procs.append(index)
-                starts.append(0)
-                lengths.append(tail)
-        frame.cursor = (cursor + nbytes) % size
-
-    def sample_invocations(model: ProcedureModel) -> int:
-        if model.mean_invocations <= 0:
-            return 0
-        return 1 + int(rng.expovariate(1.0 / model.mean_invocations))
-
-    stack: list[_Frame] = []
-
-    def push_root() -> None:
-        root = graph.model_of(graph.root)
-        frame = _Frame(root, sample_invocations(root))
-        stack.append(frame)
-        emit(frame, 1.0)
-
-    push_root()
-    target = inp.target_events
-    while len(procs) < target:
-        frame = stack[-1]
-        phase = min(inp.phases - 1, len(procs) * inp.phases // target)
-        if frame.remaining <= 0 or len(stack) >= inp.max_depth:
-            stack.pop()
-            if not stack:
-                push_root()
-            else:
-                # Resume extent in the caller after the return.
-                emit(stack[-1], 0.5)
-            continue
-        frame.remaining -= 1
-        cumulative, callees = tables.sites_for(frame.model, phase)
-        if not callees:
-            frame.remaining = 0
-            continue
-        pick = rng.random() * cumulative[-1]
-        chosen = _bisect(cumulative, pick)
-        callee = graph.model_of(callees[chosen])
-        child = _Frame(callee, sample_invocations(callee))
-        stack.append(child)
-        emit(child, 1.0)
+            procs.append(proc)
+            starts.append(0)
+            lengths.append(nbytes - head)
+            emitted += 2
+        cursors[top] = (cursor + nbytes) % size
 
     return Trace.from_arrays(
         program,
@@ -242,15 +275,3 @@ def _generate_trace(graph: CallGraphModel, inp: TraceInput) -> Trace:
         np.asarray(starts, dtype=np.int64),
         np.asarray(lengths, dtype=np.int64),
     )
-
-
-def _bisect(cumulative: list[float], value: float) -> int:
-    """First index whose cumulative weight exceeds *value*."""
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] <= value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

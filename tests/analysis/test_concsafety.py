@@ -89,6 +89,20 @@ class TestGlobalMutationRule:
         })
         assert rules_of(findings) == {"conc/global-mutation"}
 
+    def test_weak_memo_write_fires(self, tmp_path):
+        findings = conc_findings(tmp_path, {
+            "repro/__init__.py": "",
+            "repro/memo.py": """
+                import weakref
+
+                _DIGESTS = weakref.WeakKeyDictionary()
+
+                def remember(model, digest):
+                    _DIGESTS[model] = digest
+            """,
+        })
+        assert rules_of(findings) == {"conc/global-mutation"}
+
     def test_global_reassignment_fires(self, tmp_path):
         findings = conc_findings(tmp_path, {
             "repro/__init__.py": "",

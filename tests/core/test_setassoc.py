@@ -31,11 +31,10 @@ from repro.obs import RunSession
 from repro.placement.base import PlacementContext
 from repro.profiles.graph import WeightedGraph
 from repro.profiles.pairdb import PairDatabase, build_pair_database
-from repro.profiles.trg import TRGBuildStats, build_trgs, procedure_refs
+from repro.profiles.trg import build_trgs, procedure_refs
 from repro.profiles.wcg import build_wcg
 from repro.program.procedure import ChunkId
 from repro.program.program import Program
-from repro.store.codecs import decode_pair_db, encode_pair_db
 from repro.trace.callgraph import random_call_graph
 from repro.trace.generator import generate_trace
 from repro.workloads.suite import by_name
@@ -433,24 +432,27 @@ class TestPlacementSA:
             2 * config.num_sets
         )
 
-    def test_codec_round_trip_keeps_the_layout(self):
-        """A pair database read back from the store iterates every
-        block's pairs in build order, so the layout cannot change."""
+    def test_scalar_database_gives_the_same_layout(self):
+        """The array-built pair database of a context iterates every
+        block's pairs in the scalar build's order, so the layout is
+        the one the scalar database gives."""
         workload = by_name("m88ksim").scaled(0.05)
         train = generate_trace(
             random_call_graph(workload.graph_params), workload.train
         )
         context = build_context(train, PAPER_CACHE_2WAY, with_pair_db=True)
         built = context.pair_db
-        decoded, _ = decode_pair_db(
-            encode_pair_db((built, TRGBuildStats(0, 0.0, 0)))
+        scalar, _ = build_pair_database(
+            procedure_refs(train, set(context.popular)),
+            train.program.size_of,
+            2 * PAPER_CACHE_2WAY.size,
         )
-        assert decoded.blocks == built.blocks
+        assert scalar.blocks == built.blocks
         for block in built.blocks:
-            assert list(decoded.pairs_for(block).items()) == list(
+            assert list(scalar.pairs_for(block).items()) == list(
                 built.pairs_for(block).items()
             )
         algorithm = GBSCSetAssociativePlacement()
         assert algorithm.place(context) == algorithm.place(
-            dataclasses.replace(context, pair_db=decoded)
+            dataclasses.replace(context, pair_db=scalar)
         )

@@ -16,22 +16,14 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.io import SerializationError, write_npz
 from repro.profiles.graph import WeightedGraph
-from repro.profiles.pairdb import PairDatabase, build_pair_database
-from repro.profiles.trg import (
-    TRGBuildStats,
-    TRGPair,
-    build_trgs,
-    procedure_refs,
-)
+from repro.profiles.trg import TRGBuildStats, TRGPair, build_trgs
 from repro.profiles.wcg import build_wcg
 from repro.program.procedure import ChunkId
 from repro.store.codecs import (
     CODECS,
-    decode_pair_db,
     decode_trace,
     decode_trgs,
     decode_wcg,
-    encode_pair_db,
     encode_trace,
     encode_trgs,
     encode_wcg,
@@ -91,59 +83,8 @@ class TestGraphCodecs:
             decode_wcg(b'{"format":"repro/store-wcg"}')
 
 
-class TestPairDbCodec:
-    def test_round_trip(self, trace, paper_cache):
-        value = build_pair_database(
-            procedure_refs(trace),
-            trace.program.size_of,
-            2 * paper_cache.size,
-        )
-        database, stats = value
-        restored_db, restored_stats = decode_pair_db(
-            encode_pair_db(value)
-        )
-        assert restored_stats == stats
-        assert restored_db.blocks == database.blocks
-        for block in database.blocks:
-            assert restored_db.pairs_for(block) == database.pairs_for(
-                block
-            )
-
-    def test_chunk_nodes_survive(self):
-        """ChunkId nodes (set-associative runs) round-trip intact."""
-        database = PairDatabase()
-        a, b = ChunkId("f", 0), ChunkId("g", 1)
-        database.record("p", [a, b])
-        stats = TRGBuildStats(
-            refs_processed=3, avg_q_entries=1.0, evictions=0
-        )
-        restored, _ = decode_pair_db(encode_pair_db((database, stats)))
-        assert restored.count("p", a, b) == 1
-
-    def test_degenerate_single_member_pair(self):
-        """A frozenset pair that collapsed to one member decodes back
-        to the same count."""
-        database = PairDatabase()
-        database.set_pair_count("p", "r", "r", 4)
-        stats = TRGBuildStats(
-            refs_processed=1, avg_q_entries=1.0, evictions=0
-        )
-        restored, _ = decode_pair_db(encode_pair_db((database, stats)))
-        assert restored.count("p", "r", "r") == 4
-
-    def test_deterministic_bytes(self, trace, paper_cache):
-        """Identical databases encode to identical bytes — required
-        for stable content hashes in the index."""
-        value = build_pair_database(
-            procedure_refs(trace),
-            trace.program.size_of,
-            2 * paper_cache.size,
-        )
-        assert encode_pair_db(value) == encode_pair_db(value)
-
-
 # ----------------------------------------------------------------------
-# Exact round trips for arbitrary graphs and databases
+# Exact round trips for arbitrary graphs
 # ----------------------------------------------------------------------
 
 names = st.text(
@@ -170,31 +111,6 @@ def graphs(draw) -> WeightedGraph:
     return graph
 
 
-@st.composite
-def databases(draw) -> PairDatabase:
-    """Blocks with and without pairs, 2-subsets credited as the build
-    does (repeats collapse to one-member pairs), and set counts."""
-    database = PairDatabase()
-    pool = draw(st.lists(nodes, min_size=1, max_size=8, unique=True))
-    for _ in range(draw(st.integers(0, 12))):
-        block = draw(st.sampled_from(pool))
-        action = draw(st.sampled_from(["add", "record", "set"]))
-        if action == "add":
-            database.add_block(block)
-        elif action == "record":
-            database.record(
-                block, draw(st.lists(st.sampled_from(pool), max_size=5))
-            )
-        else:
-            database.set_pair_count(
-                block,
-                draw(st.sampled_from(pool)),
-                draw(st.sampled_from(pool)),
-                draw(st.integers(0, 2**40)),
-            )
-    return database
-
-
 stats = st.builds(
     TRGBuildStats,
     st.integers(0, 2**40),
@@ -206,13 +122,6 @@ stats = st.builds(
 def rows(graph: WeightedGraph) -> list:
     """Node order and every row's items, in order."""
     return [(node, list(row.items())) for node, row in graph.rows()]
-
-
-def pair_rows(database: PairDatabase) -> dict:
-    return {
-        block: list(database.pairs_for(block).items())
-        for block in database.blocks
-    }
 
 
 class TestExactRoundTrip:
@@ -240,17 +149,6 @@ class TestExactRoundTrip:
         assert restored.place_stats == place_stats
         assert restored.chunk_size == chunk_size
 
-    @settings(max_examples=150, deadline=None)
-    @given(database=databases(), build_stats=stats)
-    def test_pair_db(self, database, build_stats):
-        data = encode_pair_db((database, build_stats))
-        restored, restored_stats = decode_pair_db(data)
-        assert restored.blocks == database.blocks
-        assert pair_rows(restored) == pair_rows(database)
-        assert restored.total_records() == database.total_records()
-        assert restored_stats == build_stats
-        assert encode_pair_db((restored, restored_stats)) == data
-
     def test_empty_values(self):
         empty = TRGBuildStats(0, 0.0, 0)
         assert rows(decode_wcg(encode_wcg(WeightedGraph()))) == []
@@ -258,32 +156,20 @@ class TestExactRoundTrip:
             encode_trgs(TRGPair(WeightedGraph(), WeightedGraph(), empty, empty, 32))
         )
         assert len(pair.select) == len(pair.place) == 0
-        database, _ = decode_pair_db(encode_pair_db((PairDatabase(), empty)))
-        assert database.blocks == set()
 
 
 _ENCODE_SCRIPT = """
 import hashlib
 from repro.cache.config import PAPER_CACHE
-from repro.profiles.pairdb import build_pair_database
-from repro.profiles.trg import (
-    TRGBuildStats,
-    TRGPair,
-    build_trgs,
-    procedure_refs,
-)
+from repro.profiles.trg import build_trgs
 from repro.profiles.wcg import build_wcg
-from repro.store.codecs import encode_pair_db, encode_trgs, encode_wcg
+from repro.store.codecs import encode_trgs, encode_wcg
 from repro.workloads.suite import by_name
 
 trace = by_name("m88ksim").scaled(0.02).trace("train")
-pair_db = build_pair_database(
-    procedure_refs(trace), trace.program.size_of, 2 * PAPER_CACHE.size
-)
 for blob in (
     encode_wcg(build_wcg(trace)),
     encode_trgs(build_trgs(trace, PAPER_CACHE)),
-    encode_pair_db(pair_db),
 ):
     print(hashlib.sha256(blob).hexdigest())
 """
@@ -291,8 +177,7 @@ for blob in (
 
 def test_blob_bytes_do_not_depend_on_the_hash_seed():
     """Two processes with different string hashing write the same
-    wcg, trg and pairdb bytes (a pair's member order comes from the
-    node table, never from iterating its frozenset)."""
+    wcg and trg bytes."""
     digests = []
     for seed in ("0", "1"):
         env = {
@@ -309,7 +194,7 @@ def test_blob_bytes_do_not_depend_on_the_hash_seed():
             timeout=300,
         )
         digests.append(result.stdout.split())
-    assert len(digests[0]) == 3
+    assert len(digests[0]) == 2
     assert digests[0] == digests[1]
 
 
@@ -396,33 +281,6 @@ def test_self_edge_and_negative_weight_are_placement_errors():
         decode_wcg(MALFORMED_WCG["negative-weight"]())
 
 
-def _pairs() -> bytes:
-    database = PairDatabase()
-    database.record("p", ["q", "r", "s"])
-    database.add_block("q")
-    return encode_pair_db((database, TRGBuildStats(1, 1.0, 0)))
-
-
-# Nodes p, q, r, s (ids 0-3); blocks [0, 1]; p's run holds 3 pairs.
-MALFORMED_PAIRDB = {
-    "wrong-format": lambda: _rewrite(_pairs(), format="repro/store-wcg"),
-    "missing-array": lambda: _rewrite(_pairs(), count=None),
-    "block-out-of-range": lambda: _rewrite(_pairs(), blocks=[0, 4]),
-    "r-out-of-range": lambda: _rewrite(_pairs(), r=[1, 1, 7]),
-    "s-negative": lambda: _rewrite(_pairs(), s=[2, -3, 3]),
-    "negative-rowlen": lambda: _rewrite(_pairs(), rowlen=[4, -1]),
-    "rowlen-sum": lambda: _rewrite(_pairs(), rowlen=[3, 1]),
-    "stats-shape": lambda: _rewrite(_pairs(), stats=[1.0, 2.0]),
-    "count-not-integer": lambda: _rewrite(_pairs(), count=[1.5, 1.0, 1.0]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_PAIRDB))
-def test_malformed_pairdb_blob_raises_repro_error(case):
-    with pytest.raises(ReproError):
-        decode_pair_db(MALFORMED_PAIRDB[case]())
-
-
 def test_malformed_trgs_blob_raises_repro_error():
     empty = TRGBuildStats(0, 0.0, 0)
     graph = decode_wcg(_triangle())
@@ -438,6 +296,6 @@ def test_malformed_trgs_blob_raises_repro_error():
 
 class TestRegistry:
     def test_every_kind_has_a_codec_pair(self):
-        assert set(CODECS) == {"trace", "wcg", "trg", "pairdb"}
+        assert set(CODECS) == {"trace", "wcg", "trg"}
         for encode, decode in CODECS.values():
             assert callable(encode) and callable(decode)

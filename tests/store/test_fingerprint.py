@@ -10,6 +10,7 @@ unreachable — bump the matching :data:`BUILDER_SALTS` entry instead.
 
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 
@@ -23,12 +24,17 @@ from repro.store.fingerprint import (
     callgraph_fingerprint,
     canonical_json,
     fingerprint,
-    pairdb_key,
     trace_content_fingerprint,
     trace_key,
     trg_key,
     wcg_key,
 )
+from repro.trace.callgraph import CallGraphParams, random_call_graph
+from repro.trace.generator import TraceInput
+
+# The package re-exports the ``fingerprint`` function under the
+# module's own name.
+fingerprint_module = importlib.import_module("repro.store.fingerprint")
 
 GOLDEN_KEY = {
     "trace": "a" * 64,
@@ -91,7 +97,7 @@ class TestArtifactDigest:
 
     def test_kind_is_part_of_the_digest(self):
         assert artifact_digest("wcg", {"trace": "x"}) != artifact_digest(
-            "pairdb", {"trace": "x"}
+            "trace", {"trace": "x"}
         )
 
     def test_unknown_kind_is_an_error(self):
@@ -115,14 +121,6 @@ class TestKeyComponents:
         assert trg_key("t", paper_cache, 256, None, 2) != trg_key(
             "t", paper_cache, 256, set(), 2
         )
-
-    def test_pairdb_key_fields(self):
-        key = pairdb_key("t", {"z", "y"}, 16384)
-        assert key == {
-            "trace": "t",
-            "popular": ["y", "z"],
-            "capacity": 16384,
-        }
 
     @pytest.mark.parametrize(
         "mutate",
@@ -151,6 +149,38 @@ class TestTraceFingerprints:
     def test_callgraph_fingerprint_is_deterministic(self, tiny_workload):
         graph = tiny_workload.call_graph()
         assert callgraph_fingerprint(graph) == callgraph_fingerprint(graph)
+
+    def test_callgraph_digest_is_pinned(self):
+        """The memoised digest is the content hash it always was."""
+        graph = random_call_graph(
+            CallGraphParams(n_procedures=60, hot_procedures=12, seed=9)
+        )
+        assert callgraph_fingerprint(graph) == (
+            "bfa9b42707030fb35cee4742f04f3eb8ae8e55c7c38e088059a63b0d9eefead8"
+        )
+        # A fresh, equal model keys identically.
+        again = random_call_graph(
+            CallGraphParams(n_procedures=60, hot_procedures=12, seed=9)
+        )
+        assert again is not graph
+        assert callgraph_fingerprint(again) == callgraph_fingerprint(graph)
+
+    def test_second_trace_key_does_not_rehash(self, monkeypatch):
+        graph = random_call_graph(
+            CallGraphParams(n_procedures=30, hot_procedures=6, seed=3)
+        )
+        calls = []
+        original = fingerprint_module._hash_callgraph
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(fingerprint_module, "_hash_callgraph", counting)
+        train = trace_key(graph, TraceInput("train", 1, 100))
+        test = trace_key(graph, TraceInput("test", 2, 100))
+        assert calls == [graph]
+        assert train["graph"] == test["graph"]
 
     def test_content_fingerprint_matches_equal_traces(self, tiny_workload):
         train = tiny_workload.trace("train")

@@ -240,3 +240,79 @@ class TestStatsAndGc:
         assert summary["removed_entries"] == 0
         assert summary["removed_blobs"] == 0
         assert summary["kept_entries"] == 1
+
+
+class TestStoreWithRetiredPairdbKind:
+    """Stores written before the ``pairdb`` kind was retired hold
+    ``pairdb`` entries: they still open, audit clean, report stats and
+    serve their trace and profile hits."""
+
+    def _old_store(self, root, workload):
+        """A store as the last release with the kind left it: trace,
+        wcg and trg entries from a build, plus one ``pairdb`` entry in
+        that release's blob layout and digest scheme."""
+        import io
+
+        import numpy as np
+
+        from repro.cache.config import PAPER_CACHE_2WAY
+        from repro.eval.experiment import build_context
+        from repro.io import write_npz
+        from repro.store import fingerprint, trace_content_fingerprint
+
+        store = ArtifactStore(root)
+        train = workload.trace("train", store)
+        context = build_context(
+            train, PAPER_CACHE_2WAY, with_pair_db=True, store=store
+        )
+        arrays = {
+            "names": np.array(["p", "q", "r"]),
+            "chunks": np.array([-1, -1, -1], dtype=np.int64),
+            "blocks": np.array([0], dtype=np.int64),
+            "rowlen": np.array([1], dtype=np.int64),
+            "r": np.array([1], dtype=np.int32),
+            "s": np.array([2], dtype=np.int32),
+            "count": np.array([3], dtype=np.int64),
+            "stats": np.array([5.0, 2.0, 0.0]),
+        }
+        buffer = io.BytesIO()
+        write_npz(buffer, "repro/store-pairdb", 2, arrays)
+        key = {
+            "trace": trace_content_fingerprint(train),
+            "popular": sorted(context.popular),
+            "capacity": 2 * PAPER_CACHE_2WAY.size,
+        }
+        digest = fingerprint({"kind": "pairdb", "salt": 1, "key": key})
+        assert store.put(digest, "pairdb", buffer.getvalue(), key)
+        return context
+
+    def test_opens_audits_and_serves_hits(self, tmp_path, tiny_workload):
+        from repro.analysis.store_audit import audit_store
+        from repro.cache.config import PAPER_CACHE_2WAY
+        from repro.cli import main
+        from repro.eval.experiment import build_context
+        from repro.workloads.spec import clear_trace_memo
+
+        root = tmp_path / "s"
+        built = self._old_store(root, tiny_workload)
+        clear_trace_memo()
+
+        store = ArtifactStore(root)
+        kinds = store.stats()["kinds"]
+        assert set(kinds) == {"pairdb", "trace", "trg", "wcg"}
+        assert kinds["pairdb"]["entries"] == 1
+        assert audit_store(root) == []
+        assert main(["check", str(root)]) == 0
+        assert main(["cache", "stats", str(root)]) == 0
+
+        train = tiny_workload.trace("train", store)
+        context = build_context(
+            train, PAPER_CACHE_2WAY, with_pair_db=True, store=store
+        )
+        assert (store.hits, store.misses) == (3, 0)
+        assert context.wcg == built.wcg
+        assert context.trgs.select == built.trgs.select
+        for block in built.pair_db.blocks:
+            assert list(context.pair_db.pairs_for(block).items()) == list(
+                built.pair_db.pairs_for(block).items()
+            )

@@ -1,10 +1,14 @@
 """Tests for the stochastic trace generator."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.trace.callgraph import CallGraphParams, random_call_graph
 from repro.trace.generator import TraceInput, generate_trace
+from repro.workloads.suite import by_name
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +118,76 @@ class TestGeneration:
             TraceInput("t", seed=9, target_events=3000, body_scale=1.0),
         )
         assert small.total_bytes < large.total_bytes
+
+
+#: sha256 of ``(proc_indices as int32, extent_starts as int64,
+#: extent_lengths as int64)`` for suite traces.  These pin every draw
+#: the generator makes: a change to the loop that reorders or alters a
+#: single random draw changes the digest.
+SUITE_TRACE_DIGESTS = {
+    ("gcc", 0.25, "train"): (
+        "a69bc810f8df086ad69fa42f9965398dbc1a43763f165aa31aea0e0da7df903f"
+    ),
+    ("gcc", 0.25, "test"): (
+        "95ac66f78fbafcdfbc06cf135eecb4e77b6559e5dc3c7145ef2671e5bdbaf84f"
+    ),
+    ("go", 0.25, "train"): (
+        "18b347b1f7ca8973441fc74f14a9039a1234121a74158e1470e43b18c64d7c56"
+    ),
+    ("go", 0.25, "test"): (
+        "1ee4284f21236ec67cff40c8a5b65a277541ac5e2f587662738095f37002c079"
+    ),
+    ("ghostscript", 0.25, "train"): (
+        "f466842d492431380a4354bc8787ff4e5616426d1e4422f562f88d5f0bf84d6f"
+    ),
+    ("ghostscript", 0.25, "test"): (
+        "1a509e90572817802afb00c4cd97e2411d923cd569231cb0190c06ce42c22318"
+    ),
+    ("m88ksim", 0.25, "train"): (
+        "107a29749339acb6cb72c500a58d906d351785401b8133fc9b7aa2960c5c6b3f"
+    ),
+    ("m88ksim", 0.25, "test"): (
+        "e4cf99141854c95a8ce50ea9a0bbbc8e3bf73b4fc5d89c6a24e05c905cdbb437"
+    ),
+    ("perl", 0.25, "train"): (
+        "2c95746b6ee284a6e28a8de8a0031afbfdea7eda48a88c23da8734f43e14bd40"
+    ),
+    ("perl", 0.25, "test"): (
+        "9a57f58b1b85520c30af59448c964497d8d3341737589f548334fb5e687b3851"
+    ),
+    ("vortex", 0.25, "train"): (
+        "3ff58e95bb5ba37e893c6c8b51a94dc9b13470e67f49fd5fa2dcc00ab02c2e54"
+    ),
+    ("vortex", 0.25, "test"): (
+        "583b74f64c34aee1736b26741a54dba67bd740120dc2bf2f3f859dcc8690d994"
+    ),
+    ("perl", 1.0, "train"): (
+        "6134b7e6434fa4a95436a843ae50c5ea45cb09f89c8950c0c11705bb060cbd57"
+    ),
+    ("perl", 1.0, "test"): (
+        "faf912885624869c86693b8d9b29cf8f996ecbf9f167682adb2d55c1f4021dfe"
+    ),
+}
+
+
+def trace_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for array, dtype in (
+        (trace.proc_indices, np.int32),
+        (trace.extent_starts, np.int64),
+        (trace.extent_lengths, np.int64),
+    ):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,scale,which",
+    sorted(SUITE_TRACE_DIGESTS),
+    ids=lambda value: str(value),
+)
+def test_suite_trace_digests_are_pinned(name, scale, which):
+    workload = by_name(name).scaled(scale)
+    inp = workload.train if which == "train" else workload.test
+    trace = generate_trace(workload.call_graph(), inp)
+    assert trace_digest(trace) == SUITE_TRACE_DIGESTS[(name, scale, which)]

@@ -1,14 +1,15 @@
-"""Tests for generator internals: phase tables, sampling, bisect."""
+"""Tests for generator internals: site choice, phase tables, extents."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.program.procedure import Procedure
 from repro.trace.callgraph import CallGraphModel, CallSite, ProcedureModel
+from repro.trace import generator
 from repro.trace.generator import (
     TraceInput,
-    _bisect,
     _PhaseTables,
     generate_trace,
 )
@@ -27,16 +28,59 @@ def two_leaf_graph() -> CallGraphModel:
     return CallGraphModel("root", models)
 
 
-class TestBisect:
-    def test_finds_first_exceeding(self):
-        cumulative = [1.0, 3.0, 6.0]
-        assert _bisect(cumulative, 0.5) == 0
-        assert _bisect(cumulative, 1.0) == 1
-        assert _bisect(cumulative, 2.9) == 1
-        assert _bisect(cumulative, 5.9) == 2
+def scripted_calls(monkeypatch, weights, site_draws):
+    """The callees a root with call-site *weights* picks when each
+    site draw returns the next of *site_draws* (as a fraction of
+    ``random()``'s range; every other draw returns 0.5).
 
-    def test_single_entry(self):
-        assert _bisect([2.0], 1.5) == 0
+    Leaves are 64 bytes with no calls, so the root's activation runs
+    ``1 + int(ln 2 * 8) = 6`` calls, each drawing site, callee extent
+    and resume extent in that order.
+    """
+    draws = iter([0.5, 0.5] + [v for d in site_draws for v in (d, 0.5, 0.5)])
+
+    class Scripted:
+        def __init__(self, seed=None):
+            pass
+
+        def random(self):
+            return next(draws, 0.5)
+
+    monkeypatch.setattr(generator, "_random", SimpleNamespace(Random=Scripted))
+    callees = [f"c{i}" for i in range(len(weights))]
+    models = {
+        "root": ProcedureModel(
+            procedure=Procedure("root", 64),
+            call_sites=tuple(map(CallSite, callees, weights)),
+            mean_invocations=8.0,
+        ),
+        **{c: ProcedureModel(procedure=Procedure(c, 64)) for c in callees},
+    }
+    inp = TraceInput(
+        "t",
+        seed=0,
+        target_events=2 * len(site_draws) + 1,
+        phases=1,
+        phase_skew=0.0,
+    )
+    trace = generate_trace(CallGraphModel("root", models), inp)
+    return [event.procedure for event in trace][1::2][: len(site_draws)]
+
+
+class TestBisect:
+    """The call site is the first whose cumulative weight exceeds the
+    draw, clipped to the last site."""
+
+    def test_finds_first_exceeding(self, monkeypatch):
+        # Cumulative weights [1, 3, 6]; draws land at 0.5, 1, 2.9,
+        # 5.9 and the very top of the range.
+        picked = scripted_calls(
+            monkeypatch, [1.0, 2.0, 3.0], [0.5 / 6, 1 / 6, 2.9 / 6, 5.9 / 6, 1.0]
+        )
+        assert picked == ["c0", "c1", "c1", "c2", "c2"]
+
+    def test_single_entry(self, monkeypatch):
+        assert scripted_calls(monkeypatch, [2.0], [0.0, 0.75, 1.0]) == ["c0"] * 3
 
 
 class TestPhaseTables:
