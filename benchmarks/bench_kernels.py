@@ -28,15 +28,16 @@ bit-exact, with the timings recorded in
   :func:`~repro.trace.generator.generate_trace` for the perl test
   trace.  These have no scalar twin outside the tests, so they record
   plain wall times.
-* **Store kinds.**  Over every suite workload, the build of the
-  ``trg`` profiles against a warm :class:`~repro.store.ArtifactStore`
-  hit on the same key (index lookup, blob read, content hash and
-  decode), plus the blob bytes.  The decoded value must equal the
-  built one.
+* **Store kinds.**  Over every suite workload, the build of each kind
+  the store keeps (the ``trace`` of the training input, through
+  :func:`~repro.trace.generator.generate_trace`, and the ``trg``
+  profiles) against a warm :class:`~repro.store.ArtifactStore` hit on
+  the same key (index lookup, blob read, content hash and decode),
+  plus the blob bytes.  The decoded value must equal the built one.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup, and the store's decision rule — keep a kind only if a warm
-hit is at least 3× cheaper than its build — to the ``trg`` kind's
+hit is at least 3× cheaper than its build — to every kind's
 build/hit ratio.  Both are asserted only under representative
 conditions:
 ≥4 usable cores *and* full-scale traces (``REPRO_SCALE=1``).  Under
@@ -80,7 +81,7 @@ from repro.core.setassoc import (
     merge_nodes_sa,
     sa_offset_costs_reference,
 )
-from repro.eval.experiment import build_context
+from repro.eval.experiment import build_context, get_or_build_trgs
 from repro.obs.clock import monotonic
 from repro.obs.perf import host_fingerprint
 from repro.placement.hkc import HashemiKaeliCalderPlacement
@@ -91,13 +92,12 @@ from repro.profiles.perturb import PAPER_SCALE
 from repro.profiles.trg import (
     DEFAULT_Q_MULTIPLIER,
     build_trgs_scalar,
-    get_or_build_trgs,
     procedure_refs,
 )
 from repro.program.layout import Layout
+from repro.program.procedure import DEFAULT_CHUNK_SIZE
 from repro.store import ArtifactStore
-from repro.store.fingerprint import trace_content_fingerprint
-from repro.trace.generator import generate_trace
+from repro.trace.generator import generate_trace, get_or_generate_trace
 
 #: Required aggregate scalar/fast TRG-build speedup.
 SPEEDUP_THRESHOLD = 10.0
@@ -331,35 +331,64 @@ def _measure_placement(workload) -> dict:
     return results
 
 
-def _get_trgs(train, popular, fingerprint, store):
+def _get_trgs(train, popular, store):
     return get_or_build_trgs(
         train,
         PAPER_CACHE,
-        popular=popular,
-        store=store,
-        trace_fingerprint=fingerprint,
+        DEFAULT_CHUNK_SIZE,
+        popular,
+        DEFAULT_Q_MULTIPLIER,
+        store,
     )
 
 
+def _same_trace(a, b) -> bool:
+    return a.program == b.program and all(
+        np.array_equal(x, y)
+        for x, y in (
+            (a.proc_indices, b.proc_indices),
+            (a.extent_starts, b.extent_starts),
+            (a.extent_lengths, b.extent_lengths),
+        )
+    )
+
+
+def _same_trgs(a, b) -> bool:
+    return (a.select, a.place) == (b.select, b.place)
+
+
 def _measure_store(suite) -> dict:
-    """Build vs warm-hit seconds of the trg kind, summed over *suite*;
-    asserts each hit equals the build."""
-    total = {"build_seconds": 0.0, "hit_seconds": 0.0}
+    """Build vs warm-hit seconds of every kind the store keeps, summed
+    over *suite*; asserts each hit equals the build."""
+    totals = {
+        kind: {"build_seconds": 0.0, "hit_seconds": 0.0}
+        for kind in ("trace", "trg")
+    }
     with tempfile.TemporaryDirectory() as root:
         store = ArtifactStore(root)
         for workload in suite:
             train = workload.trace("train")
-            inputs = (train, _popular(train), trace_content_fingerprint(train))
-            built, build_seconds = timed(_get_trgs, *inputs, None)
-            _get_trgs(*inputs, store)
-            hit, hit_seconds = timed(_get_trgs, *inputs, store)
-            assert (hit.select, hit.place) == (built.select, built.place)
-            total["build_seconds"] += build_seconds
-            total["hit_seconds"] += hit_seconds
-        assert store.hits == len(suite) * REPEATS
-        total["bytes"] = store.stats()["kinds"]["trg"]["bytes"]
-    total["build_over_hit"] = total["build_seconds"] / total["hit_seconds"]
-    return {"trg": total}
+            kinds = {
+                "trace": (
+                    get_or_generate_trace,
+                    (workload.call_graph(), workload.train),
+                    _same_trace,
+                ),
+                "trg": (_get_trgs, (train, _popular(train)), _same_trgs),
+            }
+            for kind, (fetch, inputs, same) in kinds.items():
+                built, build_seconds = timed(fetch, *inputs, None)
+                fetch(*inputs, store)
+                hit, hit_seconds = timed(fetch, *inputs, store)
+                assert same(hit, built)
+                totals[kind]["build_seconds"] += build_seconds
+                totals[kind]["hit_seconds"] += hit_seconds
+        assert store.hits == len(totals) * len(suite) * REPEATS
+        stored = store.stats()["kinds"]
+    for kind, total in totals.items():
+        total["bytes"] = stored[kind]["bytes"]
+        total["build_over_hit"] = total["build_seconds"] / total["hit_seconds"]
+    return totals
 
 
 def test_kernel_speedup():

@@ -76,17 +76,14 @@ LAYERS: tuple[tuple[str, ...], ...] = (
 )
 
 #: Sanctioned lazy upward imports: (importer module, imported module)
-#: -> one-line justification.  These are the cache-aware entry points
-#: PR 5 introduced: the builder modules accept a store instance from
-#: callers above and defer the fingerprint import to the call, so the
-#: static arrow still points left.
+#: -> one-line justification.  The trace generator accepts a store
+#: instance from callers above and defers the fingerprint import to
+#: the call, so the static arrow still points left.  Profile builders
+#: know nothing of the store: ``eval.experiment.build_context``, which
+#: ranks above it, keys and fetches their artifacts.
 LAZY_ALLOWLIST: dict[tuple[str, str], str] = {
     ("repro.trace.generator", "repro.store.fingerprint"):
         "get_or_generate_trace keys the store; instance supplied by caller",
-    ("repro.profiles.wcg", "repro.store.fingerprint"):
-        "get_or_build_wcg keys the store; instance supplied by caller",
-    ("repro.profiles.trg", "repro.store.fingerprint"):
-        "get_or_build_trgs keys the store; instance supplied by caller",
     ("repro.workloads.custom", "repro.io"):
         "save_workload defers to the atomic writer at call time only",
 }

@@ -309,10 +309,18 @@ def read_trace_npz(source: str | Path | BinaryIO) -> Trace:
     """Inverse of :func:`write_trace_npz`, from a path or binary file.
 
     Any damage — an unreadable archive, another format, a bad
-    embedded program — raises :class:`SerializationError`, which the
-    caller words for its own source.
+    embedded program, an event array that is not 1-D integers — raises
+    :class:`SerializationError`, which the caller words for its own
+    source.
     """
     arrays = read_npz(source, "repro/trace", _FORMAT_VERSION, _TRACE_ARRAYS)
+    for name in ("procs", "starts", "lengths"):
+        array = arrays[name]
+        if array.ndim != 1 or array.dtype.kind not in "iu":
+            raise SerializationError(
+                f"malformed {name} array: expected 1-D integers, "
+                f"got {array.ndim}-D {array.dtype}"
+            )
     try:
         program = program_from_dict(json.loads(str(arrays["program"])))
     except json.JSONDecodeError as error:

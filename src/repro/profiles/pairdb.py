@@ -18,7 +18,6 @@ from typing import Callable, Hashable, Iterable, Mapping
 from repro import obs
 from repro.profiles.qset import WorkingSet
 from repro.profiles.trg import TRGBuildStats
-from repro.trace.trace import Trace
 
 Block = Hashable
 
@@ -109,22 +108,3 @@ def build_pair_database(
         refs_processed, average, working_set.evictions
     )
 
-
-def get_or_build_pair_database(
-    trace: Trace, popular: set[str] | None, capacity: int
-) -> tuple[PairDatabase, TRGBuildStats]:
-    """The procedure-granularity pair database of *trace*.
-
-    Runs the array builder
-    :func:`~repro.profiles.fast.build_pair_database_fast`, bit-exact
-    with :func:`build_pair_database` on ``procedure_refs(trace,
-    popular)``.  The database is always built, never stored: a warm
-    store hit is only about 3× cheaper than this build, the bare
-    minimum the store asks of a kind, while storing it costs every
-    cold run an encode (see ``docs/caching.md``).  The
-    :mod:`repro.profiles.fast` import is deferred because that module
-    imports this one.
-    """
-    from repro.profiles.fast import build_pair_database_fast
-
-    return build_pair_database_fast(trace, popular, capacity)

@@ -20,7 +20,7 @@ GBSC needs two TRGs built from the same trace (Section 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from repro import obs
 from repro.cache.config import CacheConfig
@@ -227,45 +227,3 @@ def build_trgs(
     obs.set_gauge("trg.place.edges", pair.place.num_edges())
     return pair
 
-
-def get_or_build_trgs(
-    trace: Trace,
-    config: CacheConfig,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    popular: set[str] | None = None,
-    q_multiplier: int = DEFAULT_Q_MULTIPLIER,
-    store: Any = None,
-    trace_fingerprint: str | None = None,
-) -> TRGPair:
-    """Cache-aware :func:`build_trgs`.
-
-    With *store* (an :class:`~repro.store.ArtifactStore`) the pair is
-    keyed by the trace's content fingerprint plus every build
-    parameter; a hit decodes the stored graphs instead of re-scanning
-    the trace.  Pass *trace_fingerprint* to reuse a fingerprint the
-    caller already computed.  The :mod:`repro.store` import is
-    deferred because that package sits above this one in the
-    layering.
-    """
-    if store is None:
-        return build_trgs(
-            trace,
-            config,
-            chunk_size=chunk_size,
-            popular=popular,
-            q_multiplier=q_multiplier,
-        )
-    from repro.store.fingerprint import trace_content_fingerprint, trg_key
-
-    fingerprint = trace_fingerprint or trace_content_fingerprint(trace)
-    return store.get_or_build(
-        "trg",
-        trg_key(fingerprint, config, chunk_size, popular, q_multiplier),
-        lambda: build_trgs(
-            trace,
-            config,
-            chunk_size=chunk_size,
-            popular=popular,
-            q_multiplier=q_multiplier,
-        ),
-    )

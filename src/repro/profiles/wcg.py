@@ -13,7 +13,7 @@ procedure references.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -55,30 +55,6 @@ def build_wcg(trace: Trace) -> WeightedGraph:
         q = names[int(key) % len(names)]
         graph.set_weight(p, q, float(count))
     return graph
-
-
-def get_or_build_wcg(
-    trace: Trace,
-    store: Any = None,
-    trace_fingerprint: str | None = None,
-) -> WeightedGraph:
-    """Cache-aware :func:`build_wcg`.
-
-    The WCG depends only on the trace, so the key is the trace's
-    content fingerprint (plus the ``wcg`` builder salt).  Pass
-    *trace_fingerprint* to reuse a fingerprint the caller already
-    computed; with ``store=None`` this is exactly :func:`build_wcg`.
-    The :mod:`repro.store` import is deferred because that package
-    sits above this one in the layering.
-    """
-    if store is None:
-        return build_wcg(trace)
-    from repro.store.fingerprint import trace_content_fingerprint, wcg_key
-
-    fingerprint = trace_fingerprint or trace_content_fingerprint(trace)
-    return store.get_or_build(
-        "wcg", wcg_key(fingerprint), lambda: build_wcg(trace)
-    )
 
 
 def build_wcg_from_refs(refs: Iterable[str]) -> WeightedGraph:

@@ -1,7 +1,7 @@
 """Persistent content-addressed caching of pipeline artifacts.
 
 Every grid cell of ``compare``/``table1`` needs the same expensive
-derived data — synthetic traces, the WCG, TRGs — and without a cache
+derived data — synthetic traces and TRGs — and without a cache
 each process rebuilds them from scratch.  This package
 makes those artifacts persistent: an :class:`ArtifactStore` directory
 keyed by sha256 fingerprints of each artifact's full input closure
@@ -26,10 +26,8 @@ from repro.store.codecs import (
     CODECS,
     decode_trace,
     decode_trgs,
-    decode_wcg,
     encode_trace,
     encode_trgs,
-    encode_wcg,
 )
 from repro.store.fingerprint import (
     BUILDER_SALTS,
@@ -42,7 +40,6 @@ from repro.store.fingerprint import (
     trace_content_fingerprint,
     trace_key,
     trg_key,
-    wcg_key,
 )
 from repro.store.store import (
     ENTRY_FIELDS,
@@ -69,13 +66,10 @@ __all__ = [
     "config_key",
     "decode_trace",
     "decode_trgs",
-    "decode_wcg",
     "encode_trace",
     "encode_trgs",
-    "encode_wcg",
     "fingerprint",
     "trace_content_fingerprint",
     "trace_key",
     "trg_key",
-    "wcg_key",
 ]

@@ -6,7 +6,7 @@ compressed ``.npz`` archive written and read by the one codec in
 :mod:`repro.io` (:func:`~repro.io.write_npz`/:func:`~repro.io.read_npz`):
 
 * a **trace** blob is the same bytes as a ``gen-trace`` file;
-* a **graph** (the WCG, each TRG) is a node table plus CSR rows in
+* a **TRG pair** holds each graph as a node table plus CSR rows in
   adjacency insertion order, so a decoded graph equals the built one
   down to the order of its nodes and of every row.
 
@@ -43,7 +43,7 @@ from repro.profiles.trg import TRGBuildStats, TRGPair
 from repro.program.procedure import ChunkId
 from repro.trace.trace import Trace
 
-#: Version of the wcg/trg blob layouts.  Version 1 was JSON; a
+#: Version of the trg blob layout.  Version 1 was JSON; a
 #: v1 blob no longer decodes, so the store rebuilds it at its digest.
 _BLOB_VERSION = 2
 
@@ -181,7 +181,7 @@ def _stats(arrays: Arrays, prefix: str) -> TRGBuildStats:
 
 
 # ----------------------------------------------------------------------
-# Graphs (WCG, TRGs)
+# Graphs (the two TRGs)
 # ----------------------------------------------------------------------
 
 
@@ -191,7 +191,7 @@ def _graph_names(prefix: str) -> tuple[str, ...]:
     )
 
 
-def _graph_arrays(graph: WeightedGraph, prefix: str = "") -> Arrays:
+def _graph_arrays(graph: WeightedGraph, prefix: str) -> Arrays:
     rows = graph.rows()
     nodes = [node for node, _ in rows]
     index = {node: position for position, node in enumerate(nodes)}
@@ -215,7 +215,7 @@ def _graph_arrays(graph: WeightedGraph, prefix: str = "") -> Arrays:
     }
 
 
-def _graph(arrays: Arrays, prefix: str = "") -> WeightedGraph:
+def _graph(arrays: Arrays, prefix: str) -> WeightedGraph:
     """Inverse of :func:`_graph_arrays`, with every check."""
     nodes = _nodes(arrays, prefix)
     rowlen = arrays[f"{prefix}rowlen"]
@@ -254,16 +254,6 @@ def _graph(arrays: Arrays, prefix: str = "") -> WeightedGraph:
         start, end = end, end + length
         adjacency[node] = dict(zip(neighbours[start:end], weights[start:end]))
     return WeightedGraph.from_rows(adjacency)
-
-
-def encode_wcg(graph: WeightedGraph) -> bytes:
-    """Serialise a weighted graph (the WCG) to ``.npz`` bytes."""
-    return _encode("repro/store-wcg", _graph_arrays(graph))
-
-
-def decode_wcg(data: bytes) -> WeightedGraph:
-    """Inverse of :func:`encode_wcg`."""
-    return _graph(_decode(data, "repro/store-wcg", _graph_names("")))
 
 
 _TRG_NAMES = (
@@ -308,6 +298,5 @@ def decode_trgs(data: bytes) -> TRGPair:
 #: kind → (encode, decode); the registry the cache-aware builders use.
 CODECS: dict[str, tuple[Any, Any]] = {
     "trace": (encode_trace, decode_trace),
-    "wcg": (encode_wcg, decode_wcg),
     "trg": (encode_trgs, decode_trgs),
 }

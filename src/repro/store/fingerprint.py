@@ -46,7 +46,6 @@ from repro.trace.trace import Trace
 #: then becomes unreachable and is transparently rebuilt.
 BUILDER_SALTS: dict[str, int] = {
     "trace": 1,
-    "wcg": 1,
     "trg": 1,
 }
 
@@ -170,11 +169,6 @@ def trace_content_fingerprint(trace: Trace) -> str:
 def config_key(config: CacheConfig) -> list[int]:
     """The cache-geometry component of profile keys."""
     return [config.size, config.line_size, config.associativity]
-
-
-def wcg_key(trace_fingerprint: str) -> dict[str, Any]:
-    """Cache key for a WCG build (depends only on the trace)."""
-    return {"trace": trace_fingerprint}
 
 
 def trg_key(

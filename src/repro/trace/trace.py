@@ -65,10 +65,12 @@ class Trace:
         """Adopt pre-built arrays (used by the trace generator).
 
         The arrays are validated in bulk and copied defensively.
+        Procedure indices are range-checked before they are narrowed
+        to int32, so an index that does not fit cannot wrap into range.
         """
         trace = cls.__new__(cls)
         trace._program = program
-        procs = np.asarray(procs, dtype=np.int32).copy()
+        procs = np.asarray(procs)
         starts = np.asarray(starts, dtype=np.int64).copy()
         lengths = np.asarray(lengths, dtype=np.int64).copy()
         if not (len(procs) == len(starts) == len(lengths)):
@@ -77,14 +79,17 @@ class Trace:
             procs.min() < 0 or procs.max() >= len(program)
         ):
             raise TraceError("procedure index out of range")
+        procs = procs.astype(np.int32)
         sizes = np.asarray(
             [program.size_of(name) for name in program.names], dtype=np.int64
         )
         if len(procs):
             if (lengths <= 0).any():
                 raise TraceError("all extent lengths must be positive")
+            # starts > size - length, which cannot overflow as
+            # starts + length can.
             if (starts < 0).any() or (
-                starts + lengths > sizes[procs]
+                starts > sizes[procs] - lengths
             ).any():
                 raise TraceError("an extent falls outside its procedure")
         trace._procs = procs

@@ -55,6 +55,26 @@ class TestLayerTable:
             "repro.program.layout", "repro.cli"
         ) is False
 
+    def test_profile_builders_know_nothing_of_the_store(self):
+        """``build_context`` keys and fetches profile artifacts; no
+        module under ``repro.profiles`` imports ``repro.store``, not
+        even lazily, and only the trace generator's and the custom
+        workload writer's lazy upward imports are sanctioned."""
+        from repro.analysis import build_import_graph
+        from tests.analysis.test_imports import SRC_ROOT, project_of
+
+        graph = build_import_graph(project_of([SRC_ROOT]))
+        assert [
+            (edge.importer, edge.imported)
+            for edge in graph.edges
+            if layer_of(edge.importer) == "profiles"
+            and layer_of(edge.imported) == "store"
+        ] == []
+        assert set(LAZY_ALLOWLIST) == {
+            ("repro.trace.generator", "repro.store.fingerprint"),
+            ("repro.workloads.custom", "repro.io"),
+        }
+
     def test_allowlist_entries_map_to_real_layers(self):
         for importer, imported in LAZY_ALLOWLIST:
             assert layer_of(importer) is not None, importer

@@ -66,7 +66,7 @@ GOLDEN_STATIC = {
     "core": {"cache", "errors", "fastpath", "obs", "placement",
              "profiles", "program", "trace"},
     "eval": {"cache", "core", "errors", "obs", "placement", "profiles",
-             "program", "trace", "workloads"},
+             "program", "store", "trace", "workloads"},
     "fastpath": {"errors"},
     "io": {"chaos", "errors", "profiles", "program", "resilience",
            "trace"},
@@ -93,9 +93,7 @@ GOLDEN_LAZY = {
     "analysis": {"io", "obs"},
     "cli": {"analysis", "chaos", "errors", "eval", "io", "obs",
             "serve", "store", "workloads"},
-    "eval": {"store"},
     "service": {"io", "placement"},
-    "profiles": {"store"},
     "trace": {"store"},
     "workloads": {"io"},
 }

@@ -19,7 +19,7 @@ from repro.store import (
 @pytest.fixture
 def store(tmp_path):
     store = ArtifactStore(tmp_path / "store")
-    store.put(artifact_digest("wcg", {"trace": "a"}), "wcg", b"payload")
+    store.put(artifact_digest("trace", {"trace": "a"}), "trace", b"payload")
     return store
 
 
@@ -68,11 +68,11 @@ class TestAuditStore:
         ]
 
     def test_missing_blob(self, store):
-        store.blob_path(artifact_digest("wcg", {"trace": "a"})).unlink()
+        store.blob_path(artifact_digest("trace", {"trace": "a"})).unlink()
         assert rules(audit_store(store.root)) == ["cache/missing-blob"]
 
     def test_digest_mismatch(self, store):
-        blob = store.blob_path(artifact_digest("wcg", {"trace": "a"}))
+        blob = store.blob_path(artifact_digest("trace", {"trace": "a"}))
         blob.write_bytes(b"tampered")
         findings = audit_store(store.root)
         assert rules(findings) == ["cache/digest-mismatch"]
@@ -103,7 +103,7 @@ class TestRunPathRouting:
         assert audit_run_path(store.root) == []
 
     def test_run_dir_with_embedded_store(self, store, tmp_path):
-        blob = store.blob_path(artifact_digest("wcg", {"trace": "a"}))
+        blob = store.blob_path(artifact_digest("trace", {"trace": "a"}))
         blob.write_bytes(b"tampered")
         findings = audit_run_path(store.root.parent)
         assert "cache/digest-mismatch" in rules(findings)

@@ -41,7 +41,7 @@ def batch_factory(store: ArtifactStore) -> Batch:
 
             # A raw put keeps the codec surface out of the picture but
             # still drives the blob + index write sites.
-            store.put(f"{index:064x}", "wcg", b"x" * index)
+            store.put(f"{index:064x}", "trace", b"x" * index)
             return build()
 
         tasks.append(

@@ -208,21 +208,16 @@ class TestPerfHistory:
 class TestStorePut:
     def test_write_failure_degrades_to_uncached(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
-        digest = artifact_digest("wcg", {"k": 1})
+        digest = artifact_digest("trg", {"k": 1})
         inject("store.blob", "data", "enospc")
-        assert store.put(digest, "wcg", b"payload") is False
+        assert store.put(digest, "trg", b"payload") is False
         assert store.get(digest) is None
 
     def test_get_or_build_survives_write_failure(self, tmp_path):
-        from repro.profiles.graph import WeightedGraph
-
-        def build():
-            graph = WeightedGraph()
-            graph.add_edge("a", "b", 2.0)
-            return graph
+        from tests.conftest import small_trg_pair as build
 
         store = ArtifactStore(tmp_path / "s")
         inject("store.blob", "data", "enospc")
-        value = store.get_or_build("wcg", {"k": 1}, build)
+        value = store.get_or_build("trg", {"k": 1}, build)
         # The build's value flows through even though caching failed.
         assert value == build()

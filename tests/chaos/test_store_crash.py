@@ -14,11 +14,11 @@ from repro.analysis import Severity, audit_crash_scene, audit_store
 from repro.chaos import sites
 from repro.chaos.plan import FaultPlan, Injection
 from repro.errors import SimulatedKill
-from repro.profiles.graph import WeightedGraph
 from repro.store import ArtifactStore, artifact_digest
+from tests.conftest import small_trg_pair as build
 
 KEY = {"trace": "t" * 64}
-DIGEST = artifact_digest("wcg", KEY)
+DIGEST = artifact_digest("trg", KEY)
 SEED_KEY = {"trace": "u" * 64}
 
 
@@ -27,12 +27,6 @@ def clean_hook():
     sites.uninstall()
     yield
     sites.uninstall()
-
-
-def build() -> WeightedGraph:
-    graph = WeightedGraph()
-    graph.add_edge("a", "b", 2.0)
-    return graph
 
 
 def error_findings(root):
@@ -63,14 +57,14 @@ class TestKillDuringStoreWrite:
     def test_store_stays_audit_clean(self, tmp_path, site, point, error):
         root = tmp_path / "s"
         # An established store: the crash must not damage prior state.
-        ArtifactStore(root).get_or_build("wcg", SEED_KEY, build)
+        ArtifactStore(root).get_or_build("trg", SEED_KEY, build)
         sites.install(
             FaultPlan(
                 [Injection(site=site, point=point, error=error)]
             )
         )
         with pytest.raises(SimulatedKill):
-            ArtifactStore(root).get_or_build("wcg", KEY, build)
+            ArtifactStore(root).get_or_build("trg", KEY, build)
         sites.uninstall()
 
         # The crash scene: no error-severity findings, ever.  A
@@ -81,8 +75,8 @@ class TestKillDuringStoreWrite:
 
         # A fresh process rebuilds transparently and repairs the cache.
         reopened = ArtifactStore(root)
-        assert reopened.get_or_build("wcg", KEY, build) == build()
-        assert reopened.get_or_build("wcg", KEY, build) == build()
+        assert reopened.get_or_build("trg", KEY, build) == build()
+        assert reopened.get_or_build("trg", KEY, build) == build()
         assert reopened.hits == 1
 
     def test_kill_between_blob_and_index_leaves_dangling_blob(
@@ -96,7 +90,7 @@ class TestKillDuringStoreWrite:
             )
         )
         with pytest.raises(SimulatedKill):
-            ArtifactStore(root).get_or_build("wcg", KEY, build)
+            ArtifactStore(root).get_or_build("trg", KEY, build)
         sites.uninstall()
         # The blob landed; the index never heard about it.
         store = ArtifactStore(root)
@@ -116,7 +110,7 @@ class TestKillDuringStoreWrite:
             )
         )
         with pytest.raises(SimulatedKill):
-            ArtifactStore(root).get_or_build("wcg", KEY, build)
+            ArtifactStore(root).get_or_build("trg", KEY, build)
         sites.uninstall()
         assert list(root.rglob("*.tmp"))
         summary = ArtifactStore(root).gc()
@@ -127,7 +121,7 @@ class TestKillDuringStoreWrite:
 class TestQuarantine:
     def seed_corrupt(self, root) -> ArtifactStore:
         store = ArtifactStore(root)
-        store.get_or_build("wcg", KEY, build)
+        store.get_or_build("trg", KEY, build)
         tamper(store, DIGEST)
         return store
 
@@ -150,7 +144,7 @@ class TestQuarantine:
         store = self.seed_corrupt(tmp_path / "s")
         store.get(DIGEST)
         store.get(DIGEST)
-        assert store.get_or_build("wcg", KEY, build) == build()
+        assert store.get_or_build("trg", KEY, build) == build()
         assert store.get(DIGEST) is not None
 
     def test_gc_purges_quarantine(self, tmp_path):

@@ -9,6 +9,9 @@ from typing import Iterator
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.profiles.graph import WeightedGraph
+from repro.profiles.trg import TRGBuildStats, TRGPair
+from repro.program.procedure import ChunkId
 from repro.program.program import Program
 from repro.trace.events import TraceEvent
 from repro.trace.trace import Trace
@@ -86,3 +89,13 @@ def figure1_trace1_refs(iterations: int = 40) -> list[str]:
         leaf = "X" if index % 2 == 0 else "Y"
         refs.extend(["M", leaf, "M", "Z"])
     return refs
+
+
+def small_trg_pair() -> TRGPair:
+    """A TRG pair with one edge per graph: a value of the store's
+    ``trg`` kind small enough for store-mechanics tests."""
+    select, place = WeightedGraph(), WeightedGraph()
+    select.add_edge("a", "b", 2.0)
+    place.add_edge(ChunkId("a", 0), ChunkId("b", 1), 1.0)
+    stats = TRGBuildStats(4, 1.5, 0)
+    return TRGPair(select, place, stats, stats, 32)

@@ -20,7 +20,7 @@ from repro.core.popular import select_popular
 from repro.errors import ConfigError
 from repro.profiles import fast
 from repro.profiles.fast import build_pair_database_fast
-from repro.profiles.pairdb import build_pair_database, get_or_build_pair_database
+from repro.profiles.pairdb import build_pair_database
 from repro.profiles.trg import procedure_refs
 from repro.program.program import Program
 from repro.trace.trace import Trace
@@ -134,15 +134,18 @@ def test_rejects_non_positive_capacity():
 
 def test_m88ksim_train_trace():
     """The whole database the ``sa2-m88ksim`` workload places with."""
+    from repro.eval.experiment import build_context
     from repro.workloads.suite import by_name
 
     trace = by_name("m88ksim").scaled(0.5).trace("train")
     popular = set(select_popular(trace).procedures)
     capacity = 2 * PAPER_CACHE_2WAY.size
-    database, stats = assert_same_database(trace, popular, capacity)
+    database, _ = assert_same_database(trace, popular, capacity)
     assert database.total_records() > 100_000
-    served, served_stats = get_or_build_pair_database(trace, popular, capacity)
-    assert served_stats == stats
+    # What build_context hands GBSC-SA.
+    served = build_context(
+        trace, PAPER_CACHE_2WAY, with_pair_db=True
+    ).require_pair_db()
     assert all(
         list(served.pairs_for(block).items())
         == list(database.pairs_for(block).items())

@@ -11,7 +11,7 @@ from repro.store import ArtifactStore, artifact_digest, blob_relpath
 @pytest.fixture
 def populated(tmp_path):
     store = ArtifactStore(tmp_path / "store")
-    store.put(artifact_digest("wcg", {"trace": "a"}), "wcg", b"x" * 10)
+    store.put(artifact_digest("trace", {"trace": "a"}), "trace", b"x" * 10)
     store.put(artifact_digest("trg", {"trace": "a"}), "trg", b"y" * 20)
     return store
 
@@ -21,7 +21,7 @@ class TestStats:
         assert main(["cache", "stats", str(populated.root)]) == 0
         out = capsys.readouterr().out
         assert "2 artifact(s)" in out
-        assert "wcg" in out and "trg" in out
+        assert "trace" in out and "trg" in out
 
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["cache", "stats", str(tmp_path / "nope")]) == 2
@@ -40,7 +40,7 @@ class TestVerify:
         assert "no findings" in capsys.readouterr().out
 
     def test_tampered_blob_exits_1_with_finding(self, populated, capsys):
-        digest = artifact_digest("wcg", {"trace": "a"})
+        digest = artifact_digest("trace", {"trace": "a"})
         blob = populated.blob_path(digest)
         blob.write_bytes(blob.read_bytes() + b"!")
         assert main(["cache", "verify", str(populated.root)]) == 1
@@ -89,7 +89,7 @@ class TestCheckIntegration:
         capsys.readouterr()
 
         run_dir = populated.root.parent
-        digest = artifact_digest("wcg", {"trace": "a"})
+        digest = artifact_digest("trace", {"trace": "a"})
         blob = populated.blob_path(digest)
         blob.write_bytes(blob.read_bytes() + b"!")
         assert main(["check", str(run_dir)]) == 1

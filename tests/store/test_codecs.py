@@ -17,16 +17,13 @@ from repro.errors import ReproError
 from repro.io import SerializationError, write_npz
 from repro.profiles.graph import WeightedGraph
 from repro.profiles.trg import TRGBuildStats, TRGPair, build_trgs
-from repro.profiles.wcg import build_wcg
 from repro.program.procedure import ChunkId
 from repro.store.codecs import (
     CODECS,
     decode_trace,
     decode_trgs,
-    decode_wcg,
     encode_trace,
     encode_trgs,
-    encode_wcg,
 )
 
 REPO = Path(__file__).resolve().parents[2]
@@ -62,10 +59,6 @@ class TestTraceCodec:
 
 
 class TestGraphCodecs:
-    def test_wcg_round_trip(self, trace):
-        wcg = build_wcg(trace)
-        assert decode_wcg(encode_wcg(wcg)) == wcg
-
     def test_trgs_round_trip(self, trace, paper_cache):
         pair = build_trgs(trace, paper_cache)
         restored = decode_trgs(encode_trgs(pair))
@@ -75,12 +68,13 @@ class TestGraphCodecs:
         assert restored.place_stats == pair.place_stats
         assert restored.chunk_size == pair.chunk_size
 
-    def test_wrong_format_raises(self, trace):
-        wcg_bytes = encode_wcg(build_wcg(trace))
+    def test_wrong_format_raises(self, trace, paper_cache):
         with pytest.raises(SerializationError):
-            decode_trgs(wcg_bytes)
+            decode_trgs(encode_trace(trace))
         with pytest.raises(SerializationError):
-            decode_wcg(b'{"format":"repro/store-wcg"}')
+            decode_trace(encode_trgs(build_trgs(trace, paper_cache)))
+        with pytest.raises(SerializationError):
+            decode_trgs(b'{"format":"repro/store-trgs"}')
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +119,6 @@ def rows(graph: WeightedGraph) -> list:
 
 
 class TestExactRoundTrip:
-    @settings(max_examples=150, deadline=None)
-    @given(graph=graphs())
-    def test_wcg(self, graph):
-        restored = decode_wcg(encode_wcg(graph))
-        assert rows(restored) == rows(graph)
-        assert restored == graph
-
     @settings(max_examples=75, deadline=None)
     @given(
         select=graphs(),
@@ -145,13 +132,13 @@ class TestExactRoundTrip:
         restored = decode_trgs(encode_trgs(pair))
         assert rows(restored.select) == rows(select)
         assert rows(restored.place) == rows(place)
+        assert (restored.select, restored.place) == (select, place)
         assert restored.select_stats == select_stats
         assert restored.place_stats == place_stats
         assert restored.chunk_size == chunk_size
 
     def test_empty_values(self):
         empty = TRGBuildStats(0, 0.0, 0)
-        assert rows(decode_wcg(encode_wcg(WeightedGraph()))) == []
         pair = decode_trgs(
             encode_trgs(TRGPair(WeightedGraph(), WeightedGraph(), empty, empty, 32))
         )
@@ -162,13 +149,12 @@ _ENCODE_SCRIPT = """
 import hashlib
 from repro.cache.config import PAPER_CACHE
 from repro.profiles.trg import build_trgs
-from repro.profiles.wcg import build_wcg
-from repro.store.codecs import encode_trgs, encode_wcg
+from repro.store.codecs import encode_trace, encode_trgs
 from repro.workloads.suite import by_name
 
 trace = by_name("m88ksim").scaled(0.02).trace("train")
 for blob in (
-    encode_wcg(build_wcg(trace)),
+    encode_trace(trace),
     encode_trgs(build_trgs(trace, PAPER_CACHE)),
 ):
     print(hashlib.sha256(blob).hexdigest())
@@ -177,7 +163,7 @@ for blob in (
 
 def test_blob_bytes_do_not_depend_on_the_hash_seed():
     """Two processes with different string hashing write the same
-    wcg and trg bytes."""
+    trace and trg bytes."""
     digests = []
     for seed in ("0", "1"):
         env = {
@@ -223,12 +209,28 @@ def _rewrite(data: bytes, **changes) -> bytes:
     return buffer.getvalue()
 
 
-def _triangle() -> bytes:
+def _triangle_graph() -> WeightedGraph:
     graph = WeightedGraph()
     graph.add_edge("a", "b", 1.0)
     graph.add_edge("b", "c", 2.0)
     graph.add_edge("c", "a", 3.0)
-    return encode_wcg(graph)
+    return graph
+
+
+def _triangle() -> bytes:
+    """A trg blob whose select graph is the triangle (place: empty)."""
+    empty = TRGBuildStats(0, 0.0, 0)
+    return encode_trgs(
+        TRGPair(_triangle_graph(), WeightedGraph(), empty, empty, 32)
+    )
+
+
+def _select(**changes) -> bytes:
+    """The triangle blob with select-graph arrays replaced."""
+    return _rewrite(
+        _triangle(),
+        **{f"select_{name}": value for name, value in changes.items()},
+    )
 
 
 def _bare_npy() -> bytes:
@@ -238,37 +240,35 @@ def _bare_npy() -> bytes:
 
 
 # Row "a" is cols [1, 2]; row "b" is [0, 2]; row "c" is [1, 0].
-MALFORMED_WCG = {
+MALFORMED_GRAPH = {
     "bare-npy": lambda: _bare_npy(),
-    "wrong-format": lambda: _rewrite(_triangle(), format="repro/store-trgs"),
-    "missing-array": lambda: _rewrite(_triangle(), col=None),
-    "col-out-of-range": lambda: _rewrite(_triangle(), col=[1, 2, 0, 9, 1, 0]),
-    "col-negative": lambda: _rewrite(_triangle(), col=[1, 2, 0, -1, 1, 0]),
-    "negative-rowlen": lambda: _rewrite(_triangle(), rowlen=[3, -1, 2]),
-    "rowlen-sum": lambda: _rewrite(_triangle(), rowlen=[2, 2, 1]),
-    "rowlen-count": lambda: _rewrite(_triangle(), rowlen=[2, 4]),
-    "self-edge": lambda: _rewrite(_triangle(), col=[0, 2, 0, 2, 1, 0]),
-    "negative-weight": lambda: _rewrite(
-        _triangle(), weight=[1.0, -3.0, 1.0, 2.0, 2.0, -3.0]
+    "wrong-format": lambda: _rewrite(_triangle(), format="repro/trace"),
+    "missing-array": lambda: _select(col=None),
+    "col-out-of-range": lambda: _select(col=[1, 2, 0, 9, 1, 0]),
+    "col-negative": lambda: _select(col=[1, 2, 0, -1, 1, 0]),
+    "negative-rowlen": lambda: _select(rowlen=[3, -1, 2]),
+    "rowlen-sum": lambda: _select(rowlen=[2, 2, 1]),
+    "rowlen-count": lambda: _select(rowlen=[2, 4]),
+    "self-edge": lambda: _select(col=[0, 2, 0, 2, 1, 0]),
+    "negative-weight": lambda: _select(
+        weight=[1.0, -3.0, 1.0, 2.0, 2.0, -3.0]
     ),
-    "asymmetric-weight": lambda: _rewrite(
-        _triangle(), weight=[1.0, 3.0, 1.0, 2.0, 2.0, 4.0]
+    "asymmetric-weight": lambda: _select(
+        weight=[1.0, 3.0, 1.0, 2.0, 2.0, 4.0]
     ),
-    "duplicate-neighbour": lambda: _rewrite(
-        _triangle(), col=[1, 1, 0, 2, 1, 0]
-    ),
-    "weight-not-float": lambda: _rewrite(_triangle(), weight=["x"] * 6),
-    "chunk-below-minus-one": lambda: _rewrite(_triangle(), chunks=[-1, -2, -1]),
-    "names-not-text": lambda: _rewrite(_triangle(), names=[1, 2, 3]),
-    "repeated-node": lambda: _rewrite(_triangle(), names=["a", "a", "c"]),
+    "duplicate-neighbour": lambda: _select(col=[1, 1, 0, 2, 1, 0]),
+    "weight-not-float": lambda: _select(weight=["x"] * 6),
+    "chunk-below-minus-one": lambda: _select(chunks=[-1, -2, -1]),
+    "names-not-text": lambda: _select(names=[1, 2, 3]),
+    "repeated-node": lambda: _select(names=["a", "a", "c"]),
     "truncated": lambda: _triangle()[:40],
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_WCG))
-def test_malformed_wcg_blob_raises_repro_error(case):
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPH))
+def test_malformed_graph_blob_raises_repro_error(case):
     with pytest.raises(ReproError):
-        decode_wcg(MALFORMED_WCG[case]())
+        decode_trgs(MALFORMED_GRAPH[case]())
 
 
 def test_self_edge_and_negative_weight_are_placement_errors():
@@ -276,14 +276,14 @@ def test_self_edge_and_negative_weight_are_placement_errors():
     from repro.errors import PlacementError
 
     with pytest.raises(PlacementError, match="self-edge"):
-        decode_wcg(MALFORMED_WCG["self-edge"]())
+        decode_trgs(MALFORMED_GRAPH["self-edge"]())
     with pytest.raises(PlacementError, match="must be >= 0"):
-        decode_wcg(MALFORMED_WCG["negative-weight"]())
+        decode_trgs(MALFORMED_GRAPH["negative-weight"]())
 
 
 def test_malformed_trgs_blob_raises_repro_error():
     empty = TRGBuildStats(0, 0.0, 0)
-    graph = decode_wcg(_triangle())
+    graph = _triangle_graph()
     data = encode_trgs(TRGPair(graph, graph, empty, empty, 32))
     for change in (
         {"place_col": [1, 2, 0, 2, 1, 3]},
@@ -296,6 +296,6 @@ def test_malformed_trgs_blob_raises_repro_error():
 
 class TestRegistry:
     def test_every_kind_has_a_codec_pair(self):
-        assert set(CODECS) == {"trace", "wcg", "trg"}
+        assert set(CODECS) == {"trace", "trg"}
         for encode, decode in CODECS.values():
             assert callable(encode) and callable(decode)

@@ -27,7 +27,6 @@ from repro.store.fingerprint import (
     trace_content_fingerprint,
     trace_key,
     trg_key,
-    wcg_key,
 )
 from repro.trace.callgraph import CallGraphParams, random_call_graph
 from repro.trace.generator import TraceInput
@@ -96,7 +95,7 @@ class TestArtifactDigest:
         assert artifact_digest("trg", GOLDEN_KEY) != before
 
     def test_kind_is_part_of_the_digest(self):
-        assert artifact_digest("wcg", {"trace": "x"}) != artifact_digest(
+        assert artifact_digest("trg", {"trace": "x"}) != artifact_digest(
             "trace", {"trace": "x"}
         )
 
@@ -108,9 +107,6 @@ class TestArtifactDigest:
 
 
 class TestKeyComponents:
-    def test_wcg_key_depends_only_on_trace(self):
-        assert wcg_key("abc") == {"trace": "abc"}
-
     def test_trg_key_sorts_popular(self, paper_cache):
         a = trg_key("t", paper_cache, 256, {"b", "a"}, 2)
         b = trg_key("t", paper_cache, 256, {"a", "b"}, 2)

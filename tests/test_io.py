@@ -1,7 +1,9 @@
 """Tests for artifact serialisation."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.io import (
@@ -127,6 +129,59 @@ class TestTraceRoundtrip:
         path.write_bytes(b"garbage")
         with pytest.raises(SerializationError):
             load_trace(path)
+
+
+def _trace_blob(program: Program, **arrays) -> bytes:
+    """A ``repro/trace`` archive of one event of ``a``, with arrays
+    replaced by *arrays*."""
+    from repro.io import write_npz, write_trace_npz
+
+    buffer = io.BytesIO()
+    write_trace_npz(Trace(program, [TraceEvent("a", 0, 8)]), buffer)
+    with np.load(io.BytesIO(buffer.getvalue())) as archive:
+        contents = {name: archive[name] for name in archive.files}
+    form, version = str(contents.pop("format")), int(contents.pop("version"))
+    contents.update({name: np.asarray(v) for name, v in arrays.items()})
+    out = io.BytesIO()
+    write_npz(out, form, version, contents)
+    return out.getvalue()
+
+
+#: Event arrays a cast would once have turned into a valid trace.
+MALFORMED_TRACE_ARRAYS = {
+    "procs-wraps-int32": {"procs": [2**32 + 1]},
+    "procs-uint64-wraps": {"procs": np.array([2**32 + 1], dtype=np.uint64)},
+    "float-starts": {"starts": [0.9]},
+    "float-lengths": {"lengths": [4.7]},
+    "procs-2d": {"procs": [[0]]},
+    "bool-procs": {"procs": [True]},
+}
+
+
+class TestMalformedTraceArrays:
+    def test_unchanged_blob_decodes(self, program):
+        from repro.io import read_trace_npz
+
+        trace = read_trace_npz(io.BytesIO(_trace_blob(program)))
+        assert list(trace) == [TraceEvent("a", 0, 8)]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_ARRAYS))
+    @pytest.mark.parametrize("entry", ["read_trace_npz", "upload_trace"])
+    def test_rejected(self, program, tmp_path, entry, case):
+        from repro.errors import ReproError
+        from repro.io import read_trace_npz
+        from repro.serve import PlacementService, status_for
+        from repro.store import ArtifactStore
+
+        data = _trace_blob(program, **MALFORMED_TRACE_ARRAYS[case])
+        store = ArtifactStore(tmp_path / "s")
+        with pytest.raises(ReproError) as caught:
+            if entry == "read_trace_npz":
+                read_trace_npz(io.BytesIO(data))
+            else:
+                PlacementService(store).upload_trace(data)
+        assert status_for(caught.value) == 400
+        assert store.stats()["entries"] == 0
 
 
 class TestGraphRoundtrip:

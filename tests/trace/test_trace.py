@@ -75,6 +75,16 @@ class TestConstruction:
                 program, np.asarray([0, 1]), np.asarray([0]), np.asarray([1])
             )
 
+    def test_from_arrays_checks_before_narrowing(self, program):
+        """An index past int32 must not wrap into range, and an extent
+        whose end overflows int64 must not wrap below the size."""
+        with pytest.raises(TraceError, match="out of range"):
+            Trace.from_arrays(
+                program, np.asarray([2**32 + 1]), [0], [1]
+            )
+        with pytest.raises(TraceError, match="outside"):
+            Trace.from_arrays(program, [0], [2**62], [2**62])
+
     def test_array_views_read_only(self, trace):
         with pytest.raises(ValueError):
             trace.proc_indices[0] = 2
