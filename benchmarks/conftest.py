@@ -46,11 +46,22 @@ def scaled_suite() -> list[Workload]:
     ]
 
 
+#: Reports written so far this session; the first write truncates.
+_written: set[str] = set()
+
+
 def write_report(name: str, text: str) -> None:
-    """Print a report block and persist it under benchmarks/results/."""
+    """Print a report block and persist it under benchmarks/results/.
+
+    A session's first block replaces the report left by an earlier
+    session; later blocks append.  Reports of benches that did not run
+    are left as they are.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
-    with path.open("a") as handle:
+    mode = "a" if name in _written else "w"
+    _written.add(name)
+    with path.open(mode) as handle:
         handle.write(text)
         handle.write("\n")
     print(f"\n{text}")
@@ -63,9 +74,9 @@ def record_bench(bench: str, metrics: dict) -> None:
     ``benchmarks/results/HISTORY.jsonl`` accumulates one record per
     bench per session (bench id, flat numeric metrics, git describe,
     host fingerprint) and ``repro-layout perf check`` can gate the
-    latest records against ``benchmarks/baselines.json``.  The ledger
-    survives :func:`fresh_results_dir` on purpose: history only works
-    if it outlives the session that wrote it.
+    latest records against ``benchmarks/baselines.json``.  Unlike the
+    reports, the ledger is never truncated: history only works if it
+    outlives the session that wrote it.
 
     Fast (``REPRO_FAST=1``) sessions run quarter-length traces, so
     their numbers live under a distinct ``<bench>:fast`` id — fast and
@@ -105,17 +116,10 @@ def suite() -> list[Workload]:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def fresh_results_dir() -> None:
-    """Start each bench session with empty report files."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    for path in RESULTS_DIR.glob("*.txt"):
-        path.unlink()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_manifest(fresh_results_dir: None) -> Iterator[RunSession]:
+def bench_manifest() -> Iterator[RunSession]:
     """Observe the whole bench session; the run file (span events plus
     the final manifest) lands next to the textual reports."""
+    RESULTS_DIR.mkdir(exist_ok=True)
     session = RunSession(
         command="benchmarks",
         config={"fast": FAST, "runs": RUNS, "scale": SCALE},

@@ -53,9 +53,6 @@ RAW_WRITE_ALLOWLIST: dict[str, str] = {
 GLOBAL_MUTATION_ALLOWLIST: dict[tuple[str, str], str] = {
     ("repro.obs.runtime", "_STATE"):
         "the observability on/off switch; single-threaded by design",
-    ("repro.store.fingerprint", "_CALLGRAPH_DIGESTS"):
-        "per-process call-graph digest memo, weakly keyed by immutable "
-        "models; holds deterministic derived data only",
     ("repro.workloads.spec", "_TRACE_MEMO"):
         "bounded per-process trace memo with an explicit clear hook; "
         "holds deterministic derived data only",

@@ -76,14 +76,12 @@ LAYERS: tuple[tuple[str, ...], ...] = (
 )
 
 #: Sanctioned lazy upward imports: (importer module, imported module)
-#: -> one-line justification.  The trace generator accepts a store
-#: instance from callers above and defers the fingerprint import to
-#: the call, so the static arrow still points left.  Profile builders
-#: know nothing of the store: ``eval.experiment.build_context``, which
-#: ranks above it, keys and fetches their artifacts.
+#: -> one-line justification.  Neither the trace generator nor the
+#: profile builders import the store: a generated trace is keyed by
+#: its recipe in the trace layer and fetched through a store instance
+#: the caller supplies, and ``eval.experiment.build_context``, which
+#: ranks above the store, keys and fetches profile artifacts.
 LAZY_ALLOWLIST: dict[tuple[str, str], str] = {
-    ("repro.trace.generator", "repro.store.fingerprint"):
-        "get_or_generate_trace keys the store; instance supplied by caller",
     ("repro.workloads.custom", "repro.io"):
         "save_workload defers to the atomic writer at call time only",
 }

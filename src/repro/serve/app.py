@@ -96,10 +96,11 @@ class LockedStore(ArtifactStore):
 def _upload_key(fingerprint: str) -> dict[str, str]:
     """Store key for an uploaded trace: its content fingerprint.
 
-    Distinct in shape from the generator's ``trace_key`` (call-graph +
-    input closure), so uploads never collide with generated traces —
-    but identical uploaded *content* always lands on one digest,
-    which is what makes re-uploads dedupe across tenants.
+    Distinct in shape from the recipe key of a generated trace
+    (:func:`repro.trace.generator.trace_key`), so uploads never
+    collide with generated traces — but identical uploaded *content*
+    always lands on one digest, which is what makes re-uploads dedupe
+    across tenants.
     """
     return {"uploaded": fingerprint}
 

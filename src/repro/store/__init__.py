@@ -33,12 +33,10 @@ from repro.store.fingerprint import (
     BUILDER_SALTS,
     artifact_digest,
     builder_salt,
-    callgraph_fingerprint,
     canonical_json,
     config_key,
     fingerprint,
     trace_content_fingerprint,
-    trace_key,
     trg_key,
 )
 from repro.store.store import (
@@ -61,7 +59,6 @@ __all__ = [
     "artifact_digest",
     "blob_relpath",
     "builder_salt",
-    "callgraph_fingerprint",
     "canonical_json",
     "config_key",
     "decode_trace",
@@ -70,6 +67,5 @@ __all__ = [
     "encode_trgs",
     "fingerprint",
     "trace_content_fingerprint",
-    "trace_key",
     "trg_key",
 ]

@@ -14,36 +14,33 @@ artifact kind, mixed into every digest.  Changing a builder in a way
 that alters its output **must** bump the matching salt; every old
 cache entry then misses and is rebuilt (see ``docs/caching.md``).
 
-Traces are keyed two ways:
-
-* :func:`trace_key` — by *construction*: the call-graph content
-  fingerprint plus the :class:`~repro.trace.generator.TraceInput`.
-  Used to cache trace generation itself.
-* :func:`trace_content_fingerprint` — by *content*: a hash of the
-  trace's arrays and program.  Used as the upstream component of every
-  profile key, so profile caching works identically for generated and
-  file-loaded traces.
+A generated trace is keyed by its recipe
+(:func:`repro.trace.generator.trace_key`); everything else keys a
+trace by :func:`trace_content_fingerprint` — a hash of its arrays and
+program.  That content hash is the upstream component of every profile
+key, so profile caching works identically for generated and
+file-loaded traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import weakref
-from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.errors import StoreError
-from repro.trace.callgraph import CallGraphModel
-from repro.trace.generator import TraceInput
 from repro.trace.trace import Trace
 
 #: Version salt per artifact kind.  Bump a value whenever the matching
 #: builder's output changes; every existing cache entry of that kind
-#: then becomes unreachable and is transparently rebuilt.
+#: then becomes unreachable and is transparently rebuilt.  A trace is
+#: keyed by its recipe, not its content, so the ``trace`` salt must be
+#: bumped whenever the output of ``random_call_graph`` or of the trace
+#: generator changes (the pinned suite trace digests in
+#: ``tests/trace/test_generator.py`` fail when it does).
 BUILDER_SALTS: dict[str, int] = {
     "trace": 1,
     "trg": 1,
@@ -96,54 +93,6 @@ def artifact_digest(kind: str, key: Any) -> str:
 # ----------------------------------------------------------------------
 # Key components
 # ----------------------------------------------------------------------
-
-
-#: Call-graph model -> its content fingerprint.  A model never changes
-#: after construction, so each is hashed once however many traces of
-#: it are keyed (a workload keys a train and a test trace).
-_CALLGRAPH_DIGESTS: weakref.WeakKeyDictionary[CallGraphModel, str] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def callgraph_fingerprint(graph: CallGraphModel) -> str:
-    """Content fingerprint of a call-graph model.
-
-    Hashes everything trace generation reads from the model — root,
-    procedure names and sizes, call sites with weights, invocation
-    means and body fractions — so hand-built and generated graphs key
-    identically when they are behaviourally identical.  The digest is
-    memoised per model object.
-    """
-    digest = _CALLGRAPH_DIGESTS.get(graph)
-    if digest is None:
-        digest = _CALLGRAPH_DIGESTS[graph] = _hash_callgraph(graph)
-    return digest
-
-
-def _hash_callgraph(graph: CallGraphModel) -> str:
-    procedures = []
-    for proc in graph.program:
-        model = graph.model_of(proc.name)
-        procedures.append(
-            {
-                "name": model.name,
-                "size": model.procedure.size,
-                "mean_invocations": model.mean_invocations,
-                "body_fraction": model.body_fraction,
-                "call_sites": [
-                    [site.callee, site.weight]
-                    for site in model.call_sites
-                ],
-            }
-        )
-    procedures.sort(key=lambda entry: entry["name"])
-    return fingerprint({"root": graph.root, "procedures": procedures})
-
-
-def trace_key(graph: CallGraphModel, inp: TraceInput) -> dict[str, Any]:
-    """Cache key for trace *generation*: graph content + input knobs."""
-    return {"graph": callgraph_fingerprint(graph), "input": asdict(inp)}
 
 
 def trace_content_fingerprint(trace: Trace) -> str:

@@ -17,6 +17,7 @@ import random as _random
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro import obs
 from repro.errors import ProgramError
 from repro.program.procedure import Procedure
 from repro.program.program import Program
@@ -76,10 +77,17 @@ class ProcedureModel:
 
 
 class CallGraphModel:
-    """A whole-program model: procedures plus their call behaviour."""
+    """A whole-program model: procedures plus their call behaviour.
+
+    *params* records the recipe of a model built by
+    :func:`random_call_graph`; it is None for a hand-built model.
+    """
 
     def __init__(
-        self, root: str, models: Mapping[str, ProcedureModel]
+        self,
+        root: str,
+        models: Mapping[str, ProcedureModel],
+        params: CallGraphParams | None = None,
     ) -> None:
         self._models = dict(models)
         if root not in self._models:
@@ -92,6 +100,7 @@ class CallGraphModel:
                         f"{site.callee!r}"
                     )
         self._root = root
+        self._params = params
         self._program = Program(
             model.procedure for model in self._models.values()
         )
@@ -103,6 +112,10 @@ class CallGraphModel:
     @property
     def program(self) -> Program:
         return self._program
+
+    @property
+    def params(self) -> CallGraphParams | None:
+        return self._params
 
     def model_of(self, name: str) -> ProcedureModel:
         try:
@@ -185,7 +198,17 @@ def random_call_graph(params: CallGraphParams) -> CallGraphModel:
     working set concentrates on them — mirroring the popular-procedure
     structure of Table 1.  Unreachable procedures are allowed (and
     realistic: gcc has 2005 procedures of which 136 are popular).
+    The returned model records *params* as its recipe.
     """
+    with obs.span(
+        "random_call_graph",
+        procedures=params.n_procedures,
+        seed=params.seed,
+    ):
+        return _random_call_graph(params)
+
+
+def _random_call_graph(params: CallGraphParams) -> CallGraphModel:
     rng = _random.Random(params.seed)
     names = [f"f{i:04d}" for i in range(params.n_procedures)]
     root = names[0]
@@ -247,7 +270,7 @@ def random_call_graph(params: CallGraphParams) -> CallGraphModel:
         )
 
     models = _ensure_hot_reachable(rng, root, models, hot)
-    return CallGraphModel(root, models)
+    return CallGraphModel(root, models, params)
 
 
 def _poisson(rng: _random.Random, mean: float) -> int:

@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import random as _random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import log
 from typing import Any
 
 import numpy as np
 
 from repro import obs
-from repro.errors import TraceError
-from repro.trace.callgraph import CallGraphModel, ProcedureModel
+from repro.errors import ConfigError, TraceError
+from repro.trace.callgraph import (
+    CallGraphModel,
+    CallGraphParams,
+    ProcedureModel,
+)
 from repro.trace.trace import Trace
 
 #: ``b - a`` of the ``uniform(0.6, 1.4)`` draw that scales an extent.
@@ -131,29 +135,40 @@ def generate_trace(graph: CallGraphModel, inp: TraceInput) -> Trace:
     return trace
 
 
+def trace_key(params: CallGraphParams, inp: TraceInput) -> dict[str, Any]:
+    """Store key of a generated trace: its recipe.
+
+    A seeded trace is fully fixed by its program's call-graph
+    parameters, its input knobs and the generator's code version (the
+    store mixes in the ``trace`` builder salt), so neither the call
+    graph nor the trace is needed to key it.
+    """
+    return {"recipe": asdict(params), "input": asdict(inp)}
+
+
 def get_or_generate_trace(
     graph: CallGraphModel, inp: TraceInput, store: Any = None
 ) -> Trace:
     """Cache-aware :func:`generate_trace`.
 
     With *store* (an :class:`~repro.store.ArtifactStore`, or None to
-    disable caching) a previously generated identical trace — same
-    call-graph content, same input knobs, same generator version salt
-    — is decoded from the store instead of re-run; a miss generates,
-    stores and returns.  The returned trace is byte-for-byte
-    equivalent to a fresh generation either way.
-
-    The store import is deferred to the call: :mod:`repro.store` sits
-    *above* this module in the layering (its codecs serialise traces),
-    so a module-level import would be circular.
+    disable caching) a trace of the same recipe (:func:`trace_key`) is
+    decoded from the store instead of re-run; a miss generates, stores
+    and returns.  The returned trace is byte-for-byte equivalent to a
+    fresh generation either way.  Only a graph made by
+    :func:`~repro.trace.callgraph.random_call_graph` has a recipe, so a
+    hand-built graph with a store is a :class:`~repro.errors.ConfigError`.
     """
     if store is None:
         return generate_trace(graph, inp)
-    from repro.store.fingerprint import trace_key
-
+    if graph.params is None:
+        raise ConfigError(
+            "a hand-built call graph has no recipe to key the store by; "
+            "generate its trace without a store"
+        )
     return store.get_or_build(
         "trace",
-        trace_key(graph, inp),
+        trace_key(graph.params, inp),
         lambda: generate_trace(graph, inp),
     )
 

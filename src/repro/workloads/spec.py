@@ -20,7 +20,7 @@ from typing import Any
 from repro.errors import ConfigError
 from repro.program.program import Program
 from repro.trace.callgraph import CallGraphModel, CallGraphParams, random_call_graph
-from repro.trace.generator import TraceInput, get_or_generate_trace
+from repro.trace.generator import TraceInput, generate_trace, trace_key
 from repro.trace.trace import Trace
 
 
@@ -89,14 +89,22 @@ def _cached_trace(
 
     The in-memory memo is consulted first regardless of *store* — the
     store only matters on a memo miss, where it may satisfy the trace
-    from disk (and record fresh generations).  A plain dict rather
-    than ``lru_cache`` because store handles are unhashable.
+    from disk (and record fresh generations).  The store key is the
+    trace's recipe, so the call graph is built only when the trace is
+    generated.  A plain dict rather than ``lru_cache`` because store
+    handles are unhashable.
     """
     key = (params, inp)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
-        trace = get_or_generate_trace(
-            _cached_call_graph(params), inp, store
+
+        def build() -> Trace:
+            return generate_trace(_cached_call_graph(params), inp)
+
+        trace = (
+            build()
+            if store is None
+            else store.get_or_build("trace", trace_key(params, inp), build)
         )
         if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
             _TRACE_MEMO.clear()

@@ -58,8 +58,9 @@ class TestLayerTable:
     def test_profile_builders_know_nothing_of_the_store(self):
         """``build_context`` keys and fetches profile artifacts; no
         module under ``repro.profiles`` imports ``repro.store``, not
-        even lazily, and only the trace generator's and the custom
-        workload writer's lazy upward imports are sanctioned."""
+        even lazily.  Generated traces are keyed by their recipe in the
+        trace layer, so the custom workload writer's is the one lazy
+        upward import sanctioned."""
         from repro.analysis import build_import_graph
         from tests.analysis.test_imports import SRC_ROOT, project_of
 
@@ -71,7 +72,6 @@ class TestLayerTable:
             and layer_of(edge.imported) == "store"
         ] == []
         assert set(LAZY_ALLOWLIST) == {
-            ("repro.trace.generator", "repro.store.fingerprint"),
             ("repro.workloads.custom", "repro.io"),
         }
 

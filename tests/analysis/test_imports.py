@@ -94,7 +94,6 @@ GOLDEN_LAZY = {
     "cli": {"analysis", "chaos", "errors", "eval", "io", "obs",
             "serve", "store", "workloads"},
     "service": {"io", "placement"},
-    "trace": {"store"},
     "workloads": {"io"},
 }
 

@@ -16,10 +16,12 @@ from repro.analysis import load_run_manifest
 from repro.cli import main
 from repro.obs import RunSession, self_times
 from repro.store import ArtifactStore
-from repro.workloads.spec import clear_trace_memo
+from repro.workloads.spec import _cached_call_graph, clear_trace_memo
 
-#: Stages a compare run must show, with or without a store.
+#: Stages a compare run must show, with or without a store, from cold
+#: in-process caches and a fresh store.
 PIPELINE_STAGES = {
+    "random_call_graph",
     "gen_trace",
     "build_context",
     "select_popular",
@@ -47,8 +49,13 @@ def _stages(manifest: dict) -> set[str]:
     }
 
 
-def _cli(tmp_path, name: str, *extra: str) -> set[str]:
+def _cold_caches() -> None:
     clear_trace_memo()
+    _cached_call_graph.cache_clear()
+
+
+def _cli(tmp_path, name: str, *extra: str) -> set[str]:
+    _cold_caches()
     run = tmp_path / f"{name}.jsonl"
     argv = [
         "compare", "m88ksim", "--fast", "--runs", "1",
@@ -59,7 +66,7 @@ def _cli(tmp_path, name: str, *extra: str) -> set[str]:
 
 
 def _service(store) -> set[str]:
-    clear_trace_memo()
+    _cold_caches()
     session = RunSession("compare", with_git=False)
     service.run_compare(
         service.CompareRequest(

@@ -10,9 +10,9 @@ unreachable — bump the matching :data:`BUILDER_SALTS` entry instead.
 
 from __future__ import annotations
 
-import importlib
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -21,19 +21,13 @@ from repro.store.fingerprint import (
     BUILDER_SALTS,
     artifact_digest,
     builder_salt,
-    callgraph_fingerprint,
     canonical_json,
     fingerprint,
     trace_content_fingerprint,
-    trace_key,
     trg_key,
 )
-from repro.trace.callgraph import CallGraphParams, random_call_graph
-from repro.trace.generator import TraceInput
-
-# The package re-exports the ``fingerprint`` function under the
-# module's own name.
-fingerprint_module = importlib.import_module("repro.store.fingerprint")
+from repro.trace.callgraph import CallGraphParams
+from repro.trace.generator import TraceInput, trace_key
 
 GOLDEN_KEY = {
     "trace": "a" * 64,
@@ -134,49 +128,61 @@ class TestKeyComponents:
         assert artifact_digest("trg", key) != GOLDEN_DIGEST
 
 
+def _changed(value):
+    """A different valid value for one recipe field."""
+    if value is None:
+        return 800
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, float):
+        return value / 2
+    return value + 1
+
+
+RECIPE_PARAMS = CallGraphParams(n_procedures=60, hot_procedures=12, seed=9)
+RECIPE_INPUT = TraceInput("train", seed=5, target_events=2000)
+
+
 class TestTraceFingerprints:
     def test_trace_key_reflects_graph_and_input(self, tiny_workload):
-        graph = tiny_workload.call_graph()
-        key = trace_key(graph, tiny_workload.train)
-        assert set(key) == {"graph", "input"}
-        assert key["graph"] == callgraph_fingerprint(graph)
-        assert trace_key(graph, tiny_workload.test) != key
+        params = tiny_workload.graph_params
+        key = trace_key(params, tiny_workload.train)
+        assert key == {
+            "recipe": asdict(params),
+            "input": asdict(tiny_workload.train),
+        }
+        assert trace_key(params, tiny_workload.test) != key
 
-    def test_callgraph_fingerprint_is_deterministic(self, tiny_workload):
-        graph = tiny_workload.call_graph()
-        assert callgraph_fingerprint(graph) == callgraph_fingerprint(graph)
+    def test_equal_recipes_give_equal_keys(self):
+        """Separately built, equal parameters key identically."""
+        assert trace_key(
+            CallGraphParams(n_procedures=60, hot_procedures=12, seed=9),
+            TraceInput("train", seed=5, target_events=2000),
+        ) == trace_key(RECIPE_PARAMS, RECIPE_INPUT)
 
-    def test_callgraph_digest_is_pinned(self):
-        """The memoised digest is the content hash it always was."""
-        graph = random_call_graph(
-            CallGraphParams(n_procedures=60, hot_procedures=12, seed=9)
+    @pytest.mark.parametrize(
+        "which, field",
+        [("params", f.name) for f in fields(CallGraphParams)]
+        + [("input", f.name) for f in fields(TraceInput)],
+    )
+    def test_every_recipe_field_changes_the_key(self, which, field):
+        params, inp = RECIPE_PARAMS, RECIPE_INPUT
+        if which == "params":
+            params = replace(params, **{field: _changed(getattr(params, field))})
+        else:
+            inp = replace(inp, **{field: _changed(getattr(inp, field))})
+        assert artifact_digest("trace", trace_key(params, inp)) != (
+            artifact_digest("trace", trace_key(RECIPE_PARAMS, RECIPE_INPUT))
         )
-        assert callgraph_fingerprint(graph) == (
-            "bfa9b42707030fb35cee4742f04f3eb8ae8e55c7c38e088059a63b0d9eefead8"
-        )
-        # A fresh, equal model keys identically.
-        again = random_call_graph(
-            CallGraphParams(n_procedures=60, hot_procedures=12, seed=9)
-        )
-        assert again is not graph
-        assert callgraph_fingerprint(again) == callgraph_fingerprint(graph)
 
-    def test_second_trace_key_does_not_rehash(self, monkeypatch):
-        graph = random_call_graph(
-            CallGraphParams(n_procedures=30, hot_procedures=6, seed=3)
+    def test_trace_key_digest_is_pinned(self):
+        """The store digest of a fixed recipe: pins the key schema, so
+        a change to it is caught here rather than as silent misses."""
+        assert artifact_digest(
+            "trace", trace_key(RECIPE_PARAMS, RECIPE_INPUT)
+        ) == (
+            "741e565a65be71ac86edbe26ea28999e0a863054f913d9dec343ebbb154f2035"
         )
-        calls = []
-        original = fingerprint_module._hash_callgraph
-
-        def counting(model):
-            calls.append(model)
-            return original(model)
-
-        monkeypatch.setattr(fingerprint_module, "_hash_callgraph", counting)
-        train = trace_key(graph, TraceInput("train", 1, 100))
-        test = trace_key(graph, TraceInput("test", 2, 100))
-        assert calls == [graph]
-        assert train["graph"] == test["graph"]
 
     def test_content_fingerprint_matches_equal_traces(self, tiny_workload):
         train = tiny_workload.trace("train")

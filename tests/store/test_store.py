@@ -346,3 +346,105 @@ class TestStoreWithRetiredKinds:
             assert list(context.pair_db.pairs_for(block).items()) == list(
                 built.pair_db.pairs_for(block).items()
             )
+
+
+def _content_trace_key(workload, inp) -> dict:
+    """The key a store written before recipe keys gave a generated
+    trace: a sha256 of the call graph's content plus the input."""
+    from dataclasses import asdict
+
+    from repro.store import fingerprint
+
+    graph = workload.call_graph()
+    procedures = sorted(
+        (
+            {
+                "name": model.name,
+                "size": model.procedure.size,
+                "mean_invocations": model.mean_invocations,
+                "body_fraction": model.body_fraction,
+                "call_sites": [
+                    [site.callee, site.weight] for site in model.call_sites
+                ],
+            }
+            for model in map(graph.model_of, graph.program.names)
+        ),
+        key=lambda entry: entry["name"],
+    )
+    return {
+        "graph": fingerprint({"root": graph.root, "procedures": procedures}),
+        "input": asdict(inp),
+    }
+
+
+class TestStoreWithContentKeyedTraces:
+    """A store written before traces were keyed by their recipe holds
+    content-keyed ``trace`` entries: it still opens, audits clean and
+    serves its TRG hits; its trace entries are simply never read, and
+    the regenerated traces are the very ones it holds."""
+
+    @pytest.fixture
+    def old_store(self, tmp_path, tiny_workload):
+        from repro.cache.config import PAPER_CACHE
+        from repro.eval.experiment import build_context
+        from repro.store import artifact_digest, encode_trace
+        from repro.workloads.spec import clear_trace_memo
+
+        root = tmp_path / "s"
+        store = ArtifactStore(root)
+        old_traces = {}
+        for inp in (tiny_workload.train, tiny_workload.test):
+            trace = tiny_workload.trace(inp.name)
+            key = _content_trace_key(tiny_workload, inp)
+            digest = artifact_digest("trace", key)
+            old_traces[inp.name] = digest, trace
+            assert store.put(digest, "trace", encode_trace(trace), key)
+        build_context(tiny_workload.trace("train"), PAPER_CACHE, store=store)
+        assert store.stats()["kinds"]["trg"]["entries"] == 1
+        clear_trace_memo()
+        return root, old_traces
+
+    def test_helper_gives_the_old_digest(self, tiny_workload):
+        """The helper reproduces the digest the old scheme gave the
+        train trace (taken with the old code)."""
+        from repro.store import artifact_digest
+
+        key = _content_trace_key(tiny_workload, tiny_workload.train)
+        assert artifact_digest("trace", key) == (
+            "13aed9c134791dee0074369c26bb25f99f1f7a38d8a46f732cdb276e7b75608f"
+        )
+
+    def test_opens_and_audits_clean(self, old_store, capsys):
+        from repro.analysis.store_audit import audit_store
+        from repro.cli import main
+
+        root, _ = old_store
+        assert ArtifactStore(root).stats()["kinds"]["trace"]["entries"] == 2
+        assert audit_store(root) == []
+        assert main(["check", str(root)]) == 0
+        assert main(["cache", "verify", str(root)]) == 0
+
+    def test_serves_trg_hits_and_never_reads_old_traces(
+        self, old_store, tiny_workload, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.cache.config import PAPER_CACHE
+        from repro.eval.experiment import build_context
+
+        root, old_traces = old_store
+        store = ArtifactStore(root)
+        read = []
+        get = store.get
+        monkeypatch.setattr(
+            store, "get", lambda digest: read.append(digest) or get(digest)
+        )
+        train = tiny_workload.trace("train", store)
+        build_context(train, PAPER_CACHE, store=store)
+        assert (store.hits, store.misses) == (1, 1)
+        assert not set(read) & {d for d, _ in old_traces.values()}
+        assert store.stats()["kinds"]["trace"]["entries"] == 3
+        _, old = old_traces["train"]
+        assert np.array_equal(train.proc_indices, old.proc_indices)
+        assert np.array_equal(train.extent_starts, old.extent_starts)
+        assert np.array_equal(train.extent_lengths, old.extent_lengths)
