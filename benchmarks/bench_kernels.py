@@ -8,11 +8,13 @@ bit-exact, with the timings recorded in
   the scalar Section 3 twin (:func:`repro.profiles.trg.build_trgs_scalar`)
   and through the :mod:`repro.profiles.fast` array kernel.
 * **Cache simulation.**  The perl test stream (the suite's longest) at
-  the default layout, replayed through the direct-mapped kernel and
+  the default layout, replayed through the direct-mapped kernels and
   :class:`~repro.cache.direct.DirectMappedCache` on the paper cache,
-  and through the 2-way kernel and
+  and through the 2-way kernels and
   :class:`~repro.cache.setassoc.SetAssociativeCache` on its Section 6
-  variant.  The per-access miss flags must be equal.
+  variant.  Each model's flag kernel and count kernel are timed
+  against the same scalar run: the per-access miss flags must be
+  equal, and the count must equal the scalar miss count.
 * **Section 6 merge cost.**  The first merges of a GBSC-SA placement
   of m88ksim on the 2-way paper cache, scored by the placement's
   :class:`~repro.core.setassoc.PairIndex` and by the scalar twin
@@ -66,7 +68,12 @@ from benchmarks.conftest import (
 )
 from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY
 from repro.cache.direct import DirectMappedCache
-from repro.cache.fast import direct_mapped_miss_flags, two_way_lru_miss_flags
+from repro.cache.fast import (
+    count_direct_mapped_misses,
+    count_two_way_lru_misses,
+    direct_mapped_miss_flags,
+    two_way_lru_miss_flags,
+)
 from repro.cache.linetrace import line_stream
 from repro.cache.setassoc import SetAssociativeCache
 from repro.core.gbsc import gbsc_nodes
@@ -197,28 +204,40 @@ def scalar_miss_flags(model, lines: np.ndarray, config) -> np.ndarray:
 
 
 def _measure_simulator(workload) -> dict:
-    """Scalar twin vs kernel per-access miss flags; asserts parity."""
+    """Scalar twin vs flag and count kernels; asserts parity."""
     lines = line_stream(
         Layout.default(workload.program), workload.trace("test"), PAPER_CACHE
     ).lines
     pairs = {
-        "dm": (direct_mapped_miss_flags, DirectMappedCache, PAPER_CACHE),
+        "dm": (
+            direct_mapped_miss_flags,
+            count_direct_mapped_misses,
+            DirectMappedCache,
+            PAPER_CACHE,
+        ),
         "lru2": (
-            two_way_lru_miss_flags, SetAssociativeCache, PAPER_CACHE_2WAY
+            two_way_lru_miss_flags,
+            count_two_way_lru_misses,
+            SetAssociativeCache,
+            PAPER_CACHE_2WAY,
         ),
     }
     results = {}
-    for name, (kernel, model, config) in pairs.items():
+    for name, (flags_of, count_of, model, config) in pairs.items():
         scalar, scalar_seconds = timed(
             scalar_miss_flags, model, lines, config
         )
-        fast, fast_seconds = timed(kernel, lines, config)
+        fast, fast_seconds = timed(flags_of, lines, config)
+        count, count_seconds = timed(count_of, lines, config)
         assert np.array_equal(fast, scalar)
+        assert count == int(scalar.sum())
         results[name] = {
             "scalar_seconds": scalar_seconds,
             "fast_seconds": fast_seconds,
             "speedup": scalar_seconds / fast_seconds,
-            "misses": int(fast.sum()),
+            "count_seconds": count_seconds,
+            "count_speedup": scalar_seconds / count_seconds,
+            "misses": count,
         }
     return {"workload": workload.name, "lines": len(lines), **results}
 
@@ -450,7 +469,10 @@ def test_kernel_speedup():
             ),
             "place_edges": sum(w["place_edges"] for w in workloads.values()),
             "simulate": {
-                name: {"speedup": simulate[name]["speedup"]}
+                name: {
+                    key: simulate[name][key]
+                    for key in ("speedup", "count_speedup")
+                }
                 for name in ("dm", "lru2")
             },
             "merge": {"sa": {"speedup": merge_sa["speedup"]}},
@@ -482,14 +504,16 @@ def test_kernel_speedup():
     )
     lines.append(
         f"Cache simulation ({simulate['workload']} test stream, "
-        f"{simulate['lines']} lines; scalar twin vs vectorized kernel):"
+        f"{simulate['lines']} lines; scalar twin vs flag and count kernels):"
     )
     for name in ("dm", "lru2"):
         result = simulate[name]
         lines.append(
             f"  {name:<12} {result['scalar_seconds']:7.2f}s scalar, "
-            f"{result['fast_seconds']:6.2f}s fast  "
-            f"({result['speedup']:5.1f}x)"
+            f"{result['fast_seconds']:6.2f}s flags "
+            f"({result['speedup']:5.1f}x), "
+            f"{result['count_seconds']:6.2f}s count "
+            f"({result['count_speedup']:5.1f}x)"
         )
     lines.append(
         f"Section 6 merge cost ({merge_sa['workload']}, first "

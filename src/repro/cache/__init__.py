@@ -4,6 +4,7 @@ from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY, CacheConfig
 from repro.cache.direct import DirectMappedCache
 from repro.cache.fast import (
     count_direct_mapped_misses,
+    count_two_way_lru_misses,
     direct_mapped_miss_flags,
     two_way_lru_miss_flags,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "PAPER_CACHE_2WAY",
     "SetAssociativeCache",
     "count_direct_mapped_misses",
+    "count_two_way_lru_misses",
     "direct_mapped_miss_flags",
     "line_stream",
     "lru_miss_flags",

@@ -2,8 +2,8 @@
 
 A deliberately simple, obviously correct implementation: one resident
 memory line per cache set, a miss whenever the touched line differs
-from the resident one.  The vectorized model in
-:mod:`repro.cache.fast` is property-tested against this reference.
+from the resident one.  The vectorized flag and count kernels in
+:mod:`repro.cache.fast` are property-tested against this reference.
 """
 
 from __future__ import annotations

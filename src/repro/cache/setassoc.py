@@ -7,8 +7,9 @@ verifies against both other implementations.
 
 :func:`lru_miss_flags` is the model's per-access form, the one
 :mod:`repro.cache.simulator` runs for three or more ways.  The class
-is the test reference for the vectorized 2-way kernel,
-:func:`repro.cache.fast.two_way_lru_miss_flags`.
+is the test reference for the vectorized 2-way kernels,
+:func:`repro.cache.fast.two_way_lru_miss_flags` and
+:func:`repro.cache.fast.count_two_way_lru_misses`.
 """
 
 from __future__ import annotations

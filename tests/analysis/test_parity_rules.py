@@ -201,8 +201,29 @@ class TestRealTreePairs:
             "repro.cache.fast.count_direct_mapped_misses"
         ] == "repro.cache.direct.DirectMappedCache"
         assert registry[
+            "repro.cache.fast.count_two_way_lru_misses"
+        ] == "repro.cache.setassoc.SetAssociativeCache"
+        assert registry[
             "repro.core.merge.offset_costs_fast"
         ] == "repro.core.merge.offset_costs_reference"
         assert registry[
             "repro.core.setassoc.sa_offset_costs"
         ] == "repro.core.setassoc.sa_offset_costs_reference"
+
+    def test_lint_sees_the_count_kernels(self, tmp_path):
+        """Statically, ``parity/*`` finds each cache count kernel: with
+        no tests it reports them untested, with the real tests clean."""
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parent
+        untested = run_linter(
+            [src], select=["parity/untested"], tests_root=tmp_path
+        )
+        flagged = {f.location.obj for f in untested}
+        assert {
+            "repro.cache.fast.count_direct_mapped_misses",
+            "repro.cache.fast.count_two_way_lru_misses",
+        } <= flagged
+        assert run_linter([src], select=["parity/*"]) == []

@@ -1,21 +1,28 @@
 """Property tests: the vectorized simulators are exact.
 
 The fast paths must be bit-exact with the reference models for any
-stream — the direct-mapped kernel with :class:`DirectMappedCache` on
-any direct-mapped geometry, the 2-way kernel with
-:class:`SetAssociativeCache` on any 2-way geometry.  This is the
-foundation every experiment's miss numbers rest on.
+stream — the direct-mapped kernels with :class:`DirectMappedCache` on
+any direct-mapped geometry, the 2-way kernels with
+:class:`SetAssociativeCache` on any 2-way geometry.  Each model has a
+flag kernel and a count kernel; the count must equal both the flags'
+sum and the scalar model's misses, for int32 and int64 lines alike.
+This is the foundation every experiment's miss numbers rest on.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import fast
 from repro.cache.config import MAX_CACHE_LINES, CacheConfig
 from repro.cache.direct import DirectMappedCache
 from repro.cache.fast import (
+    _set_order,
     count_direct_mapped_misses,
+    count_two_way_lru_misses,
     direct_mapped_miss_flags,
     two_way_lru_miss_flags,
 )
@@ -47,6 +54,30 @@ def two_way(num_sets: int) -> CacheConfig:
 TWO_WAY_GEOMETRIES = st.sampled_from(
     [two_way(sets) for sets in (2, 3, 128, 256, 512, 2**15)]
 )
+
+
+def direct_mapped(num_sets: int) -> CacheConfig:
+    return CacheConfig(size=num_sets * 32, line_size=32)
+
+
+#: Direct-mapped set counts: powers of two and not, either side of the
+#: 8-bit set-key limit, and 16-bit keys up to the largest geometry.
+DM_SET_COUNTS = (1, 2, 3, 128, 255, 256, 257, 300, 512, 2**15 + 3,
+                 MAX_CACHE_LINES)
+
+#: 2-way set counts, likewise (a 2-way cache has at most 2**15 sets).
+TWO_WAY_SET_COUNTS = (1, 2, 3, 128, 255, 256, 257, 300, 512, 2**15)
+
+
+@st.composite
+def line_streams(draw, set_counts):
+    """``(num_sets, lines, dtype)``: a line universe from a few lines
+    (heavy aliasing) to several laps of the cache, in int32 or int64."""
+    num_sets = draw(st.sampled_from(set_counts))
+    universe = draw(st.sampled_from([4, 50, 5000, 4 * num_sets + 7]))
+    lines = draw(st.lists(st.integers(0, universe), max_size=400))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return num_sets, lines, dtype
 
 
 def scalar_flags(cache, lines: list[int]) -> list[bool]:
@@ -111,8 +142,9 @@ def test_simulate_direct_mapped_stats():
 
 def test_requires_direct_mapped():
     config = CacheConfig(size=128, line_size=32, associativity=2)
-    with pytest.raises(ConfigError):
-        count_direct_mapped_misses(np.asarray([0, 1]), config)
+    for kernel in (direct_mapped_miss_flags, count_direct_mapped_misses):
+        with pytest.raises(ConfigError, match="associativity 1"):
+            kernel(np.asarray([0, 1]), config)
 
 
 @pytest.mark.parametrize("num_sets", [512, MAX_CACHE_LINES])
@@ -127,6 +159,86 @@ def test_sixteen_bit_set_keys_alias(num_sets):
     expected = [True, True, False, True, False, True, True, False, True, True]
     assert scalar_flags(DirectMappedCache(config), lines) == expected
     assert direct_mapped_miss_flags(stream, config).tolist() == expected
+
+
+@given(drawn=line_streams(DM_SET_COUNTS))
+@settings(max_examples=200)
+def test_direct_mapped_count_matches_flags_and_scalar(drawn):
+    num_sets, lines, dtype = drawn
+    config = direct_mapped(num_sets)
+    stream = np.asarray(lines, dtype=dtype)
+    flags = direct_mapped_miss_flags(stream, config)
+    count = count_direct_mapped_misses(stream, config)
+    assert count == int(flags.sum()) == (
+        DirectMappedCache(config).run(lines).misses
+    )
+    assert flags.tolist() == scalar_flags(DirectMappedCache(config), lines)
+
+
+@given(
+    drawn=line_streams(DM_SET_COUNTS),
+    block=st.sampled_from([1, 2, 3, 7, 64]),
+)
+@settings(max_examples=200)
+def test_direct_mapped_count_carries_sets_across_blocks(drawn, block):
+    """Blocks far smaller than the stream: a set's line must carry from
+    one block to the next."""
+    num_sets, lines, dtype = drawn
+    config = direct_mapped(num_sets)
+    with mock.patch.object(fast, "COUNT_BLOCK", block):
+        count = count_direct_mapped_misses(np.asarray(lines, dtype), config)
+    assert count == DirectMappedCache(config).run(lines).misses
+
+
+@given(drawn=line_streams(TWO_WAY_SET_COUNTS))
+@settings(max_examples=200)
+def test_two_way_count_matches_flags_and_scalar(drawn):
+    num_sets, lines, dtype = drawn
+    config = two_way(num_sets)
+    stream = np.asarray(lines, dtype=dtype)
+    flags = two_way_lru_miss_flags(stream, config)
+    count = count_two_way_lru_misses(stream, config)
+    assert count == int(flags.sum()) == (
+        SetAssociativeCache(config).run(lines).misses
+    )
+    assert flags.tolist() == scalar_flags(SetAssociativeCache(config), lines)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("num_sets", [2, 3, 256])
+def test_counts_at_the_int32_limit(num_sets, dtype):
+    """Lines near 2**31 (tags too wide for a radix sort key) and
+    negative lines still match the scalar models."""
+    top = np.iinfo(np.int32).max
+    lines = [top, top - num_sets, top, 0, top - 1, top - num_sets, top,
+             -1, -1 - num_sets, -1, 5, top]
+    stream = np.asarray(lines, dtype=dtype)
+    config = direct_mapped(num_sets)
+    assert count_direct_mapped_misses(stream, config) == (
+        DirectMappedCache(config).run(lines).misses
+    )
+    config = two_way(num_sets)
+    assert count_two_way_lru_misses(stream, config) == (
+        SetAssociativeCache(config).run(lines).misses
+    )
+    assert two_way_lru_miss_flags(stream, config).tolist() == scalar_flags(
+        SetAssociativeCache(config), lines
+    )
+
+
+@pytest.mark.parametrize("num_sets", [3, 256, 300, 512])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_set_order_is_stable_with_narrow_keys(num_sets, dtype):
+    """Every kernel sorts through one helper: 8- or 16-bit set keys
+    (a radix sort), trace order kept within each set."""
+    lines = np.asarray([5, num_sets + 5, 1, 5, 2 * num_sets + 1], dtype=dtype)
+    keys, order = _set_order(lines, num_sets)
+    assert keys.dtype.itemsize <= 2
+    assert keys.tolist() == [line % num_sets for line in lines.tolist()]
+    assert lines[order].dtype == dtype
+    assert lines[order].tolist() == sorted(
+        lines.tolist(), key=lambda line: line % num_sets
+    )
 
 
 @given(
@@ -181,11 +293,15 @@ def test_two_way_second_distinct_line_evicts():
 
 
 def test_two_way_empty_stream():
-    assert len(two_way_lru_miss_flags(np.empty(0, np.int64), two_way(4))) == 0
+    for dtype in (np.int32, np.int64):
+        empty = np.empty(0, dtype)
+        assert len(two_way_lru_miss_flags(empty, two_way(4))) == 0
+        assert count_two_way_lru_misses(empty, two_way(4)) == 0
 
 
 @pytest.mark.parametrize("associativity", [1, 4])
 def test_two_way_requires_two_ways(associativity):
     config = CacheConfig(size=1024, line_size=32, associativity=associativity)
-    with pytest.raises(ConfigError, match="associativity 2"):
-        two_way_lru_miss_flags(np.asarray([0, 1]), config)
+    for kernel in (two_way_lru_miss_flags, count_two_way_lru_misses):
+        with pytest.raises(ConfigError, match="associativity 2"):
+            kernel(np.asarray([0, 1]), config)

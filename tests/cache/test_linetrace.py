@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cache.config import CacheConfig
-from repro.cache.linetrace import line_stream
+from repro.cache.config import PAPER_CACHE, CacheConfig
+from repro.cache.linetrace import MAX_LINE, line_stream
+from repro.errors import LayoutError
 from repro.program.layout import Layout
 from repro.program.program import Program
 from repro.trace.events import TraceEvent
@@ -90,3 +91,60 @@ class TestLayoutSensitivity:
         )
         assert list(default.lines) == [0, 1]
         assert list(moved.lines) == [8, 9]
+
+
+def int64_lines(layout: Layout, trace: Trace, config: CacheConfig):
+    """The stream by the plain int64 formula: each extent's lines from
+    its first to its last, concatenated."""
+    bases = np.asarray(
+        [layout.address_of(name) for name in layout.program.names],
+        dtype=np.int64,
+    )
+    starts = bases[trace.proc_indices] + trace.extent_starts
+    first = starts // config.line_size
+    last = (starts + trace.extent_lengths - 1) // config.line_size
+    return np.concatenate(
+        [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(first, last)]
+    )
+
+
+class TestInt32Stream:
+    def test_lines_are_int32(self, program, config):
+        trace = Trace(program, [TraceEvent.full("b", 100)])
+        stream = line_stream(Layout.default(program), trace, config)
+        assert stream.lines.dtype == np.int32
+        empty = line_stream(Layout.default(program), Trace(program, []), config)
+        assert empty.lines.dtype == np.int32
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_suite_trace_matches_the_int64_formula(self, which):
+        from repro.workloads.suite import by_name
+
+        workload = by_name("m88ksim").scaled(0.02)
+        trace = workload.trace(which)
+        layout = Layout.default(workload.program)
+        stream = line_stream(layout, trace, PAPER_CACHE)
+        assert stream.lines.dtype == np.int32
+        assert np.array_equal(
+            stream.lines, int64_lines(layout, trace, PAPER_CACHE)
+        )
+
+    def test_highest_line_at_the_limit_is_kept(self, program, config):
+        layout = Layout(program, {"a": (MAX_LINE - 1) * 32, "b": 0})
+        trace = Trace(program, [TraceEvent.full("a", 64)])
+        stream = line_stream(layout, trace, config)
+        assert stream.lines.tolist() == [MAX_LINE - 1, MAX_LINE]
+
+    def test_line_above_the_limit_is_rejected(self, program, config):
+        layout = Layout(program, {"a": 2**40, "b": 0})
+        trace = Trace(program, [TraceEvent("b", 0, 4), TraceEvent("a", 0, 4)])
+        with pytest.raises(LayoutError, match=str(MAX_LINE)):
+            line_stream(layout, trace, config)
+
+    def test_too_many_line_touches_are_rejected(self, config):
+        """Forty 2 GB extents touch 2.7 G lines: every line fits int32,
+        the stream's length does not, and nothing is allocated."""
+        program = Program.from_sizes({"big": 2**31 - 32})
+        trace = Trace(program, [TraceEvent.full("big", 2**31 - 32)] * 40)
+        with pytest.raises(LayoutError, match="line touches"):
+            line_stream(Layout.default(program), trace, config)

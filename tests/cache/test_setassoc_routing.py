@@ -8,7 +8,12 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.direct import DirectMappedCache
-from repro.cache.fast import direct_mapped_miss_flags, two_way_lru_miss_flags
+from repro.cache.fast import (
+    count_direct_mapped_misses,
+    count_two_way_lru_misses,
+    direct_mapped_miss_flags,
+    two_way_lru_miss_flags,
+)
 from repro.cache.linetrace import LineStream
 from repro.cache.setassoc import SetAssociativeCache, lru_miss_flags
 from repro.cache.simulator import cache_model, miss_flags, simulate_stream
@@ -46,14 +51,26 @@ class TestSimulateSetAssociative:
         assert routed == direct == lru
 
     def test_assoc1_takes_the_vectorized_path(self, assoc1):
-        assert cache_model(assoc1) == ("fast", direct_mapped_miss_flags)
+        assert cache_model(assoc1) == (
+            "fast", direct_mapped_miss_flags, count_direct_mapped_misses
+        )
 
     def test_assoc2_takes_the_two_way_kernel(self, assoc2):
-        assert cache_model(assoc2) == ("lru", two_way_lru_miss_flags)
+        assert cache_model(assoc2) == (
+            "lru", two_way_lru_miss_flags, count_two_way_lru_misses
+        )
 
     def test_assoc4_keeps_the_lru_loop(self):
         assoc4 = CacheConfig(size=256, line_size=32, associativity=4)
-        assert cache_model(assoc4) == ("lru", lru_miss_flags)
+        model = cache_model(assoc4)
+        assert (model.engine, model.flags) == ("lru", lru_miss_flags)
+        stream = np.asarray(random_stream(4), dtype=np.int32)
+        assert model.count(stream, assoc4) == int(
+            lru_miss_flags(stream, assoc4).sum()
+        )
+        assert model.count(stream, assoc4) == (
+            SetAssociativeCache(assoc4).run(stream.tolist()).misses
+        )
 
     def test_fetches_default_is_one_per_access(self, assoc1):
         stats = SetAssociativeCache(assoc1).run([0, 0, 1])

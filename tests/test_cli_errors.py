@@ -71,6 +71,30 @@ class TestBadInputs:
             "error: the trace and the layout describe different programs\n"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "memory"])
+    def test_layout_beyond_the_int32_line_stream_exits_2(
+        self, capsys, tmp_path, command
+    ):
+        """A procedure at 2**44 lies past line 2**31 - 1 (and past page
+        2**31 - 1 at the default page size): the line stream refuses
+        it instead of simulating int64 lines."""
+        from repro.io import save_layout, save_trace
+        from repro.program.layout import Layout
+        from repro.program.program import Program
+        from tests.conftest import full_trace
+
+        program = Program.from_sizes({"a": 64, "far": 96})
+        layout = tmp_path / "layout.json"
+        trace = tmp_path / "trace.npz"
+        save_layout(Layout(program, {"a": 0, "far": 2**44}), layout)
+        save_trace(full_trace(program, ["a", "far", "a"]), trace)
+        assert main([command, str(layout), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the layout reaches memory line")
+        assert str(2**31 - 1) in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_place_bare_npy_trace(self, capsys, tmp_path):
         """An ``.npz`` path holding ``np.save`` bytes is a bad artifact,
         not a crash."""
