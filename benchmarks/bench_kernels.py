@@ -24,9 +24,12 @@ bit-exact, with the timings recorded in
   twin :func:`~repro.profiles.pairdb.build_pair_database` against the
   array build :func:`~repro.profiles.fast.build_pair_database_fast`.
   Blocks, every block's pairs in order, and the stats must be equal.
-* **Placement baselines, perturbation and trace generation.**
-  Best-of-5 wall seconds per call of PH, HKC and
-  :meth:`PlacementContext.perturbed` on gcc, and of
+* **Placement baselines, perturbation, the GBSC chunk index and trace
+  generation.**  Best-of-5 wall seconds per call of PH, HKC,
+  :meth:`PlacementContext.perturbed` (repeats reuse each frozen
+  graph's cached canonical edge view, so this is the per-seed cost of
+  a sweep) and a :class:`~repro.core.merge.ChunkWeights` build over
+  ``TRG_place`` and the popular set on gcc, and of
   :func:`~repro.trace.generator.generate_trace` for the perl test
   trace.  These have no scalar twin outside the tests, so they record
   plain wall times.
@@ -131,6 +134,9 @@ SA_MERGES = 10
 #: more repeats than :data:`REPEATS` are cheap and steady the minimum.
 PLACED_WORKLOAD = "gcc"
 PLACEMENT_REPEATS = 5
+
+#: The calls timed on :data:`PLACED_WORKLOAD`, in report order.
+PLACEMENT_CALLS = ("ph", "hkc", "perturbed", "chunk_weights")
 
 #: Workload whose test trace (the suite's longest) generation is
 #: timed, best of :data:`PLACEMENT_REPEATS`.
@@ -336,12 +342,21 @@ def _measure_generation(workload) -> dict:
 
 
 def _measure_placement(workload) -> dict:
-    """Best wall seconds per call of PH, HKC and one perturbed context."""
+    """Best wall seconds per call of PH, HKC, one perturbed context and
+    one GBSC chunk index."""
     context = build_context(workload.trace("train"), PAPER_CACHE)
+    trgs = context.require_trgs()
     runs = {
         "ph": lambda: PettisHansenPlacement().place(context),
         "hkc": lambda: HashemiKaeliCalderPlacement().place(context),
         "perturbed": lambda: context.perturbed(PAPER_SCALE, 1),
+        "chunk_weights": lambda: ChunkWeights(
+            trgs.place,
+            context.program,
+            context.config,
+            context.popular,
+            trgs.chunk_size,
+        ),
     }
     results = {"workload": workload.name}
     for name, run in runs.items():
@@ -478,7 +493,7 @@ def test_kernel_speedup():
             "merge": {"sa": {"speedup": merge_sa["speedup"]}},
             "pairdb": {"speedup": pairdb["speedup"]},
             "placement": {
-                name: placement[name] for name in ("ph", "hkc", "perturbed")
+                name: placement[name] for name in PLACEMENT_CALLS
             },
             "trace": {"generate": {"seconds": generation["seconds"]}},
             "store": {
@@ -534,12 +549,12 @@ def test_kernel_speedup():
         f"({pairdb['speedup']:5.1f}x)"
     )
     lines.append(
-        f"Placement baselines and perturbation ({placement['workload']}, "
-        f"best of {PLACEMENT_REPEATS} calls):"
+        f"Placement baselines, perturbation and the GBSC chunk index "
+        f"({placement['workload']}, best of {PLACEMENT_REPEATS} calls):"
     )
-    for name in ("ph", "hkc", "perturbed"):
+    for name in PLACEMENT_CALLS:
         lines.append(
-            f"  {name:<12} {placement[name]['seconds']:7.3f}s per call"
+            f"  {name:<14} {placement[name]['seconds']:7.3f}s per call"
         )
     lines.append(
         f"Trace generation ({generation['workload']} test trace, "

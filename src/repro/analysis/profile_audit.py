@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.analysis.findings import Finding, Location, Severity
 from repro.cache.config import CacheConfig
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.profiles.pairdb import PairDatabase
 from repro.profiles.qset import WorkingSet
 from repro.profiles.trg import DEFAULT_Q_MULTIPLIER, TRGPair
@@ -30,7 +30,7 @@ def _finding(rule: str, message: str, obj: str | None = None) -> Finding:
 
 
 def audit_graph(
-    graph: WeightedGraph, *, label: str = "graph"
+    graph: ProfileGraph, *, label: str = "graph"
 ) -> list[Finding]:
     """Structural audit of one weighted graph (WCG or either TRG).
 
@@ -280,13 +280,13 @@ def audit_pair_db(db: PairDatabase) -> list[Finding]:
 def audit_profiles(
     *,
     trgs: TRGPair | None = None,
-    wcg: WeightedGraph | None = None,
+    wcg: ProfileGraph | None = None,
     pair_db: PairDatabase | None = None,
     working_set: WorkingSet | None = None,
     config: CacheConfig | None = None,
     program: Program | None = None,
     q_multiplier: int = DEFAULT_Q_MULTIPLIER,
-    extra_graphs: Iterable[tuple[str, WeightedGraph]] = (),
+    extra_graphs: Iterable[tuple[str, ProfileGraph]] = (),
 ) -> list[Finding]:
     """Audit whichever profile artifacts are provided, in one pass."""
     findings: list[Finding] = []

@@ -235,22 +235,32 @@ def _obs_session(
 
 
 def _summary_line(command: str, manifest: dict) -> str:
-    """One-line success summary sourced from the metric snapshot."""
+    """One-line success summary sourced from the metric snapshot.
+
+    It holds no wall time, so two runs on the same inputs print the
+    same line: :func:`_print_summary` puts the time on stderr.
+    """
     metrics = manifest["metrics"]
 
     def value_of(name: str):
         entry = metrics.get(name)
         return entry.get("value") if entry else None
 
-    parts = [f"{command} ok:"]
+    parts = []
     procedures = value_of("place.procedures")
     if procedures is not None:
-        parts.append(f"{procedures} procedures placed,")
+        parts.append(f"{procedures} procedures placed")
     miss_rate = value_of("cache.sim.last_miss_rate")
     if miss_rate is not None:
-        parts.append(f"miss rate {miss_rate:.4%},")
-    parts.append(f"elapsed {obs.format_duration(manifest['elapsed'])}")
-    return " ".join(parts)
+        parts.append(f"miss rate {miss_rate:.4%}")
+    return f"{command} ok: {', '.join(parts)}" if parts else f"{command} ok"
+
+
+def _print_summary(command: str, manifest: dict) -> None:
+    """The summary line on stdout and the elapsed time on stderr."""
+    print(_summary_line(command, manifest))
+    elapsed = obs.format_duration(manifest["elapsed"])
+    print(f"{command} elapsed {elapsed}", file=sys.stderr)
 
 
 def _workload(args: argparse.Namespace):
@@ -384,7 +394,7 @@ def cmd_place(args: argparse.Namespace) -> int:
         )
     finally:
         manifest = session.finish()
-    print(_summary_line("place", manifest))
+    _print_summary("place", manifest)
     return 0
 
 
@@ -430,7 +440,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     "cache": args.cache,
                 },
             )
-            print(_summary_line("serve", manifest))
+            _print_summary("serve", manifest)
     return 0
 
 
@@ -449,7 +459,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     finally:
         manifest = session.finish()
-    print(_summary_line("simulate", manifest))
+    _print_summary("simulate", manifest)
     return 0
 
 

@@ -25,7 +25,7 @@ from repro.cache.config import CacheConfig
 from repro.core.linearize import LinearizationResult, linearize
 from repro.core.merge import ChunkWeights, MergeNode, merge_nodes
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.program.layout import Layout
 from repro.program.procedure import DEFAULT_CHUNK_SIZE
 from repro.program.program import Program
@@ -47,8 +47,8 @@ class GBSCResult:
 
 
 def gbsc_nodes(
-    select_graph: WeightedGraph,
-    place_graph: WeightedGraph,
+    select_graph: ProfileGraph,
+    place_graph: ProfileGraph,
     popular: Sequence[str],
     program: Program,
     config: CacheConfig,

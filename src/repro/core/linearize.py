@@ -31,7 +31,7 @@ from repro.cache.config import CacheConfig
 from repro.core.merge import MergeNode
 from repro.errors import PlacementError
 from repro.program.layout import Layout
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.program.program import Program
 
 
@@ -50,7 +50,7 @@ def linearize(
     program: Program,
     config: CacheConfig,
     unpopular: Sequence[str] = (),
-    affinity: WeightedGraph | None = None,
+    affinity: ProfileGraph | None = None,
 ) -> LinearizationResult:
     """Assign addresses realizing every node's cache-relative offsets.
 
@@ -74,7 +74,7 @@ def _linearize(
     program: Program,
     config: CacheConfig,
     unpopular: Sequence[str] = (),
-    affinity: WeightedGraph | None = None,
+    affinity: ProfileGraph | None = None,
 ) -> LinearizationResult:
     offsets: dict[str, int] = {}
     node_size: dict[str, int] = {}

@@ -33,7 +33,7 @@ from repro import obs
 from repro.cache.config import CacheConfig
 from repro.errors import PlacementError
 from repro.fastpath import fast_path
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph, freeze
 from repro.program.procedure import DEFAULT_CHUNK_SIZE, ChunkId
 from repro.program.program import Program
 
@@ -145,7 +145,7 @@ def line_occupancy(
 def offset_costs_reference(
     n1: MergeNode,
     n2: MergeNode,
-    place_graph: WeightedGraph,
+    place_graph: ProfileGraph,
     program: Program,
     config: CacheConfig,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -181,8 +181,11 @@ def _run_positions(lengths: np.ndarray) -> np.ndarray:
 class ChunkWeights:
     """One placement's chunk index: occupancy patterns and weights.
 
-    Built once per placement from ``TRG_place`` and the procedures that
-    take part, it holds everything the Figure 4 cost needs as arrays:
+    Built once per placement from ``TRG_place`` (any
+    :class:`~repro.profiles.graph.ProfileGraph`; its frozen edge arrays
+    fill the matrix, with no walk over neighbours) and the procedures
+    that take part, it holds everything the Figure 4 cost needs as
+    arrays:
 
     * one *slot* per chunk of those procedures, in sorted ``ChunkId``
       order;
@@ -199,7 +202,7 @@ class ChunkWeights:
 
     def __init__(
         self,
-        place_graph: WeightedGraph,
+        place_graph: ProfileGraph,
         program: Program,
         config: CacheConfig,
         names: Sequence[str],
@@ -249,25 +252,23 @@ class ChunkWeights:
             for index in range(int(num_chunks[k]))
         )
         slot_of = {chunk: slot for slot, chunk in enumerate(self.chunks)}
-        sources: list[int] = []
-        targets: list[int] = []
-        values: list[float] = []
-        for chunk, slot in slot_of.items():
-            for neighbor in place_graph.neighbors(chunk):
-                other = slot_of.get(neighbor)
-                if other is not None:
-                    sources.append(slot)
-                    targets.append(other)
-                    values.append(place_graph.weight(chunk, neighbor))
-        source = np.asarray(sources, dtype=np.int64)
-        connected = np.unique(source)
+        graph = freeze(place_graph)
+        slot = np.fromiter(
+            (slot_of.get(node, -1) for node in graph.table.nodes),
+            dtype=np.int64,
+            count=len(graph),
+        )
+        a, b, weight = graph.edge_arrays()
+        source, target = slot[a], slot[b]
+        inside = (source >= 0) & (target >= 0)
+        source, target = source[inside], target[inside]
+        connected = np.unique(np.concatenate((source, target)))
         self._row_of = np.full(self._num_slots, len(connected))
         self._row_of[connected] = np.arange(len(connected))
         self._matrix = np.zeros((len(connected) + 1, len(connected) + 1))
-        self._matrix[
-            self._row_of[source],
-            self._row_of[np.asarray(targets, dtype=np.int64)],
-        ] = values
+        rows, columns = self._row_of[source], self._row_of[target]
+        self._matrix[rows, columns] = weight[inside]
+        self._matrix[columns, rows] = weight[inside]
 
     def occupancy(
         self, node: MergeNode
@@ -337,7 +338,7 @@ class ChunkWeights:
 def offset_costs_fast(
     n1: MergeNode,
     n2: MergeNode,
-    place_graph: WeightedGraph,
+    place_graph: ProfileGraph,
     program: Program,
     config: CacheConfig,
     chunk_size: int = DEFAULT_CHUNK_SIZE,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.program.layout import Layout
 from repro.program.procedure import DEFAULT_CHUNK_SIZE, ChunkId
 
@@ -36,7 +36,7 @@ def _chunk_cache_lines(
 
 def trg_conflict_metric(
     layout: Layout,
-    place_graph: WeightedGraph,
+    place_graph: ProfileGraph,
     config: CacheConfig,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> float:
@@ -65,7 +65,7 @@ def trg_conflict_metric(
 
 def wcg_conflict_metric(
     layout: Layout,
-    wcg: WeightedGraph,
+    wcg: ProfileGraph,
     config: CacheConfig,
 ) -> float:
     """WCG-based conflict cost: edge weight per shared cache line.

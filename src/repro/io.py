@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.chaos.sites import fire as _chaos_fire
 from repro.errors import ReproError, SimulatedCrash
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph, WeightedGraph
 from repro.resilience import best_effort
 from repro.program.layout import Layout
 from repro.program.procedure import ChunkId
@@ -378,7 +378,7 @@ def node_from_json(payload: Any) -> Any:
     raise SerializationError(f"malformed graph node: {payload!r}")
 
 
-def graph_to_dict(graph: WeightedGraph) -> dict[str, Any]:
+def graph_to_dict(graph: ProfileGraph) -> dict[str, Any]:
     nodes = sorted(graph.nodes, key=repr)
     edges = sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1])))
     return {
@@ -409,7 +409,7 @@ def graph_from_dict(data: dict[str, Any]) -> WeightedGraph:
     return graph
 
 
-def save_graph(graph: WeightedGraph, path: str | Path) -> None:
+def save_graph(graph: ProfileGraph, path: str | Path) -> None:
     _write_json(path, graph_to_dict(graph), site="io.graph")
 
 

@@ -17,7 +17,7 @@ from typing import Protocol, runtime_checkable
 from repro import obs
 from repro.cache.config import CacheConfig
 from repro.errors import PlacementError
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.profiles.pairdb import PairDatabase
 from repro.profiles.perturb import perturbed
 from repro.profiles.trg import TRGPair
@@ -48,7 +48,7 @@ class PlacementContext:
 
     program: Program
     config: CacheConfig
-    wcg: WeightedGraph
+    wcg: ProfileGraph
     trgs: TRGPair | None = None
     popular: tuple[str, ...] = ()
     pair_db: PairDatabase | None = None

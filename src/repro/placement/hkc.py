@@ -25,7 +25,7 @@ import heapq
 
 from repro.cache.config import CacheConfig
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.program.layout import Layout
 from repro.program.program import Program
 
@@ -70,7 +70,7 @@ class HashemiKaeliCalderPlacement:
 
 def hkc_order(
     program: Program,
-    wcg: WeightedGraph,
+    wcg: ProfileGraph,
     config: CacheConfig,
     popular: set[str] | None = None,
 ) -> tuple[list[str], dict[str, int]]:
@@ -85,7 +85,7 @@ def hkc_order(
 
 def _colour_and_order(
     program: Program,
-    wcg: WeightedGraph,
+    wcg: ProfileGraph,
     config: CacheConfig,
     popular: set[str] | None,
 ) -> tuple[list[str], dict[str, int], dict[str, int]]:
@@ -228,7 +228,7 @@ def line_mask(offset: int, size: int, line_size: int, num_lines: int) -> int:
     return ((run << shift) | (run >> (num_lines - shift))) & every_line
 
 
-def _compound_strength(compound: _Compound, wcg: WeightedGraph) -> float:
+def _compound_strength(compound: _Compound, wcg: ProfileGraph) -> float:
     return sum(
         wcg.weight(member, neighbor)
         for member, _ in compound.members

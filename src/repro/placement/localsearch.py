@@ -24,7 +24,7 @@ from repro.core.linearize import linearize
 from repro.core.merge import ChunkWeights, MergeNode, PlacedProcedure
 from repro.errors import PlacementError
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.program.layout import Layout
 from repro.program.program import Program
 
@@ -42,7 +42,7 @@ class _PairTables:
     def __init__(
         self,
         procedures: list[str],
-        place_graph: WeightedGraph,
+        place_graph: ProfileGraph,
         program: Program,
         config: CacheConfig,
         chunk_size: int,

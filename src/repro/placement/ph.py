@@ -23,7 +23,7 @@ import heapq
 from typing import Iterable
 
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph
 from repro.program.layout import Layout
 from repro.program.program import Program
 
@@ -38,7 +38,7 @@ class PettisHansenPlacement:
         return Layout.from_order(context.program, order)
 
 
-def ph_order(program: Program, wcg: WeightedGraph) -> list[str]:
+def ph_order(program: Program, wcg: ProfileGraph) -> list[str]:
     """The PH procedure order (exposed separately for testing)."""
     working = wcg.copy()
     chains: dict[str, list[str]] = {
@@ -75,7 +75,7 @@ def ph_order(program: Program, wcg: WeightedGraph) -> list[str]:
     return order
 
 
-def _chain_strength(chain: Iterable[str], wcg: WeightedGraph) -> float:
+def _chain_strength(chain: Iterable[str], wcg: ProfileGraph) -> float:
     """Total original edge weight incident to the chain's members."""
     return sum(
         wcg.weight(member, neighbor)
@@ -88,7 +88,7 @@ def _combine_chains(
     chains: dict[str, list[str]],
     u: str,
     v: str,
-    original: WeightedGraph,
+    original: ProfileGraph,
     sizes: dict[str, int],
 ) -> None:
     """Merge chain of *v* into chain of *u*, choosing the best of the
@@ -131,7 +131,7 @@ def _bytes_around(
 
 
 def _heaviest_cross_edge(
-    chain_a: list[str], chain_b: list[str], original: WeightedGraph
+    chain_a: list[str], chain_b: list[str], original: ProfileGraph
 ) -> tuple[str, str]:
     """The heaviest original edge with one endpoint in each chain."""
     members_b = set(chain_b)

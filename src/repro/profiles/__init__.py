@@ -7,7 +7,13 @@ from repro.profiles.fast import (
     chunk_ref_codes,
     procedure_ref_codes,
 )
-from repro.profiles.graph import WeightedGraph, structural_node_key
+from repro.profiles.graph import (
+    FrozenGraph,
+    ProfileGraph,
+    WeightedGraph,
+    freeze,
+    structural_node_key,
+)
 from repro.profiles.pairdb import PairDatabase, build_pair_database
 from repro.profiles.perturb import PAPER_SCALE, perturbed
 from repro.profiles.qset import WorkingSet
@@ -24,8 +30,10 @@ from repro.profiles.wcg import build_wcg, build_wcg_from_refs, collapse_consecut
 
 __all__ = [
     "DEFAULT_Q_MULTIPLIER",
+    "FrozenGraph",
     "PAPER_SCALE",
     "PairDatabase",
+    "ProfileGraph",
     "TRGBuildStats",
     "TRGPair",
     "WeightedGraph",
@@ -41,6 +49,7 @@ __all__ = [
     "chunk_ref_codes",
     "chunk_refs",
     "collapse_consecutive",
+    "freeze",
     "perturbed",
     "procedure_ref_codes",
     "procedure_refs",

@@ -21,8 +21,9 @@ integer numpy arrays:
    moves forward, so the sweep is amortized O(n) integer arithmetic);
 4. edge credits are materialized in bounded batches as ``(src, dst)``
    code pairs, reduced to COO ``(pair, count)`` triples with
-   ``np.unique``, and folded into the :class:`WeightedGraph` once —
-   one ``add_edge`` per distinct edge instead of one per credit.
+   ``np.unique``, and handed to
+   :meth:`~repro.profiles.graph.FrozenGraph.from_edges` — no per-edge
+   Python work at all.
 
 Every kernel declares its scalar twin with ``@fast_path`` and the
 ``parity/*`` conformance rules plus
@@ -42,7 +43,7 @@ from repro import obs
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.fastpath import fast_path
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import FrozenGraph
 from repro.profiles.pairdb import PairDatabase
 from repro.profiles.trg import (
     DEFAULT_Q_MULTIPLIER,
@@ -395,7 +396,7 @@ def build_trg_fast(
     sizes_by_code: np.ndarray,
     capacity: int,
     labels_of: Callable[[np.ndarray], list] | None = None,
-) -> tuple[WeightedGraph, TRGBuildStats]:
+) -> tuple[FrozenGraph, TRGBuildStats]:
     """Vectorized :func:`~repro.profiles.trg.build_trg` on code arrays.
 
     *codes* is the collapsed reference stream as non-negative integers,
@@ -410,9 +411,10 @@ def build_trg_fast(
     if capacity <= 0:
         raise ConfigError(f"capacity must be positive, got {capacity}")
     codes = np.asarray(codes, dtype=np.int64)
-    graph = WeightedGraph()
     n = len(codes)
     if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        graph = FrozenGraph.from_edges((), empty, empty, empty)
         return graph, TRGBuildStats(0, 0.0, 0)
     sizes_by_code = np.asarray(sizes_by_code, dtype=np.int64)
     present, first_at = np.unique(codes, return_index=True)
@@ -420,12 +422,11 @@ def build_trg_fast(
         decoded = present.tolist()
     else:
         decoded = labels_of(present)
-    labels = dict(zip(present.tolist(), decoded))
-    bad = present[sizes_by_code[present] <= 0]
+    bad = np.flatnonzero(sizes_by_code[present] <= 0)
     if len(bad):
-        code = int(bad[0])
+        code = int(present[bad[0]])
         raise ConfigError(
-            f"block {labels[code]!r} has non-positive size "
+            f"block {decoded[int(bad[0])]!r} has non-positive size "
             f"{int(sizes_by_code[code])}"
         )
 
@@ -435,22 +436,23 @@ def build_trg_fast(
     )
 
     # Nodes in first-appearance order, matching the scalar builder.
-    for position in np.sort(first_at).tolist():
-        graph.add_node(labels[int(codes[position])])
-
+    order = np.argsort(first_at)
     num_codes = len(sizes_by_code)
+    position = np.full(num_codes, -1, dtype=np.int64)
+    position[present[order]] = np.arange(len(present))
+
     keys, counts = _credit_counts(codes, prev, nxt, hit, num_codes)
     # Every unordered pair appears exactly once (and never as a
     # self-pair: the stream is collapsed, so nothing sits between two
-    # consecutive references to itself), so the weights can be set in
-    # one bulk pass instead of accumulated edge by edge.
+    # consecutive references to itself).  Keys ascend, so each row
+    # lists its neighbours by ascending code; stored blobs and every
+    # walk over a built graph depend on that row order.
     a_codes, b_codes = np.divmod(keys, num_codes)
-    graph.set_edges(
-        zip(
-            [labels[a] for a in a_codes.tolist()],
-            [labels[b] for b in b_codes.tolist()],
-            counts.astype(np.float64).tolist(),
-        )
+    graph = FrozenGraph.from_edges(
+        map(decoded.__getitem__, order.tolist()),
+        position[a_codes],
+        position[b_codes],
+        counts.astype(np.float64),
     )
 
     average = q_len_total / n

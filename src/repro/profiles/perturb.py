@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 import random as _random
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.profiles.graph import (
-    WeightedGraph,
+    FrozenGraph,
+    ProfileGraph,
     _natural,  # noqa: F401  (re-exported; historical home of the helper)
-    structural_node_key,
+    structural_node_key,  # noqa: F401  (the canonical order's key)
 )
 
 #: The scaling factor used in the paper's experiments.
@@ -26,12 +29,13 @@ PAPER_SCALE = 0.1
 
 
 def perturbed(
-    graph: WeightedGraph, scale: float, seed: int
-) -> WeightedGraph:
+    graph: ProfileGraph, scale: float, seed: int
+) -> FrozenGraph:
     """A perturbed copy of *graph* with weights ``w * exp(scale * X)``.
 
     Edges are visited in canonical *structural* order (see
-    :func:`structural_node_key`) so the same seed always yields the
+    :meth:`~repro.profiles.graph.ProfileGraph.canonical_edges`, which a
+    frozen graph computes once) so the same seed always yields the
     same perturbation regardless of graph construction history.
     ``scale = 0`` returns an exact copy.
 
@@ -45,18 +49,13 @@ def perturbed(
     """
     if scale < 0:
         raise ConfigError(f"perturbation scale must be >= 0, got {scale}")
+    view = graph.canonical_edges()
     gauss = _random.Random(seed).gauss
-    keys = {node: structural_node_key(node) for node in graph.nodes}
-    out = WeightedGraph()
-    for node in sorted(keys, key=keys.__getitem__):
-        out.add_node(node)
-    edges = sorted(
-        graph.edges(), key=lambda edge: (keys[edge[0]], keys[edge[1]])
-    )
-    # One draw per edge in sorted order, scaled by math.exp: np.exp can
-    # differ in the last ulp, which would change perturbed layouts.
-    out.set_edges(
-        (a, b, weight * math.exp(scale * gauss(0.0, 1.0)))
-        for a, b, weight in edges
-    )
-    return out
+    exp = math.exp
+    # One draw per edge in canonical order, scaled by math.exp: np.exp
+    # can differ in the last ulp, which would change perturbed layouts.
+    weights = [
+        weight * exp(scale * gauss(0.0, 1.0))
+        for weight in view.weights.tolist()
+    ]
+    return view.reweighted(np.array(weights, dtype=np.float64))

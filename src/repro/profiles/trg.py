@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable
 from repro import obs
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import ProfileGraph, WeightedGraph
 from repro.profiles.qset import WorkingSet
 from repro.program.procedure import DEFAULT_CHUNK_SIZE, ChunkId
 from repro.trace.trace import Trace
@@ -93,8 +93,8 @@ def build_trg(
 class TRGPair:
     """The two graphs GBSC consumes plus build statistics."""
 
-    select: WeightedGraph
-    place: WeightedGraph
+    select: ProfileGraph
+    place: ProfileGraph
     select_stats: TRGBuildStats
     place_stats: TRGBuildStats
     chunk_size: int

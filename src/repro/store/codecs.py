@@ -7,8 +7,10 @@ compressed ``.npz`` archive written and read by the one codec in
 
 * a **trace** blob is the same bytes as a ``gen-trace`` file;
 * a **TRG pair** holds each graph as a node table plus CSR rows in
-  adjacency insertion order, so a decoded graph equals the built one
-  down to the order of its nodes and of every row.
+  adjacency insertion order: a
+  :class:`~repro.profiles.graph.FrozenGraph`'s own arrays, so a decoded
+  graph equals the built one down to the order of its nodes and of
+  every row, and neither direction builds a dict.
 
 A **node table** is a name array plus a chunk-index array holding −1
 for a procedure name and the index of a
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import io as _stdio
 from dataclasses import astuple
-from itertools import chain
 from typing import Any, Mapping
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.io import (
     write_npz,
     write_trace_npz,
 )
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import FrozenGraph, NodeTable, ProfileGraph, freeze
 from repro.profiles.trg import TRGBuildStats, TRGPair
 from repro.program.procedure import ChunkId
 from repro.trace.trace import Trace
@@ -147,23 +148,28 @@ def _ids(array: np.ndarray, bound: int, what: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def _runs(rowlen: np.ndarray, rows: int, *columns: np.ndarray) -> None:
-    """Check CSR run lengths: one per row, none negative, summing to
-    the length of every column."""
+def _runs(rowlen: np.ndarray, rows: int, *columns: np.ndarray) -> np.ndarray:
+    """Check CSR run lengths: one per row, none negative or longer than
+    a column, summing to the length of every column.  Returns them as
+    int64."""
     if rowlen.ndim != 1 or rowlen.dtype.kind not in "iu":
         raise SerializationError("malformed rowlen array")
     if len(rowlen) != rows:
         raise SerializationError(
             f"{len(rowlen)} row lengths for {rows} rows"
         )
-    if len(rowlen) and rowlen.min() < 0:
-        raise SerializationError("negative row length")
+    longest = max((len(column) for column in columns), default=0)
+    if len(rowlen) and (rowlen.min() < 0 or rowlen.max() > longest):
+        raise SerializationError("row length out of range")
+    # Each length fits int64 now, so neither the cast nor the sum wraps.
+    rowlen = rowlen.astype(np.int64)
     total = int(rowlen.sum())
     if any(column.ndim != 1 or len(column) != total for column in columns):
         raise SerializationError(
             f"row lengths sum to {total}, not the column lengths "
             f"{[len(column) for column in columns]}"
         )
+    return rowlen
 
 
 def _stats_arrays(stats: TRGBuildStats, prefix: str) -> Arrays:
@@ -191,37 +197,23 @@ def _graph_names(prefix: str) -> tuple[str, ...]:
     )
 
 
-def _graph_arrays(graph: WeightedGraph, prefix: str) -> Arrays:
-    rows = graph.rows()
-    nodes = [node for node, _ in rows]
-    index = {node: position for position, node in enumerate(nodes)}
-    neighbours = [row for _, row in rows]
-    total = sum(map(len, neighbours))
+def _graph_arrays(graph: ProfileGraph, prefix: str) -> Arrays:
+    frozen = freeze(graph)
     return {
-        **_node_table(nodes, prefix),
-        f"{prefix}rowlen": np.fromiter(
-            map(len, neighbours), dtype=np.int64, count=len(nodes)
-        ),
-        f"{prefix}col": np.fromiter(
-            map(index.__getitem__, chain.from_iterable(neighbours)),
-            dtype=np.int32,
-            count=total,
-        ),
-        f"{prefix}weight": np.fromiter(
-            chain.from_iterable(map(dict.values, neighbours)),
-            dtype=np.float64,
-            count=total,
-        ),
+        **_node_table(frozen.nodes, prefix),
+        f"{prefix}rowlen": np.diff(frozen.indptr),
+        f"{prefix}col": frozen.indices.astype(np.int32),
+        f"{prefix}weight": frozen.weights,
     }
 
 
-def _graph(arrays: Arrays, prefix: str) -> WeightedGraph:
+def _graph(arrays: Arrays, prefix: str) -> FrozenGraph:
     """Inverse of :func:`_graph_arrays`, with every check."""
     nodes = _nodes(arrays, prefix)
     rowlen = arrays[f"{prefix}rowlen"]
     weight = arrays[f"{prefix}weight"]
     col = arrays[f"{prefix}col"]
-    _runs(rowlen, len(nodes), col, weight)
+    rowlen = _runs(rowlen, len(nodes), col, weight)
     col = _ids(col, len(nodes), "col")
     if weight.dtype.kind != "f":
         raise SerializationError("malformed weight array")
@@ -246,14 +238,11 @@ def _graph(arrays: Arrays, prefix: str) -> WeightedGraph:
         and np.all(np.diff(forward[ahead]))
     ):
         raise SerializationError("graph rows are not symmetric")
-    neighbours = [nodes[i] for i in col.tolist()]
-    weights = weight.tolist()
-    adjacency = {}
-    end = 0
-    for node, length in zip(nodes, rowlen.tolist()):
-        start, end = end, end + length
-        adjacency[node] = dict(zip(neighbours[start:end], weights[start:end]))
-    return WeightedGraph.from_rows(adjacency)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(rowlen, out=indptr[1:])
+    return FrozenGraph(
+        NodeTable(nodes), indptr, col, weight.astype(np.float64, copy=False)
+    )
 
 
 _TRG_NAMES = (

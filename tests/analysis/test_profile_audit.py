@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import (
     audit_graph,
     audit_pair_db,
@@ -103,14 +105,14 @@ class TestTRGCorruptions:
         context, _ = gbsc_run
         trgs = context.trgs
         # A procedure-name node smuggled into the chunk graph.
-        trgs.place._adj.setdefault("not-a-chunk", {})
-        try:
-            findings = audit_trgs(
-                trgs, config=PAPER_CACHE, program=context.program
-            )
-            assert rules_of(findings) == {"profile/granularity"}
-        finally:
-            del trgs.place._adj["not-a-chunk"]
+        place = trgs.place.copy()
+        place.add_node("not-a-chunk")
+        findings = audit_trgs(
+            replace(trgs, place=place),
+            config=PAPER_CACHE,
+            program=context.program,
+        )
+        assert rules_of(findings) == {"profile/granularity"}
 
     def test_chunk_bounds_violation_reported(self, gbsc_run):
         from repro.program.procedure import ChunkId
@@ -118,15 +120,14 @@ class TestTRGCorruptions:
         context, _ = gbsc_run
         trgs = context.trgs
         name = context.popular[0]
-        bogus = ChunkId(name, 10_000)
-        trgs.place._adj.setdefault(bogus, {})
-        try:
-            findings = audit_trgs(
-                trgs, config=PAPER_CACHE, program=context.program
-            )
-            assert rules_of(findings) == {"profile/chunk-bounds"}
-        finally:
-            del trgs.place._adj[bogus]
+        place = trgs.place.copy()
+        place.add_node(ChunkId(name, 10_000))
+        findings = audit_trgs(
+            replace(trgs, place=place),
+            config=PAPER_CACHE,
+            program=context.program,
+        )
+        assert rules_of(findings) == {"profile/chunk-bounds"}
 
     def test_granularity_mismatch_reported(self, tiny_cache):
         from repro.program.procedure import ChunkId

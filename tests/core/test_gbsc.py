@@ -201,14 +201,13 @@ class TestGBSCNodes:
         trace = full_trace(program, refs)
         trgs = build_trgs(trace, config)
         # b->c transition happens once; drop that edge to force two
-        # components.
-        trgs.select.remove_edge("b", "c")
-        trgs.select.remove_edge("a", "c")
-        trgs.select.remove_edge("b", "d")
-        trgs.select.remove_edge("a", "d")
-        nodes = gbsc_nodes(
-            trgs.select, trgs.place, program.names, program, config
-        )
+        # components (on a mutable copy: the built graph is frozen).
+        select = trgs.select.copy()
+        select.remove_edge("b", "c")
+        select.remove_edge("a", "c")
+        select.remove_edge("b", "d")
+        select.remove_edge("a", "d")
+        nodes = gbsc_nodes(select, trgs.place, program.names, program, config)
         assert len(nodes) == 2
 
     def test_merge_count_bounded_by_popular(self):

@@ -19,7 +19,7 @@ from repro.core.merge import (
     offset_costs_reference,
 )
 from repro.errors import PlacementError
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import WeightedGraph, freeze
 from repro.program.procedure import ChunkId
 from repro.program.program import Program
 
@@ -277,6 +277,94 @@ class TestChunkWeights:
         # 600 bytes span 19 lines, 10 chunks: every chunk has a slot.
         assert len(lines) == len(slots) and len(chunks) == 10
         assert sorted(set(slots.tolist())) == chunks.tolist()
+
+
+def walk_reference(place_graph, chunks):
+    """The matrix and row map the index used to build by walking every
+    slot's neighbours through ``neighbors``/``weight``."""
+    slot_of = {chunk: slot for slot, chunk in enumerate(chunks)}
+    sources, targets, values = [], [], []
+    for chunk, slot in slot_of.items():
+        for neighbor in place_graph.neighbors(chunk):
+            other = slot_of.get(neighbor)
+            if other is not None:
+                sources.append(slot)
+                targets.append(other)
+                values.append(place_graph.weight(chunk, neighbor))
+    source = np.asarray(sources, dtype=np.int64)
+    connected = np.unique(source)
+    row_of = np.full(len(chunks), len(connected))
+    row_of[connected] = np.arange(len(connected))
+    matrix = np.zeros((len(connected) + 1, len(connected) + 1))
+    matrix[row_of[source], row_of[np.asarray(targets, dtype=np.int64)]] = values
+    return matrix, row_of
+
+
+class TestChunkWeightsMatrix:
+    """The array-filled matrix against the neighbour walk it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matrix_and_rows_equal_the_walk(self, data):
+        sizes = data.draw(
+            st.lists(st.integers(1, 400), min_size=2, max_size=6),
+            label="sizes",
+        )
+        program = Program.from_sizes(
+            {f"p{index}": size for index, size in enumerate(sizes)}
+        )
+        chunks = list(program.all_chunks(64))
+        # Chunks of procedures outside the index, and of procedures
+        # the program does not have, take part in edges too.
+        outside = [ChunkId("zz", 0), ChunkId("zz", 1)]
+        edges = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(chunks + outside),
+                    st.sampled_from(chunks + outside),
+                    st.floats(0.0, 1000.0),
+                ),
+                max_size=30,
+            ),
+            label="edges",
+        )
+        graph = WeightedGraph()
+        for a, b, weight in edges:
+            if a != b:
+                graph.add_edge(a, b, weight)
+        names = data.draw(
+            st.lists(st.sampled_from(program.names), min_size=1, unique=True),
+            label="names",
+        )
+        config = CacheConfig(size=256, line_size=32)
+        for place_graph in (graph, freeze(graph)):
+            weights = ChunkWeights(place_graph, program, config, names, 64)
+            matrix, row_of = walk_reference(place_graph, weights.chunks)
+            assert np.array_equal(weights._matrix, matrix)
+            assert np.array_equal(weights._row_of, row_of)
+            assert weights._row_of.dtype == row_of.dtype
+
+    def test_graph_without_internal_edge(self, config):
+        program = Program.from_sizes({"a": 64, "b": 64, "c": 64})
+        graph = WeightedGraph()
+        graph.add_edge(ChunkId("a", 0), ChunkId("c", 0), 3.0)
+        weights = ChunkWeights(freeze(graph), program, config, ("a", "b"), 64)
+        matrix, row_of = walk_reference(graph, weights.chunks)
+        assert np.array_equal(weights._matrix, matrix)
+        assert np.array_equal(weights._row_of, row_of)
+        assert weights._matrix.shape == (1, 1)
+
+    def test_built_trg_matrix_equals_the_walk(self, config):
+        from repro.profiles.trg import build_trgs
+        from repro.workloads.suite import by_name
+
+        trace = by_name("m88ksim").scaled(0.02).trace("train")
+        place = build_trgs(trace, CacheConfig(size=8192, line_size=32)).place
+        names = sorted({chunk.procedure for chunk in place.nodes})[::2]
+        weights = ChunkWeights(place, trace.program, config, names)
+        matrix, row_of = walk_reference(place, weights.chunks)
+        assert np.array_equal(weights._matrix, matrix)
+        assert np.array_equal(weights._row_of, row_of)
 
 
 class TestBestOffset:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PlacementError
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import FrozenGraph, WeightedGraph
 
 
 @pytest.fixture
@@ -186,36 +186,28 @@ class TestCanonicalOrdering:
         assert (a, b) == ("p01", "p1")
 
 
-class TestSetEdges:
-    def test_bulk_set_matches_add_edge(self):
-        bulk = WeightedGraph()
+class TestFromEdges:
+    def test_bulk_build_matches_add_edge(self):
         scalar = WeightedGraph()
         for node in ("a", "b", "c"):
-            bulk.add_node(node)
             scalar.add_node(node)
         edges = [("a", "b", 2.0), ("b", "c", 5.0)]
-        bulk.set_edges(edges)
         for a, b, weight in edges:
             scalar.add_edge(a, b, weight)
+        bulk = FrozenGraph.from_edges(("a", "b", "c"), [0, 1], [1, 2], [2.0, 5.0])
         assert bulk == scalar
         assert bulk.weight("a", "b") == 2.0
         assert bulk.weight("b", "a") == 2.0
+        assert list(bulk.neighbors("b")) == list(scalar.neighbors("b"))
 
     def test_rejects_self_edge(self):
-        graph = WeightedGraph()
-        graph.add_node("a")
         with pytest.raises(PlacementError):
-            graph.set_edges([("a", "a", 1.0)])
+            FrozenGraph.from_edges(("a",), [0], [0], [1.0])
 
     def test_rejects_negative_weight(self):
-        graph = WeightedGraph()
-        graph.add_node("a")
-        graph.add_node("b")
         with pytest.raises(PlacementError):
-            graph.set_edges([("a", "b", -1.0)])
+            FrozenGraph.from_edges(("a", "b"), [0], [1], [-1.0])
 
     def test_rejects_unknown_endpoint(self):
-        graph = WeightedGraph()
-        graph.add_node("a")
         with pytest.raises(PlacementError):
-            graph.set_edges([("missing", "a", 1.0)])
+            FrozenGraph.from_edges(("a",), [1], [0], [1.0])

@@ -1,12 +1,14 @@
-"""``WeightedGraph.edges`` and ``perturbed`` against the walks they
-replaced, over random mutation histories.
+"""``WeightedGraph.edges``, ``FrozenGraph`` and ``perturbed`` against
+the walks they replaced, over random mutation histories.
 
 The references are the former implementations: an edge walk that
 deduplicates through a set of canonical pairs, and a perturbation that
 recomputes structural keys per edge and writes with ``set_weight``.
 Equality covers order, not just content: the perturbation draws one
 Gaussian per edge in sorted order, and adjacency row order feeds every
-later walk.
+later walk.  Every history's graph is also frozen: the frozen form
+must read back in the same order through every method, and perturb
+to the same graph.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.profiles.graph import (
     WeightedGraph,
     _canon_key,
+    freeze,
     structural_node_key,
 )
 from repro.profiles.perturb import perturbed
@@ -100,9 +103,23 @@ def replay(history) -> WeightedGraph:
     return graph
 
 
-def rows(graph: WeightedGraph) -> list:
+def rows(graph) -> list:
     """Node order and every adjacency row, in order."""
     return [(node, list(graph._adj[node].items())) for node in graph._adj]
+
+
+def reads(graph) -> list:
+    """Node order and every row through the public read API."""
+    return [
+        (
+            node,
+            [
+                (other, graph.weight(node, other), graph.has_edge(other, node))
+                for other in graph.neighbors(node)
+            ],
+        )
+        for node in graph.nodes
+    ]
 
 
 class TestEdgesReference:
@@ -131,3 +148,69 @@ class TestPerturbedReference:
         assert rows(perturbed(graph, scale, seed)) == rows(
             reference_perturbed(graph, scale, seed)
         )
+
+
+class TestFrozenReference:
+    @given(operations)
+    @settings(max_examples=300)
+    def test_frozen_form_reads_in_the_same_order(self, history):
+        graph = replay(history)
+        frozen = freeze(graph)
+        assert reads(frozen) == reads(graph)
+        assert rows(frozen) == rows(graph)
+        assert list(frozen.edges()) == list(graph.edges())
+        assert frozen.num_edges() == graph.num_edges()
+        assert len(frozen) == len(graph)
+        assert all(node in frozen for node in graph.nodes)
+        assert frozen == graph and graph == frozen
+        assert rows(frozen.copy()) == rows(graph.copy())
+        keep = graph.nodes[::2]
+        assert rows(frozen.subgraph(keep)) == rows(graph.subgraph(keep))
+
+    @given(
+        history=operations,
+        scale=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200)
+    def test_frozen_and_dict_forms_perturb_alike(self, history, scale, seed):
+        graph = replay(history)
+        reference = rows(reference_perturbed(graph, scale, seed))
+        assert rows(perturbed(freeze(graph), scale, seed)) == reference
+        assert rows(perturbed(graph, scale, seed)) == reference
+
+    @given(history=operations, seed=st.integers(0, 2**32))
+    @settings(max_examples=100)
+    def test_perturbed_graph_reads_like_its_rows(self, history, seed):
+        """A perturbed graph shares its index arrays with the canonical
+        view; reading it, or perturbing it again, matches a dict copy."""
+        out = perturbed(freeze(replay(history)), 0.1, seed)
+        copy = out.copy()
+        assert reads(out) == reads(copy)
+        assert list(out.edges()) == list(copy.edges())
+        assert rows(perturbed(out, 0.1, seed)) == rows(
+            reference_perturbed(copy, 0.1, seed)
+        )
+
+    def test_canonical_view_orders_tied_keys_like_the_reference(self):
+        graph = WeightedGraph()
+        graph.add_edge("p1", "p10", 1.0)
+        graph.add_edge("p01", "p2", 2.0)
+        graph.add_edge("p01", "p10", 3.0)
+        graph.add_edge("p2", "p1", 4.0)
+        view = freeze(graph).canonical_edges()
+        nodes = view.table.nodes
+        expected = sorted(
+            seen_set_edges(graph),
+            key=lambda edge: (
+                structural_node_key(edge[0]),
+                structural_node_key(edge[1]),
+            ),
+        )
+        assert [
+            (nodes[a], nodes[b], weight)
+            for a, b, weight in zip(
+                view.a.tolist(), view.b.tolist(), view.weights.tolist()
+            )
+        ] == expected
+        assert list(nodes) == sorted(graph.nodes, key=structural_node_key)

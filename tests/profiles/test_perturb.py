@@ -1,5 +1,6 @@
 """Tests for multiplicative profile perturbation (Section 5.1)."""
 
+import hashlib
 import math
 import random
 
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cache.config import PAPER_CACHE
 from repro.errors import ConfigError
-from repro.profiles.graph import WeightedGraph
+from repro.eval.experiment import build_context
+from repro.profiles.graph import FrozenGraph, WeightedGraph, _canon_key
 from repro.profiles.perturb import (
     PAPER_SCALE,
     perturbed,
     structural_node_key,
 )
 from repro.program.procedure import ChunkId
+from repro.workloads.suite import by_name
 
 
 @pytest.fixture
@@ -175,3 +179,54 @@ class TestDrawAssignment:
         assert perturbed(graph, 0.2, seed=3) == perturbed(
             graph, 0.2, seed=3
         )
+
+
+#: sha256 of every edge of ``perturbed(TRG_place, 0.1, 7)`` as
+#: ``repr(a)\trepr(b)\tweight.hex()`` lines in canonical edge order, for
+#: suite training traces.  They pin which Gaussian draw each edge gets
+#: and the ``math.exp`` scaling to the last bit.
+PERTURBED_PLACE_DIGESTS = {
+    ("gcc", 0.25): (
+        "e368918b61b3ac09477b41654c99b537a57d705339d799784b516a28953e415d"
+    ),
+    ("go", 0.25): (
+        "a4295347250d8e8b2d0e6e621a82e635ca9232d69929c147239e2684010a62f8"
+    ),
+    ("ghostscript", 0.25): (
+        "27480c54c211bbc095c4a26e0c3e780176f9ec4cf5a2e63bfd6c9cd0bc13f9b6"
+    ),
+    ("m88ksim", 0.25): (
+        "56f6925a927156bab0b92861388b7b318b083156b62b5f1bd88dd2af0561be6b"
+    ),
+    ("perl", 0.25): (
+        "94cf32c48bda96acfffe4eda5a4496cf26d4b96c9e1cb81a703db153e9ea21d9"
+    ),
+    ("vortex", 0.25): (
+        "3d91e332c527b969ee763fbfca2d572b5e96ea1dec3c8d589f8a31585d1a41bf"
+    ),
+    ("perl", 1.0): (
+        "053b68a57a1bf9a6e581e91a56d61a38aa27a661ea3d76111a2db3e2ee265277"
+    ),
+}
+
+
+def edge_digest(graph) -> str:
+    digest = hashlib.sha256()
+    canonical = sorted(
+        graph.edges(), key=lambda edge: (_canon_key(edge[0]), _canon_key(edge[1]))
+    )
+    for a, b, weight in canonical:
+        digest.update(f"{a!r}\t{b!r}\t{weight.hex()}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,scale", sorted(PERTURBED_PLACE_DIGESTS), ids=lambda value: str(value)
+)
+def test_perturbed_place_graph_digests_are_pinned(name, scale):
+    context = build_context(
+        by_name(name).scaled(scale).trace("train"), PAPER_CACHE
+    )
+    out = perturbed(context.trgs.place, PAPER_SCALE, 7)
+    assert isinstance(out, FrozenGraph)
+    assert edge_digest(out) == PERTURBED_PLACE_DIGESTS[(name, scale)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.config import PAPER_CACHE
 from repro.errors import ReproError
+from repro.eval.experiment import build_context
 from repro.io import SerializationError, write_npz
-from repro.profiles.graph import WeightedGraph
+from repro.profiles.graph import FrozenGraph, WeightedGraph
 from repro.profiles.trg import TRGBuildStats, TRGPair, build_trgs
 from repro.program.procedure import ChunkId
+from repro.store import ArtifactStore
 from repro.store.codecs import (
     CODECS,
     decode_trace,
@@ -25,8 +30,20 @@ from repro.store.codecs import (
     encode_trace,
     encode_trgs,
 )
+from repro.workloads.suite import by_name
 
 REPO = Path(__file__).resolve().parents[2]
+
+#: A store holding one ``trg`` entry, m88ksim x0.02 under the paper
+#: cache, written before built graphs were frozen.  Copy it before
+#: opening; never write into it.
+TRG_STORE_V2 = REPO / "tests" / "data" / "trg_store_v2"
+
+#: sha256 of ``encode_trgs`` of m88ksim x0.5's training TRGs (paper
+#: cache, popular set), as written before built graphs were frozen.
+M88KSIM_HALF_TRG_BLOB = (
+    "5c94cbd93e8b871a4f27e66f078653300118e217daab14ebb9eaead1e4e10dc8"
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +94,35 @@ class TestGraphCodecs:
             decode_trgs(b'{"format":"repro/store-trgs"}')
 
 
+class TestStoreCompatibility:
+    """Frozen graphs write and read the blobs dict graphs did."""
+
+    def test_m88ksim_half_trg_blob_bytes_are_pinned(self):
+        trace = by_name("m88ksim").scaled(0.5).trace("train")
+        blob = encode_trgs(build_context(trace, PAPER_CACHE).trgs)
+        assert hashlib.sha256(blob).hexdigest() == M88KSIM_HALF_TRG_BLOB
+
+    def test_older_store_serves_trg_hits_equal_to_a_fresh_build(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        shutil.copytree(TRG_STORE_V2, root)
+        store = ArtifactStore(root)
+        train = by_name("m88ksim").scaled(0.02).trace("train")
+        stored = build_context(train, PAPER_CACHE, store=store).trgs
+        assert (store.hits, store.misses) == (1, 0)
+        fresh = build_context(train, PAPER_CACHE).trgs
+        for restored, built in (
+            (stored.select, fresh.select),
+            (stored.place, fresh.place),
+        ):
+            assert isinstance(restored, FrozenGraph)
+            assert restored == built
+            assert rows(restored) == rows(built)
+        assert stored.select_stats == fresh.select_stats
+        assert stored.place_stats == fresh.place_stats
+
+
 # ----------------------------------------------------------------------
 # Exact round trips for arbitrary graphs
 # ----------------------------------------------------------------------
@@ -113,9 +159,12 @@ stats = st.builds(
 )
 
 
-def rows(graph: WeightedGraph) -> list:
+def rows(graph) -> list:
     """Node order and every row's items, in order."""
-    return [(node, list(row.items())) for node, row in graph.rows()]
+    return [
+        (node, [(other, graph.weight(node, other)) for other in graph.neighbors(node)])
+        for node in graph.nodes
+    ]
 
 
 class TestExactRoundTrip:
@@ -249,6 +298,9 @@ MALFORMED_GRAPH = {
     "negative-rowlen": lambda: _select(rowlen=[3, -1, 2]),
     "rowlen-sum": lambda: _select(rowlen=[2, 2, 1]),
     "rowlen-count": lambda: _select(rowlen=[2, 4]),
+    "rowlen-unsigned-wraps": lambda: _select(
+        rowlen=np.array([2**64 - 1, 2, 5], dtype=np.uint64)
+    ),
     "self-edge": lambda: _select(col=[0, 2, 0, 2, 1, 0]),
     "negative-weight": lambda: _select(
         weight=[1.0, -3.0, 1.0, 2.0, 2.0, -3.0]
@@ -269,6 +321,13 @@ MALFORMED_GRAPH = {
 def test_malformed_graph_blob_raises_repro_error(case):
     with pytest.raises(ReproError):
         decode_trgs(MALFORMED_GRAPH[case]())
+
+
+def test_unsigned_row_lengths_decode():
+    """``rowlen`` may be any integer dtype; uint64 used to reach
+    ``np.repeat`` and fail with a ``TypeError``."""
+    pair = decode_trgs(_select(rowlen=np.array([2, 2, 2], dtype=np.uint64)))
+    assert rows(pair.select) == rows(_triangle_graph())
 
 
 def test_self_edge_and_negative_weight_are_placement_errors():

@@ -75,6 +75,22 @@ class TestPlaceAndSimulate:
         out = capsys.readouterr().out
         assert "miss rate" in out
 
+    def test_simulate_stdout_is_reproducible(
+        self, trace_file, tmp_path, capsys
+    ):
+        """Two runs on the same inputs print the same bytes: the
+        elapsed time goes to stderr."""
+        layout_path = tmp_path / "layout.json"
+        main(["place", str(trace_file), "-o", str(layout_path)])
+        capsys.readouterr()
+        runs = []
+        for _ in range(2):
+            assert main(["simulate", str(layout_path), str(trace_file)]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out == runs[1].out
+        assert "elapsed" not in runs[0].out
+        assert "simulate elapsed" in runs[0].err
+
     def test_simulate_respects_cache_flags(
         self, trace_file, tmp_path, capsys
     ):
