@@ -36,10 +36,11 @@ Static verification (:mod:`repro.analysis`)::
     repro-layout lint                   # determinism-lint the sources
 
 Fault-tolerant batches (:mod:`repro.runner`): ``compare`` and
-``table1`` accept ``--checkpoint DIR`` to execute through the batch
-runner — every grid cell is journaled and its artifact written
-atomically, so an interrupted run (Ctrl-C, crash, kill) resumes with
-``--resume`` and reproduces the uninterrupted report byte for byte::
+``table1`` always run as a task grid; ``--checkpoint DIR`` runs it
+through the batch runner — every grid cell is journaled and its
+artifact written atomically, so an interrupted run (Ctrl-C, crash,
+kill) resumes with ``--resume`` and reproduces the uninterrupted
+report byte for byte::
 
     repro-layout compare perl --runs 40 --checkpoint ckpt
     ^C  ->  interrupted — resume with --resume
@@ -47,7 +48,7 @@ atomically, so an interrupted run (Ctrl-C, crash, kill) resumes with
 
 ``--max-failures N`` aborts a degrading batch early;
 ``--inject PLAN.json`` runs under a deterministic fault-injection
-plan (CI and tests).
+plan (CI and tests).  All three runner flags need ``--checkpoint``.
 
 Artifact caching (:mod:`repro.store`): ``compare``, ``table1``,
 ``gen-trace`` and ``place`` accept ``--cache DIR`` — traces and
@@ -86,7 +87,7 @@ from repro.eval.metrics import (
     trg_conflict_metric,
     wcg_conflict_metric,
 )
-from repro.eval.reporting import format_scatter, format_table1
+from repro.eval.reporting import format_scatter
 from repro.workloads.suite import SUITE, by_name
 
 
@@ -161,8 +162,9 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint", default=None, metavar="DIR",
-        help="execute through the fault-tolerant batch runner, "
-        "journaling every task into DIR (enables --resume)",
+        help="journal every grid task into DIR through the "
+        "fault-tolerant batch runner (enables --resume, --inject "
+        "and --max-failures)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -180,24 +182,14 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _wants_batch(args: argparse.Namespace) -> bool:
-    """Any runner flag routes the command through the batch engine
-    (so ``--resume`` without ``--checkpoint`` errors instead of being
-    silently ignored by the direct path)."""
-    return bool(args.checkpoint or args.resume or args.inject)
-
-
 def _run_batch(args: argparse.Namespace, batch, store=None) -> int:
     """Execute a batch through :func:`repro.service.execute_batch`."""
     from repro.chaos.plan import load_plan
-    from repro.errors import RunnerError
 
-    if not args.checkpoint:
-        raise RunnerError("--resume/--inject require --checkpoint DIR")
     plan = load_plan(args.inject) if args.inject else None
     outcome = service.execute_batch(
         batch,
-        args.checkpoint,
+        args.checkpoint or None,
         resume=args.resume,
         max_failures=args.max_failures,
         plan=plan,
@@ -292,11 +284,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             fast=args.fast,
             store=store,
         )
-        if _wants_batch(args):
-            batch = service.build_compare_batch(request)
-            return _run_batch(args, batch, store)
-        service.run_compare(request, echo=print)
-    return 0
+        return _run_batch(args, service.build_compare_batch(request), store)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -306,11 +294,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         request = service.Table1Request(
             config=config, fast=args.fast, store=store
         )
-        if _wants_batch(args):
-            batch = service.build_table1_batch(request)
-            return _run_batch(args, batch, store)
-        print(format_table1(service.run_table1(request)))
-    return 0
+        return _run_batch(args, service.build_table1_batch(request), store)
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:

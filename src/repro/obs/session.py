@@ -101,9 +101,12 @@ class RunSession:
             )
         if self._verbose and depth <= _VERBOSE_MAX_DEPTH:
             indent = "  " * depth
+            # A batch task names itself, so -v narrates grid progress.
+            key = record.attributes.get("key")
+            label = record.name if key is None else f"{record.name} {key}"
             suffix = f" [{record.error}]" if record.error else ""
             print(
-                f"[obs] {indent}{record.name}: "
+                f"[obs] {indent}{label}: "
                 f"{format_duration(record.duration)}{suffix}",
                 file=sys.stderr,
             )

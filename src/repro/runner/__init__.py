@@ -17,7 +17,8 @@ zero:
   (``--resume``) and finishes in degraded mode with a failure table;
   it installs a :class:`~repro.chaos.plan.FaultPlan` (re-exported
   here) for the run, whose task injections fire at the
-  ``runner.task`` site.
+  ``runner.task`` site; :func:`run_in_process` runs a batch with no
+  checkpoint directory.
 
 Usage::
 
@@ -42,6 +43,7 @@ from repro.runner.engine import (
     BatchOutcome,
     BatchRunner,
     format_failure_table,
+    run_in_process,
 )
 from repro.runner.grids import (
     compare_batch,
@@ -100,5 +102,6 @@ __all__ = [
     "load_journal",
     "load_plan",
     "null_sleep",
+    "run_in_process",
     "table1_batch",
 ]

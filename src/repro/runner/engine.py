@@ -23,6 +23,10 @@ through to a report the way a database drives a transaction log:
 
 Tasks run one after another in batch order, so journal records and
 the failure table — and therefore the report — are deterministic.
+
+:func:`run_in_process` runs the same tasks with no checkpoint
+directory: no journal, no artifacts, no guard, and a task's error
+propagates.  Both render the report with ``Batch.render``.
 """
 
 from __future__ import annotations
@@ -90,6 +94,34 @@ def format_failure_table(failures: tuple[TaskFailure, ...]) -> str:
             f"retries={failure.retries}): {failure.message}"
         )
     return "\n".join(lines)
+
+
+def run_in_process(batch: Batch) -> BatchOutcome:
+    """Run every task of *batch* in batch order in this process.
+
+    Nothing is journaled and nothing retried: the first task error
+    propagates to the caller.  The ``runner.batch``/``runner.task``
+    spans match :class:`BatchRunner`'s.
+    """
+    env = RunnerEnv()
+    results: dict[str, dict[str, Any]] = {}
+    with obs.span(
+        "runner.batch",
+        command=batch.command,
+        grid=batch.grid_id,
+        tasks=len(batch.tasks),
+    ):
+        for spec in batch.tasks:
+            with obs.span("runner.task", key=spec.key, kind=spec.kind):
+                results[spec.key] = spec.execute(env)
+    return BatchOutcome(
+        results=results,
+        failures=(),
+        pending=(),
+        executed=len(batch.tasks),
+        cached=0,
+        report=batch.render(results),
+    )
 
 
 class BatchRunner:

@@ -147,7 +147,7 @@ def compare_batch(
             context = shared["context"]
             if seed is not None:
                 # One perturbation per seed, shared by every algorithm
-                # as the direct sweep shares it.
+                # as perturbation_sweep shares it.
                 context = env.get(
                     f"perturbed:{workload.name}:{seed}",
                     lambda: shared["context"].perturbed(

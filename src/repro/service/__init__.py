@@ -14,18 +14,16 @@ build them directly::
     result.layout            # the placed Layout
     result.train_stats       # MissStats on the training trace
 
-Batch variants (:func:`build_compare_batch`,
-:func:`build_table1_batch`, :func:`execute_batch`) reuse the
-:mod:`repro.runner` grids unchanged, so checkpoints stay compatible
-with the pre-service CLI.
+The ``compare`` and Table 1 experiments are :mod:`repro.runner` task
+grids: :func:`build_compare_batch`/:func:`build_table1_batch` build
+one and :func:`execute_batch` runs it, in process or journaled into a
+checkpoint directory.
 """
 
 from repro.service.experiments import (
     build_compare_batch,
     build_table1_batch,
     execute_batch,
-    run_compare,
-    run_table1,
 )
 from repro.service.placement import PlacementResult, run_placement
 from repro.service.requests import (
@@ -46,7 +44,5 @@ __all__ = [
     "build_table1_batch",
     "execute_batch",
     "make_algorithm",
-    "run_compare",
     "run_placement",
-    "run_table1",
 ]

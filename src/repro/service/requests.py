@@ -154,6 +154,10 @@ class CompareRequest:
 
     def validate(self) -> None:
         """Reject unusable requests with :class:`ServiceError`."""
+        if not isinstance(self.runs, int) or isinstance(self.runs, bool):
+            raise ServiceError(
+                f"runs must be an integer, got {self.runs!r}"
+            )
         if self.runs < 0:
             raise ServiceError(f"runs must be >= 0, got {self.runs}")
 

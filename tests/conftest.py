@@ -23,6 +23,15 @@ from repro.trace.trace import Trace
 POOL_CHECKPOINT = Path(__file__).parent / "data" / "pool_checkpoint"
 
 
+def cold_process_caches() -> None:
+    """Forget the in-process trace and call-graph memos, so the next
+    run generates (or reads from its store) as a fresh process would."""
+    from repro.workloads.spec import _cached_call_graph, clear_trace_memo
+
+    clear_trace_memo()
+    _cached_call_graph.cache_clear()
+
+
 @pytest.fixture(scope="session", autouse=True)
 def tier1_manifest() -> Iterator[None]:
     """Observe the whole test session when ``REPRO_TEST_MANIFEST`` names

@@ -82,6 +82,18 @@ class TestRunSession:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [line["type"] for line in lines] == ["span"]
 
+    def test_verbose_narration_names_batch_tasks(self, capsys):
+        with RunSession("r", verbose=True, with_git=False):
+            with obs.span("runner.batch"):
+                with obs.span("runner.task", key="row:gcc", kind="row"):
+                    with obs.span("build_context"):
+                        pass
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.rsplit(":", 1)[0] for line in lines] == [
+            "[obs]   runner.task row:gcc",
+            "[obs] runner.batch",
+        ]
+
     def test_manifest_from_real_run_audits_clean(self, tmp_path, gbsc_run):
         out = tmp_path / "run.jsonl"
         manifest = gbsc_run(out)

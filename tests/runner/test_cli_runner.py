@@ -1,11 +1,13 @@
-"""CLI-level batch runner tests: the kill-and-resume contract.
+"""CLI-level batch runner tests: one grid path and the kill-and-resume
+contract.
 
-These drive ``repro-layout compare/table1 --checkpoint`` end to end on
-a drastically scaled-down workload, asserting the acceptance
-invariants: an interrupted batch exits 130 with a one-line resume
-hint, ``--resume`` reproduces the uninterrupted report byte for byte,
-the run manifest's runner metrics agree with the journal (no task is
-double-counted), and the checkpoint directory passes
+These drive ``repro-layout compare/table1`` end to end on drastically
+scaled-down workloads, asserting the acceptance invariants: every run
+is the task grid, so stdout is byte-identical with the store off, cold
+or warm and with no checkpoint, a fresh one or a resumed one; an
+interrupted batch exits 130 with a one-line resume hint; the run
+manifest's runner metrics agree with the journal (no task is
+double-counted); and the checkpoint directory passes
 ``repro-layout check`` cleanly.
 """
 
@@ -22,10 +24,12 @@ from repro.errors import RunnerError
 from repro.runner import (
     FAULTPLAN_FORMAT,
     FAULTPLAN_VERSION,
+    FaultPlan,
     load_journal,
 )
+from repro.service import experiments
 from repro.workloads import suite as suite_module
-from tests.conftest import POOL_CHECKPOINT
+from tests.conftest import POOL_CHECKPOINT, cold_process_caches
 
 #: compare --runs 1 grid: 1 profile + 4 algorithms x (clean + 1 seed).
 COMPARE_TASKS = 9
@@ -37,6 +41,15 @@ def tiny_workload(monkeypatch):
     monkeypatch.setattr(cli, "by_name", lambda _name: workload)
     monkeypatch.setattr(cli, "SUITE", [workload])
     return workload
+
+
+@pytest.fixture
+def tiny_suite(monkeypatch, tiny_workload):
+    """``table1`` over two tiny workloads (its grid reads the suite
+    through the service)."""
+    suite = [tiny_workload, suite_module.by_name("perl").scaled(0.02)]
+    monkeypatch.setattr(experiments, "SUITE", suite)
+    return suite
 
 
 def write_plan(path, injections: list[dict]) -> str:
@@ -82,14 +95,52 @@ class TestCleanBatch:
         assert cli.main(["check", str(tmp_path / "ck")]) == 0
         assert "no findings" in capsys.readouterr().out
 
-    def test_table1_checkpoint_matches_direct(
-        self, tiny_workload, tmp_path, capsys
+
+#: Commands of the stdout matrix, and the task an injected interrupt
+#: stops each at in the matrix's "resumed" cells.
+MATRIX_COMMANDS = {
+    "compare": (["compare", "m88ksim", "--runs", "1"], "cell:*:HKC:clean"),
+    "table1": (["table1"], "row:perl"),
+}
+
+
+class TestStdoutMatrix:
+    """One execution path: every (store, checkpoint) cell prints the
+    bytes of a plain run."""
+
+    @pytest.mark.parametrize("command", sorted(MATRIX_COMMANDS))
+    def test_every_cell_prints_the_same_bytes(
+        self, tiny_suite, tmp_path, capsys, command
     ):
-        assert cli.main(["table1"]) == 0
-        direct = capsys.readouterr().out
-        argv = ["table1", "--checkpoint", str(tmp_path / "ck")]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == direct
+        argv, interrupted_task = MATRIX_COMMANDS[command]
+        plan = write_plan(
+            tmp_path / "plan.json",
+            [{"task": interrupted_task, "error": "interrupt"}],
+        )
+        outputs = {}
+        for store in ("off", "cold", "warm"):
+            for checkpoint in ("none", "fresh", "resumed"):
+                cell = f"{store}/{checkpoint}"
+                cell_argv = list(argv)
+                if store != "off":
+                    # A warm cell reuses the store its cold twin filled.
+                    store_dir = tmp_path / f"store-{checkpoint}"
+                    cell_argv += ["--cache", str(store_dir)]
+                if checkpoint != "none":
+                    ck = tmp_path / f"ck-{store}-{checkpoint}"
+                    cell_argv += ["--checkpoint", str(ck)]
+                cold_process_caches()
+                if checkpoint == "resumed":
+                    injected = [*cell_argv, "--inject", plan]
+                    assert cli.main(injected) == 130, cell
+                    capsys.readouterr()
+                    cell_argv.append("--resume")
+                assert cli.main(cell_argv) == 0, cell
+                outputs[cell] = capsys.readouterr().out
+        first = outputs["off/none"]
+        assert "no completed" not in first
+        differing = [cell for cell, out in outputs.items() if out != first]
+        assert differing == []
 
 
 class TestInterruptAndResume:
@@ -259,11 +310,27 @@ class TestParallelCli:
 
 class TestRunnerArgumentErrors:
     def test_resume_without_checkpoint_exits_2(
-        self, tiny_workload, capsys
+        self, tiny_workload, tmp_path, capsys
     ):
-        code = cli.main(["compare", "m88ksim", "--resume"])
-        assert code == 2
-        assert "require --checkpoint" in capsys.readouterr().err
+        """Each runner flag needs ``--checkpoint``, on the CLI and
+        through the library, and is never silently ignored."""
+        message = "--resume/--inject/--max-failures require --checkpoint DIR"
+        plan = write_plan(tmp_path / "plan.json", [])
+        for flag in (["--resume"], ["--inject", plan], ["--max-failures", "3"]):
+            for command in (["compare", "m88ksim"], ["table1", "--fast"]):
+                assert cli.main([*command, *flag]) == 2, flag
+                assert capsys.readouterr().err == f"error: {message}\n"
+        batch = service.build_compare_batch(
+            service.CompareRequest(workload=tiny_workload)
+        )
+        for options in (
+            {"resume": True},
+            {"plan": FaultPlan()},
+            {"max_failures": 3},
+        ):
+            with pytest.raises(RunnerError) as error:
+                service.execute_batch(batch, **options)
+            assert str(error.value) == message
 
     def test_workers_without_checkpoint_exits_2(
         self, tiny_workload, capsys
@@ -341,8 +408,8 @@ class TestRunnerArgumentErrors:
 
 
 class TestDirectAndBatchParity:
-    """The direct and ``--checkpoint`` paths share request validation
-    and the place-and-simulate kernel."""
+    """Runs with and without ``--checkpoint`` validate alike and run
+    the one grid path, whose manifest attributes every cell."""
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_negative_runs_rejected_on_both_paths(
@@ -371,50 +438,31 @@ class TestDirectAndBatchParity:
     def test_every_path_attributes_its_placements(
         self, tiny_workload, tmp_path, capsys
     ):
-        counts = {}
-        for name, extra in (
-            ("direct", []),
-            ("batch", ["--checkpoint", str(tmp_path / "ck")]),
-        ):
-            run = tmp_path / f"{name}.jsonl"
-            argv = [
-                "compare", "m88ksim", "--runs", "1",
-                "--metrics-out", str(run), *extra,
-            ]
-            assert cli.main(argv) == 0
-            records = [json.loads(line) for line in run.read_text().splitlines()]
-            counts[name] = Counter(
-                record["attributes"]["algorithm"]
-                for record in records
-                if record.get("type") == "span" and record["name"] == "place"
-            )
+        run = tmp_path / "run.jsonl"
+        argv = [
+            "compare", "m88ksim", "--runs", "1",
+            "--metrics-out", str(run),
+        ]
+        assert cli.main(argv) == 0
+        records = [json.loads(line) for line in run.read_text().splitlines()]
+        counts = Counter(
+            record["attributes"]["algorithm"]
+            for record in records
+            if record.get("type") == "span" and record["name"] == "place"
+        )
         # One span per cell: 4 algorithms x (clean + 1 perturbed run).
-        assert counts["direct"] == counts["batch"] == {
-            "default": 2, "PH": 2, "HKC": 2, "GBSC": 2,
-        }
+        assert counts == {"default": 2, "PH": 2, "HKC": 2, "GBSC": 2}
 
     def test_batch_perturbs_once_per_seed(
         self, tiny_workload, tmp_path, capsys
     ):
-        """The ``--checkpoint`` path perturbs each seed once, as the
-        direct sweep does, and renders the same sweep table."""
-        reports, perturbs = {}, {}
-        for name, extra in (
-            ("direct", []),
-            ("batch", ["--checkpoint", str(tmp_path / "ck")]),
-        ):
-            run = tmp_path / f"{name}.jsonl"
-            argv = [
-                "compare", "m88ksim", "--runs", "2",
-                "--metrics-out", str(run), *extra,
-            ]
-            assert cli.main(argv) == 0
-            reports[name] = capsys.readouterr().out
-            stages = self_times(load_run_manifest(run)["timings"])
-            perturbs[name] = stages["perturb"]["calls"]
-        assert perturbs == {"direct": 2, "batch": 2}
-
-        def table(report: str) -> str:
-            return report[report.index("algorithm"):]
-
-        assert table(reports["batch"]) == table(reports["direct"])
+        """The grid perturbs each seed once and shares the perturbed
+        profile across the four algorithms."""
+        run = tmp_path / "run.jsonl"
+        argv = [
+            "compare", "m88ksim", "--runs", "2",
+            "--metrics-out", str(run),
+        ]
+        assert cli.main(argv) == 0
+        stages = self_times(load_run_manifest(run)["timings"])
+        assert stages["perturb"]["calls"] == 2

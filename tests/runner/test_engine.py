@@ -1,4 +1,5 @@
-"""BatchRunner: checkpointing, resume invariance, degraded mode.
+"""BatchRunner: checkpointing, resume invariance, degraded mode; and
+``run_in_process``, the same batch with no checkpoint directory.
 
 Uses synthetic batches (no workloads) so each test runs in
 milliseconds; the CLI-level tests in ``test_cli_runner.py`` cover the
@@ -11,6 +12,7 @@ import pytest
 
 from repro.chaos.plan import Injection
 from repro.errors import RunnerError, SimulatedCrash
+from repro.obs import RunSession
 from repro.runner import (
     Batch,
     BatchRunner,
@@ -20,6 +22,7 @@ from repro.runner import (
     TaskSpec,
     load_journal,
     null_sleep,
+    run_in_process,
 )
 from repro.service import execute_batch
 
@@ -116,6 +119,68 @@ class TestCleanRun:
         (failure,) = outcome.failures
         assert failure.key == "t:bad"
         assert "expected a JSON-able dict" in failure.message
+
+
+def span_tree(timings: list[dict]) -> list:
+    """(name, attributes, children) of each span, without times."""
+    return [
+        (
+            span["name"],
+            span.get("attributes", {}),
+            span_tree(span.get("children", [])),
+        )
+        for span in timings
+    ]
+
+
+class TestInProcess:
+    def test_runs_every_task_in_order_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        calls: list[str] = []
+        outcome = run_in_process(make_batch(calls=calls))
+        assert calls == ["t:1", "t:2", "t:3"]
+        assert outcome.ok
+        assert (outcome.executed, outcome.cached) == (3, 0)
+        assert list(tmp_path.iterdir()) == []
+        journaled = runner(make_batch(), tmp_path / "ck").run()
+        assert outcome.report == journaled.report
+        assert outcome.results == journaled.results
+
+    def test_task_error_propagates(self):
+        calls: list[str] = []
+        batch = make_batch(calls=calls)
+
+        def broken(env):
+            raise RunnerError("broken task")
+
+        tasks = (
+            batch.tasks[0],
+            TaskSpec(key="t:bad", kind="unit", run=broken),
+            *batch.tasks[1:],
+        )
+        with pytest.raises(RunnerError, match="broken task"):
+            run_in_process(
+                Batch("test", "grid-a", tasks, batch.render)
+            )
+        assert calls == ["t:1"]
+
+    def test_spans_match_the_batch_runner(self, tmp_path):
+        trees = []
+        for run in (
+            lambda: run_in_process(make_batch()),
+            lambda: runner(make_batch(), tmp_path).run(),
+        ):
+            session = RunSession("test", with_git=False)
+            run()
+            trees.append(span_tree(session.finish()["timings"]))
+        in_process, journaled = trees
+        assert in_process == journaled
+        [(name, attributes, tasks)] = in_process
+        assert name == "runner.batch"
+        assert attributes["tasks"] == 3
+        assert [task[1]["key"] for task in tasks] == ["t:1", "t:2", "t:3"]
 
 
 class TestResume:

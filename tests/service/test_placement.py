@@ -1,5 +1,5 @@
-"""The library-level placement API: golden parity with the CLI path,
-deadline behaviour and request validation."""
+"""The library-level API: golden parity with the CLI path, deadline
+behaviour and request validation."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from repro.service import (
     ALGORITHMS,
     CompareRequest,
     PlacementRequest,
+    build_compare_batch,
+    execute_batch,
     make_algorithm,
-    run_compare,
     run_placement,
 )
 from repro.workloads.suite import by_name
@@ -180,26 +181,39 @@ class TestValidation:
 
 
 class TestCompare:
-    def test_echo_lines_match_cli_stdout(
+    def test_report_matches_cli_stdout(
         self, tiny_workload, capsys, monkeypatch
     ):
-        """``repro-layout compare`` output is exactly the run_compare
-        echo stream — the CLI is a thin frontend."""
+        """``repro-layout compare`` prints exactly the grid's report —
+        the CLI is a thin frontend."""
         from repro import cli
 
         monkeypatch.setattr(cli, "by_name", lambda _n: tiny_workload)
         assert main(["compare", "m88ksim"]) == 0
-        cli_lines = capsys.readouterr().out.splitlines()
+        cli_out = capsys.readouterr().out
 
-        echoed: list[str] = []
-        results = run_compare(
-            CompareRequest(workload=tiny_workload), echo=echoed.append
-        )
-        assert echoed == cli_lines
-        assert [name for name, _ in results]
-        for _, stats in results:
-            assert 0.0 <= stats.miss_rate <= 1.0
+        batch = build_compare_batch(CompareRequest(workload=tiny_workload))
+        outcome = execute_batch(batch)
+        assert cli_out == outcome.report + "\n"
+        assert outcome.ok
+        assert list(outcome.results) == [task.key for task in batch.tasks]
+        cells = [p for p in outcome.results.values() if "miss_rate" in p]
+        assert [cell["algorithm"] for cell in cells] == [
+            "default", "PH", "HKC", "GBSC",
+        ]
+        for cell in cells:
+            assert 0.0 <= cell["miss_rate"] <= 1.0
 
     def test_negative_runs_rejected(self, tiny_workload):
-        with pytest.raises(ServiceError):
-            run_compare(CompareRequest(workload=tiny_workload, runs=-1))
+        with pytest.raises(ServiceError, match="runs must be >= 0, got -1"):
+            build_compare_batch(
+                CompareRequest(workload=tiny_workload, runs=-1)
+            )
+
+    @pytest.mark.parametrize("runs", ["2", 2.5, None, True], ids=repr)
+    def test_non_integer_runs_rejected(self, tiny_workload, runs):
+        """Not a bare ``TypeError``, and ``True`` is not one run."""
+        with pytest.raises(ServiceError, match="runs must be an integer"):
+            build_compare_batch(
+                CompareRequest(workload=tiny_workload, runs=runs)
+            )
