@@ -24,15 +24,17 @@ bit-exact, with the timings recorded in
   twin :func:`~repro.profiles.pairdb.build_pair_database` against the
   array build :func:`~repro.profiles.fast.build_pair_database_fast`.
   Blocks, every block's pairs in order, and the stats must be equal.
-* **Placement baselines, perturbation, the GBSC chunk index and trace
-  generation.**  Best-of-5 wall seconds per call of PH, HKC,
-  :meth:`PlacementContext.perturbed` (repeats reuse each frozen
-  graph's cached canonical edge view, so this is the per-seed cost of
-  a sweep) and a :class:`~repro.core.merge.ChunkWeights` build over
-  ``TRG_place`` and the popular set on gcc, and of
+* **Placements, perturbation, the GBSC chunk index and trace
+  generation.**  Best-of-5 wall seconds per call of PH, HKC, GBSC,
+  :meth:`PlacementContext.perturbed` (each call on a fresh context,
+  so it builds the frozen graphs' canonical edge views, as the first
+  perturbation of a sweep does) and a
+  :class:`~repro.core.merge.ChunkWeights` build over ``TRG_place`` and
+  the popular set on gcc, and of
   :func:`~repro.trace.generator.generate_trace` for the perl test
   trace.  These have no scalar twin outside the tests, so they record
-  plain wall times.
+  plain wall times.  PH's greedy loop also records its heap pushes
+  (the ``greedy.heap_pushes`` counter), a deterministic count.
 * **Store kinds.**  Over every suite workload, the build of each kind
   the store keeps (the ``trace`` of the training input, through
   :func:`~repro.trace.generator.generate_trace`, and the ``trg``
@@ -69,6 +71,7 @@ from benchmarks.conftest import (
     scaled_suite,
     write_report,
 )
+from repro import obs
 from repro.cache.config import PAPER_CACHE, PAPER_CACHE_2WAY
 from repro.cache.direct import DirectMappedCache
 from repro.cache.fast import (
@@ -79,7 +82,7 @@ from repro.cache.fast import (
 )
 from repro.cache.linetrace import line_stream
 from repro.cache.setassoc import SetAssociativeCache
-from repro.core.gbsc import gbsc_nodes
+from repro.core.gbsc import GBSCPlacement, gbsc_nodes
 from repro.core.merge import ChunkWeights
 from repro.core.popular import (
     DEFAULT_COVERAGE,
@@ -136,7 +139,7 @@ PLACED_WORKLOAD = "gcc"
 PLACEMENT_REPEATS = 5
 
 #: The calls timed on :data:`PLACED_WORKLOAD`, in report order.
-PLACEMENT_CALLS = ("ph", "hkc", "perturbed", "chunk_weights")
+PLACEMENT_CALLS = ("ph", "hkc", "gbsc", "perturbed", "chunk_weights")
 
 #: Workload whose test trace (the suite's longest) generation is
 #: timed, best of :data:`PLACEMENT_REPEATS`.
@@ -341,15 +344,31 @@ def _measure_generation(workload) -> dict:
     return {"workload": workload.name, "events": len(trace), "seconds": seconds}
 
 
+def _ph_heap_pushes(context) -> int:
+    """The heap pushes of one PH placement of *context*."""
+    previous = obs.current()
+    registry = obs.enable().registry
+    try:
+        PettisHansenPlacement().place(context)
+    finally:
+        obs.restore(previous)
+    return int(registry.counter("greedy.heap_pushes").value)
+
+
 def _measure_placement(workload) -> dict:
-    """Best wall seconds per call of PH, HKC, one perturbed context and
-    one GBSC chunk index."""
-    context = build_context(workload.trace("train"), PAPER_CACHE)
+    """Best wall seconds per call of PH, HKC, GBSC, one perturbed
+    context and one GBSC chunk index, and PH's heap pushes."""
+    train = workload.trace("train")
+    context = build_context(train, PAPER_CACHE)
     trgs = context.require_trgs()
+    fresh = iter(
+        [build_context(train, PAPER_CACHE) for _ in range(PLACEMENT_REPEATS)]
+    )
     runs = {
         "ph": lambda: PettisHansenPlacement().place(context),
         "hkc": lambda: HashemiKaeliCalderPlacement().place(context),
-        "perturbed": lambda: context.perturbed(PAPER_SCALE, 1),
+        "gbsc": lambda: GBSCPlacement().place(context),
+        "perturbed": lambda: next(fresh).perturbed(PAPER_SCALE, 1),
         "chunk_weights": lambda: ChunkWeights(
             trgs.place,
             context.program,
@@ -362,6 +381,7 @@ def _measure_placement(workload) -> dict:
     for name, run in runs.items():
         _, seconds = timed(run, repeats=PLACEMENT_REPEATS)
         results[name] = {"seconds": seconds}
+    results["ph"]["heap_pushes"] = _ph_heap_pushes(context)
     return results
 
 
@@ -549,13 +569,16 @@ def test_kernel_speedup():
         f"({pairdb['speedup']:5.1f}x)"
     )
     lines.append(
-        f"Placement baselines, perturbation and the GBSC chunk index "
+        f"Placements, perturbation and the GBSC chunk index "
         f"({placement['workload']}, best of {PLACEMENT_REPEATS} calls):"
     )
     for name in PLACEMENT_CALLS:
         lines.append(
             f"  {name:<14} {placement[name]['seconds']:7.3f}s per call"
         )
+    lines.append(
+        f"  {'ph pushes':<14} {placement['ph']['heap_pushes']:7d} heap pushes"
+    )
     lines.append(
         f"Trace generation ({generation['workload']} test trace, "
         f"{generation['events']} events, best of {PLACEMENT_REPEATS}):"

@@ -65,7 +65,7 @@ Exit codes: 0 success / clean, 1 findings reported by ``check``,
 ``lint`` or ``cache verify`` **or** a degraded batch (structured task
 failures), 2 a :class:`~repro.errors.ReproError` (bad input,
 unreadable artifact, invalid configuration), 130 interrupted
-(checkpoint journal is flushed; re-run with ``--resume``), 137 a
+(a checkpoint journal is flushed; re-run with ``--resume``), 137 a
 simulated kill from the fault harness.
 """
 
@@ -186,6 +186,12 @@ def _run_batch(args: argparse.Namespace, batch, store=None) -> int:
     """Execute a batch through :func:`repro.service.execute_batch`."""
     from repro.chaos.plan import load_plan
 
+    service.check_runner_flags(
+        args.checkpoint or None,
+        resume=args.resume,
+        plan=args.inject,
+        max_failures=args.max_failures,
+    )
     plan = load_plan(args.inject) if args.inject else None
     outcome = service.execute_batch(
         batch,
@@ -1307,6 +1313,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupted(args: argparse.Namespace) -> str:
+    """The line an interrupt prints: with a resume hint only when the
+    run's checkpoint journal exists to resume from."""
+    if service.has_journal(getattr(args, "checkpoint", None) or None):
+        return "interrupted — resume with --resume"
+    return "interrupted"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; library errors exit 2 in one line.
 
@@ -1315,10 +1329,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     user errors, reported without a traceback.  Genuine bugs still
     raise.
 
-    ``KeyboardInterrupt`` exits 130 (128 + SIGINT) with a one-line
-    resume hint and no traceback: the checkpoint journal is fsynced
-    after every task, so whatever completed before the interrupt is
-    already durable.  The fault harness's simulated ``SIGKILL``
+    ``KeyboardInterrupt`` exits 130 (128 + SIGINT) with one line and
+    no traceback.  The line hints at ``--resume`` when a checkpoint
+    journal exists: it is fsynced after every task, so whatever
+    completed before the interrupt is already durable.  The fault
+    harness's simulated ``SIGKILL``
     (:class:`repro.errors.SimulatedKill`) maps to 137 (128 + SIGKILL)
     so in-process CLI tests can observe kill semantics.
     """
@@ -1332,9 +1347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        print(
-            "interrupted — resume with --resume", file=sys.stderr
-        )
+        print(_interrupted(args), file=sys.stderr)
         return 130
     except SimulatedKill:
         return 137

@@ -16,7 +16,6 @@ the information driving it and the placement step:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +24,7 @@ from repro.cache.config import CacheConfig
 from repro.core.linearize import LinearizationResult, linearize
 from repro.core.merge import ChunkWeights, MergeNode, merge_nodes
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import ProfileGraph
+from repro.profiles.graph import ProfileGraph, coalesce
 from repro.program.layout import Layout
 from repro.program.procedure import DEFAULT_CHUNK_SIZE
 from repro.program.program import Program
@@ -59,7 +58,8 @@ def gbsc_nodes(
 
     The working graph starts as the popular-procedure restriction of
     ``TRG_select``; each step merges the endpoints of its heaviest edge
-    (lazy max-heap, deterministic tie-breaks) until no edges remain.
+    (:func:`~repro.profiles.graph.coalesce`, PH's loop, with its
+    deterministic tie-breaks) until no edges remain.
     *merge* is the pairwise step; the default is Figure 4's
     :func:`~repro.core.merge.merge_nodes` against one
     :class:`~repro.core.merge.ChunkWeights` index over *place_graph*,
@@ -81,27 +81,9 @@ def gbsc_nodes(
             name: MergeNode.single(name) for name in popular
         }
 
-        heap: list[tuple[float, str, str, str, str]] = []
-        for a, b, weight in working.edges():
-            heapq.heappush(heap, (-weight, repr(a), repr(b), a, b))
-
-        while heap:
-            neg_weight, _, _, u, v = heapq.heappop(heap)
-            if u not in working or v not in working:
-                obs.inc("gbsc.merge.stale_heap_entries")
-                continue
-            if working.weight(u, v) != -neg_weight:
-                obs.inc("gbsc.merge.stale_heap_entries")
-                continue  # stale entry
-            nodes[u] = merge(nodes[u], nodes[v])
+        for u, v in coalesce(working):
+            nodes[u] = merge(nodes[u], nodes.pop(v))
             obs.inc("gbsc.merge.edges_merged")
-            del nodes[v]
-            working.merge_nodes_into(u, v)
-            for neighbor in working.neighbors(u):
-                weight = working.weight(u, neighbor)
-                heapq.heappush(
-                    heap, (-weight, repr(u), repr(neighbor), u, neighbor)
-                )
 
         # Deterministic order: larger nodes first, then by first member.
         ordered = sorted(

@@ -178,6 +178,15 @@ def _run_positions(lengths: np.ndarray) -> np.ndarray:
     )
 
 
+def _indicator(
+    lines: np.ndarray, columns: np.ndarray, num_lines: int, width: int
+) -> np.ndarray:
+    """The ``(num_lines, width)`` float matrix counting each
+    ``(lines[k], columns[k])`` pair."""
+    counts = np.bincount(lines * width + columns, minlength=num_lines * width)
+    return counts.reshape(num_lines, width).astype(float)
+
+
 class ChunkWeights:
     """One placement's chunk index: occupancy patterns and weights.
 
@@ -198,6 +207,9 @@ class ChunkWeights:
 
     A node's occupancy is then its procedures' patterns shifted by
     their offsets modulo ``C``, and a merge no longer walks the graph.
+    A node that :meth:`merged` made keeps its occupancy, derived from
+    its two parts', until a later merge absorbs it, so a greedy loop
+    never rebuilds a growing node from every procedure.
     """
 
     def __init__(
@@ -236,11 +248,15 @@ class ChunkWeights:
             + _run_positions(per_line)
         )
         bounds = np.searchsorted(pair_owner, np.arange(len(ordered) + 1))
+        slots = np.arange(self._num_slots)
+        # occupancy() hands a single procedure's pattern out as it is.
+        for array in (pair_line, pair_slot, slots):
+            array.flags.writeable = False
         self._patterns = {
             name: (
                 pair_line[bounds[k] : bounds[k + 1]],
                 pair_slot[bounds[k] : bounds[k + 1]],
-                np.arange(first_slot[k], first_slot[k] + num_chunks[k]),
+                slots[first_slot[k] : first_slot[k] + num_chunks[k]],
             )
             for k, name in enumerate(ordered)
         }
@@ -270,6 +286,12 @@ class ChunkWeights:
         self._matrix[rows, columns] = weight[inside]
         self._matrix[columns, rows] = weight[inside]
 
+        #: ``id(node) -> (node, lines, slots, chunks)`` for each live
+        #: node :meth:`merged` made; holding the node keeps its id.
+        self._occupied: dict[
+            int, tuple[MergeNode, np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
+
     def occupancy(
         self, node: MergeNode
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,18 +301,46 @@ class ChunkWeights:
         The pairs are :func:`line_occupancy` of the node as a multiset,
         with chunks given by slot (see :attr:`chunks`).
         """
+        occupied = self._occupied.get(id(node))
+        if occupied is not None:
+            return occupied[1:]
         try:
             patterns = [self._patterns[p.name] for p in node.placements]
         except KeyError as error:
             raise PlacementError(
                 f"procedure {error.args[0]!r} is not in this chunk index"
             ) from None
+        if len(patterns) == 1:
+            lines, slots, chunks = patterns[0]
+            offset = node.placements[0].offset
+            return (lines + offset) % self.num_lines, slots, chunks
         lengths = [len(pattern[0]) for pattern in patterns]
         shifts = np.repeat([p.offset for p in node.placements], lengths)
         lines = np.concatenate([pattern[0] for pattern in patterns]) + shifts
         slots = np.concatenate([pattern[1] for pattern in patterns])
         chunks = np.sort(np.concatenate([pattern[2] for pattern in patterns]))
         return lines % self.num_lines, slots, chunks
+
+    def merged(self, n1: MergeNode, n2: MergeNode, offset: int) -> MergeNode:
+        """*n1* combined with *n2* shifted by *offset* lines.
+
+        The merged node's occupancy is *n1*'s pairs followed by *n2*'s
+        with their lines shifted, which is :meth:`occupancy` of the
+        merged node, element for element; it is kept in place of the
+        two parts'.
+        """
+        lines1, slots1, chunks1 = self.occupancy(n1)
+        lines2, slots2, chunks2 = self.occupancy(n2)
+        node = n1.combined_with(n2.shifted(offset, self.num_lines))
+        self._occupied.pop(id(n1), None)
+        self._occupied.pop(id(n2), None)
+        self._occupied[id(node)] = (
+            node,
+            np.concatenate((lines1, (lines2 + offset) % self.num_lines)),
+            np.concatenate((slots1, slots2)),
+            np.sort(np.concatenate((chunks1, chunks2))),
+        )
+        return node
 
     def offset_costs(self, n1: MergeNode, n2: MergeNode) -> np.ndarray:
         """The Figure 4 cost vector of shifting *n2* against *n1*.
@@ -320,12 +370,16 @@ class ChunkWeights:
         column[rows] = np.arange(len(rows))
         column[chunks2] = np.arange(len(chunks2))
         kept = column[slots1] >= 0
-        l1 = np.zeros((num_lines, len(rows)))
-        np.add.at(l1, (lines1[kept], column[slots1[kept]]), 1.0)
-        l2 = np.zeros((num_lines, len(chunks2)))
-        np.add.at(l2, (lines2, column[slots2]), 1.0)
+        l1 = _indicator(
+            lines1[kept], column[slots1[kept]], num_lines, len(rows)
+        )
+        l2 = _indicator(lines2, column[slots2], num_lines, len(chunks2))
 
         g = l1 @ weights  # (C, n2): weight mass n1 projects onto each line
+        # Keep this one expression: numpy may multiply into a temporary
+        # operand in place, and its bits then differ from a product of
+        # views (a batched rfft over [g | l2] changed 6 of gcc's 149
+        # merges in the last bit).
         spectrum = (
             np.fft.rfft(g, axis=0) * np.conj(np.fft.rfft(l2, axis=0))
         ).sum(axis=1)
@@ -385,5 +439,4 @@ def merge_nodes(
     costs = weights.offset_costs(n1, n2)
     obs.inc("gbsc.merge.merges")
     obs.inc("gbsc.merge.offsets_evaluated", weights.num_lines)
-    offset = best_offset(costs)
-    return n1.combined_with(n2.shifted(offset, weights.num_lines))
+    return weights.merged(n1, n2, best_offset(costs))

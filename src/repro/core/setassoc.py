@@ -255,19 +255,18 @@ def merge_nodes_sa(
     obs.inc("gbsc.merge.merges")
     obs.inc("gbsc.merge.offsets_evaluated", pairs.num_sets)
     if weights is None:
-        offset = best_offset(costs)
-    else:
-        # Fold line-offset costs onto set alignments: line offsets
-        # i, i + num_sets, ... are the same set alignment.
-        dm_costs = (
-            weights.offset_costs(n1, n2)
-            .reshape(-1, pairs.num_sets)
-            .sum(axis=0)
+        return n1.combined_with(
+            n2.shifted(best_offset(costs), pairs.num_lines)
         )
-        tied = tied_offsets(costs)
-        # An exact argmin over FFT output: dm_costs must stay bit-exact.
-        offset = int(tied[int(np.argmin(dm_costs[tied]))])
-    return n1.combined_with(n2.shifted(offset, pairs.num_lines))
+    # Fold line-offset costs onto set alignments: line offsets
+    # i, i + num_sets, ... are the same set alignment.
+    dm_costs = (
+        weights.offset_costs(n1, n2).reshape(-1, pairs.num_sets).sum(axis=0)
+    )
+    tied = tied_offsets(costs)
+    # An exact argmin over FFT output: dm_costs must stay bit-exact.
+    offset = int(tied[int(np.argmin(dm_costs[tied]))])
+    return weights.merged(n1, n2, offset)
 
 
 def sa_offset_costs_reference(

@@ -11,19 +11,18 @@ that distance is the bytes after ``p`` in A (before it, if A is
 reversed) plus the bytes before ``q`` in B (after it, if B is
 reversed), so one pass over each chain scores all four orders.
 
-The heaviest-edge search uses a lazy max-heap: stale entries (edges
-whose endpoint was merged away or whose weight has since grown) are
-discarded on pop, giving O(E log E) overall instead of a linear scan
-per merge.
+The heaviest-edge search is :func:`~repro.profiles.graph.coalesce`,
+the lazy max-heap loop GBSC shares: a merge pushes only the edges
+whose key it improved, and stale entries are discarded on pop, giving
+O(E log E) overall instead of a linear scan per merge.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable
 
 from repro.placement.base import PlacementContext
-from repro.profiles.graph import ProfileGraph
+from repro.profiles.graph import ProfileGraph, coalesce
 from repro.program.layout import Layout
 from repro.program.program import Program
 
@@ -46,24 +45,8 @@ def ph_order(program: Program, wcg: ProfileGraph) -> list[str]:
     }
     sizes = {name: program.size_of(name) for name in chains}
 
-    heap: list[tuple[float, str, str, str, str]] = []
-    for a, b, weight in working.edges():
-        heapq.heappush(heap, (-weight, repr(a), repr(b), a, b))
-
-    while heap:
-        neg_weight, _, _, u, v = heapq.heappop(heap)
-        if u not in working or v not in working:
-            continue
-        if working.weight(u, v) != -neg_weight:
-            continue  # stale entry
-
+    for u, v in coalesce(working):
         _combine_chains(chains, u, v, wcg, sizes)
-        working.merge_nodes_into(u, v)
-        for neighbor in working.neighbors(u):
-            weight = working.weight(u, neighbor)
-            heapq.heappush(
-                heap, (-weight, repr(u), repr(neighbor), u, neighbor)
-            )
 
     ordered_chains = sorted(
         chains.values(),

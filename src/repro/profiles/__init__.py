@@ -11,6 +11,7 @@ from repro.profiles.graph import (
     FrozenGraph,
     ProfileGraph,
     WeightedGraph,
+    coalesce,
     freeze,
     structural_node_key,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "build_wcg_from_refs",
     "chunk_ref_codes",
     "chunk_refs",
+    "coalesce",
     "collapse_consecutive",
     "freeze",
     "perturbed",

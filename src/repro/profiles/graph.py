@@ -23,6 +23,7 @@ Two classes share one read API, :class:`ProfileGraph`:
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -31,6 +32,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.errors import PlacementError
 from repro.program.procedure import ChunkId
 
@@ -248,12 +250,92 @@ class WeightedGraph(ProfileGraph):
         """
         if target == source:
             raise PlacementError("cannot merge a node with itself")
-        if target not in self._adj or source not in self._adj:
+        rows = self._adj
+        if target not in rows or source not in rows:
             raise PlacementError("both nodes must be present to merge")
-        self.remove_edge(target, source)
-        for neighbor, weight in list(self._adj[source].items()):
-            self.add_edge(target, neighbor, weight)
-        self.remove_node(source)
+        merged = rows[target]
+        merged.pop(source, None)
+        for neighbor, weight in rows.pop(source).items():
+            if neighbor == target:
+                continue
+            row = rows[neighbor]
+            del row[source]
+            total = merged.get(neighbor, 0.0) + weight
+            merged[neighbor] = row[target] = total
+
+
+def coalesce(working: WeightedGraph) -> Iterator[tuple[Node, Node]]:
+    """The greedy outer loop of PH and GBSC (Sections 2 and 4.1).
+
+    Yields ``(u, v)``, the endpoints of *working*'s heaviest edge, and
+    once the caller's step for that pair is done (the next ``next``)
+    folds *v* into *u* with :meth:`WeightedGraph.merge_nodes_into`;
+    the loop ends when no edge is left.  An edge's keys are
+    ``(-weight, repr(a), repr(b), a, b)`` with its endpoints as
+    :meth:`~ProfileGraph.edges` gives them, and, after each merge into
+    one of its endpoints, with that endpoint first; the smallest key
+    pops first, which breaks ties reproducibly.
+
+    An edge's key is pushed only when it is smaller than every key
+    already pushed for that edge.  A merge only sums non-negative
+    weights, so an edge never gets lighter, and the smallest key
+    pushed for it is always current: the keys skipped could only have
+    been popped as stale entries after it.  The heap traffic goes to
+    the counters ``greedy.heap_pushes`` and ``greedy.stale_entries``.
+    """
+    reprs = {node: repr(node) for node in working.nodes}
+    index = {node: position for position, node in enumerate(reprs)}
+    size = len(index)
+    best: dict[int, tuple] = {}
+    # behind[b] holds each a whose edge's best key (-w, repr(a),
+    # repr(b), a, b) loses to (-w, repr(b), repr(a), b, a): a merge
+    # into b improves that edge's key even if its weight stays.
+    behind: dict[Node, dict[Node, None]] = {}
+    heap = []
+    rows = working._adj
+
+    def keep(key: tuple) -> None:
+        """Make *key* its edge's best."""
+        negated, repr_a, repr_b, a, b = key
+        i, j = index[a], index[b]
+        best[i * size + j if i < j else j * size + i] = key
+        behind.get(a, {}).pop(b, None)
+        if (negated, repr_b, repr_a, b, a) < key:
+            behind.setdefault(b, {})[a] = None
+
+    for a, b, weight in working.edges():
+        key = (-weight, reprs[a], reprs[b], a, b)
+        heap.append(key)
+        keep(key)
+    heapq.heapify(heap)
+    pushes, stale = len(heap), 0
+    try:
+        while heap:
+            negated, _, _, u, v = heapq.heappop(heap)
+            if u not in rows or rows[u].get(v) != -negated:
+                stale += 1
+                continue
+            yield u, v
+            # Only u's edges to v's neighbours change weight; the rest
+            # of u's edges can only improve by orientation.
+            changed = [n for n in rows[v] if n != u]
+            working.merge_nodes_into(u, v)
+            behind.pop(v, None)
+            row, repr_u, i = rows[u], reprs[u], index[u]
+            for neighbor in chain(changed, behind.pop(u, ())):
+                weight = row.get(neighbor)
+                if weight is None:
+                    continue  # merged away since
+                key = (-weight, repr_u, reprs[neighbor], u, neighbor)
+                j = index[neighbor]
+                previous = best.get(i * size + j if i < j else j * size + i)
+                if previous is None or key < previous:
+                    heapq.heappush(heap, key)
+                    pushes += 1
+                    keep(key)
+    finally:
+        obs.inc("greedy.heap_pushes", pushes)
+        obs.inc("greedy.stale_entries", stale)
 
 
 def _sort_ranks(nodes: Sequence[Node]) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ class Program:
             if proc.name in self._by_name:
                 raise ProgramError(f"duplicate procedure name {proc.name!r}")
             self._by_name[proc.name] = proc
+        self._names = tuple(self._by_name)
 
     @classmethod
     def from_sizes(cls, sizes: Mapping[str, int]) -> "Program":
@@ -58,7 +59,7 @@ class Program:
     @property
     def names(self) -> tuple[str, ...]:
         """Procedure names in program (source) order."""
-        return tuple(proc.name for proc in self._procedures)
+        return self._names
 
     @property
     def total_size(self) -> int:
@@ -67,7 +68,10 @@ class Program:
 
     def size_of(self, name: str) -> int:
         """Byte size of the named procedure."""
-        return self[name].size
+        try:
+            return self._by_name[name].size
+        except KeyError:
+            raise ProgramError(f"unknown procedure {name!r}") from None
 
     def subset_size(self, names: Iterable[str]) -> int:
         """Total byte size of the named procedures."""

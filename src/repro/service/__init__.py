@@ -23,7 +23,9 @@ checkpoint directory.
 from repro.service.experiments import (
     build_compare_batch,
     build_table1_batch,
+    check_runner_flags,
     execute_batch,
+    has_journal,
 )
 from repro.service.placement import PlacementResult, run_placement
 from repro.service.requests import (
@@ -42,7 +44,9 @@ __all__ = [
     "Table1Request",
     "build_compare_batch",
     "build_table1_batch",
+    "check_runner_flags",
     "execute_batch",
+    "has_journal",
     "make_algorithm",
     "run_placement",
 ]

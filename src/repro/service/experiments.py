@@ -15,6 +15,7 @@ from typing import Callable
 
 from repro.errors import RunnerError
 from repro.runner import (
+    JOURNAL_NAME,
     BatchOutcome,
     BatchRunner,
     FaultPlan,
@@ -30,7 +31,9 @@ from repro.workloads.suite import SUITE
 __all__ = [
     "build_compare_batch",
     "build_table1_batch",
+    "check_runner_flags",
     "execute_batch",
+    "has_journal",
 ]
 
 
@@ -62,6 +65,32 @@ def build_table1_batch(request: Table1Request) -> Batch:
     )
 
 
+def check_runner_flags(
+    checkpoint: str | Path | None,
+    *,
+    resume: bool = False,
+    plan: object = None,
+    max_failures: int | None = None,
+) -> None:
+    """Raise :class:`~repro.errors.RunnerError` when *resume*, a fault
+    *plan* (or the path of one) or *max_failures* is given without a
+    *checkpoint* directory, since all three act on its journal."""
+    if checkpoint is None and (
+        resume or plan is not None or max_failures is not None
+    ):
+        raise RunnerError(
+            "--resume/--inject/--max-failures require --checkpoint DIR"
+        )
+
+
+def has_journal(checkpoint: str | Path | None) -> bool:
+    """True when *checkpoint* names a directory holding a batch journal,
+    which ``--resume`` can continue."""
+    if checkpoint is None:
+        return False
+    return (Path(checkpoint) / JOURNAL_NAME).is_file()
+
+
 def execute_batch(
     batch: Batch,
     checkpoint: str | Path | None = None,
@@ -75,13 +104,13 @@ def execute_batch(
     """Run *batch*, journaling every task into *checkpoint* if given.
 
     Without a checkpoint directory the tasks run in process and a task
-    error propagates; *resume*, *plan* and *max_failures* need one.
+    error propagates; *resume*, *plan* and *max_failures* need one
+    (see :func:`check_runner_flags`).
     """
+    check_runner_flags(
+        checkpoint, resume=resume, plan=plan, max_failures=max_failures
+    )
     if checkpoint is None:
-        if resume or plan is not None or max_failures is not None:
-            raise RunnerError(
-                "--resume/--inject/--max-failures require --checkpoint DIR"
-            )
         return run_in_process(batch)
     runner = BatchRunner(
         batch,

@@ -397,6 +397,17 @@ class TestRunnerArgumentErrors:
         assert code == 2
         assert "fault plan" in capsys.readouterr().err
 
+    def test_absent_inject_plan_without_checkpoint_exits_2(
+        self, tiny_workload, tmp_path, capsys
+    ):
+        """The missing ``--checkpoint`` is reported before the plan is
+        read, with the message the other runner flags give."""
+        message = "--resume/--inject/--max-failures require --checkpoint DIR"
+        absent = str(tmp_path / "absent.json")
+        for command in (["compare", "m88ksim"], ["table1", "--fast"]):
+            assert cli.main([*command, "--inject", absent]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_reusing_checkpoint_without_resume_exits_2(
         self, tiny_workload, tmp_path, capsys
     ):
