@@ -41,6 +41,9 @@ bit-exact, with the timings recorded in
   profiles) against a warm :class:`~repro.store.ArtifactStore` hit on
   the same key (index lookup, blob read, content hash and decode),
   plus the blob bytes.  The decoded value must equal the built one.
+  The trace codec's :func:`~repro.store.codecs.encode_trace` and
+  :func:`~repro.store.codecs.decode_trace` are also timed on their
+  own, apart from generation and the store's file I/O.
 
 The ≥10× acceptance threshold applies to the aggregate TRG-kernel
 speedup, and the store's decision rule — keep a kind only if a warm
@@ -53,7 +56,8 @@ fixed per-call overhead dominates (≈6–7× instead of ≥10×), so reduced
 scale records honest numbers without asserting.  The simulator and
 merge-cost and pair-database speedups and the placement and
 generation wall times are gated in ``benchmarks/baselines.json`` only;
-the store ratio and blob bytes are gated there too.
+the store ratio, the trace encode seconds and the blob bytes are gated
+there too.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ from repro.profiles.trg import (
 )
 from repro.program.layout import Layout
 from repro.program.procedure import DEFAULT_CHUNK_SIZE
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, decode_trace, encode_trace
 from repro.trace.generator import generate_trace, get_or_generate_trace
 
 #: Required aggregate scalar/fast TRG-build speedup.
@@ -412,16 +416,23 @@ def _same_trgs(a, b) -> bool:
 
 
 def _measure_store(suite) -> dict:
-    """Build vs warm-hit seconds of every kind the store keeps, summed
-    over *suite*; asserts each hit equals the build."""
+    """Build vs warm-hit seconds of every kind the store keeps, and
+    the trace codec's encode and decode seconds, summed over *suite*;
+    asserts each hit and each decoded trace equals the build."""
     totals = {
         kind: {"build_seconds": 0.0, "hit_seconds": 0.0}
         for kind in ("trace", "trg")
     }
+    totals["trace"].update(encode_seconds=0.0, decode_seconds=0.0)
     with tempfile.TemporaryDirectory() as root:
         store = ArtifactStore(root)
         for workload in suite:
             train = workload.trace("train")
+            blob, encode_seconds = timed(encode_trace, train)
+            decoded, decode_seconds = timed(decode_trace, blob)
+            assert _same_trace(decoded, train)
+            totals["trace"]["encode_seconds"] += encode_seconds
+            totals["trace"]["decode_seconds"] += decode_seconds
             kinds = {
                 "trace": (
                     get_or_generate_trace,
@@ -518,8 +529,9 @@ def test_kernel_speedup():
             "trace": {"generate": {"seconds": generation["seconds"]}},
             "store": {
                 kind: {
-                    "build_over_hit": result["build_over_hit"],
-                    "bytes": result["bytes"],
+                    key: value
+                    for key, value in result.items()
+                    if key not in ("build_seconds", "hit_seconds")
                 }
                 for kind, result in store.items()
             },
@@ -595,6 +607,11 @@ def test_kernel_speedup():
             f"({result['build_over_hit']:5.1f}x), "
             f"{result['bytes']} blob bytes"
         )
+    trace_codec = store["trace"]
+    lines.append(
+        f"  {'trace codec':<12} {trace_codec['encode_seconds']:7.3f}s encode, "
+        f"{trace_codec['decode_seconds']:6.3f}s decode"
+    )
     write_report("kernels", "\n".join(lines))
     if enforced:
         assert aggregate["speedup"] >= SPEEDUP_THRESHOLD

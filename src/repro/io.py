@@ -227,21 +227,33 @@ def write_npz(
     form: str,
     version: int,
     arrays: Mapping[str, np.ndarray],
+    level: int | None = None,
 ) -> None:
     """Write *arrays* to *handle* as a compressed ``.npz`` archive
     tagged with ``format`` *form* and *version*.
 
     The one ``.npz`` encoder: trace files and every artifact-store
-    blob use it.  Identical arrays give identical bytes (the zip
-    members carry numpy's fixed timestamp), which content hashes of
-    store blobs rely on.
+    blob use it.  It writes the zip as :func:`numpy.savez_compressed`
+    does, one deflated ``<name>.npy`` member per array, but at deflate
+    *level* (``None`` is zlib's default, and then the bytes equal
+    ``savez_compressed``'s).  Identical arrays give identical bytes
+    (every member carries zipfile's fixed timestamp), which content
+    hashes of store blobs rely on.
     """
-    np.savez_compressed(
+    members = {"format": np.array(form), "version": np.array(version)}
+    members.update(arrays)
+    with zipfile.ZipFile(
         handle,
-        format=np.array(form),
-        version=np.array(version),
-        **arrays,
-    )
+        "w",
+        zipfile.ZIP_DEFLATED,
+        compresslevel=level,
+        allowZip64=True,
+    ) as archive:
+        for name, array in members.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(array), allow_pickle=False
+                )
 
 
 def read_npz(
@@ -286,10 +298,29 @@ def read_npz(
 
 _TRACE_ARRAYS = ("program", "procs", "starts", "lengths")
 
+#: Deflate level of trace archives: level 1 encodes about 4x faster
+#: than zlib's default, and narrowed event arrays stay smaller than
+#: int64 ones at the default level (docs/performance.md).
+_TRACE_LEVEL = 1
+
+
+def _narrowest(array: np.ndarray) -> np.ndarray:
+    """Non-negative *array* as the narrowest unsigned dtype holding
+    its maximum (uint8, uint16 or uint32), else int64."""
+    top = int(array.max()) if len(array) else 0
+    dtype = np.min_scalar_type(top) if top <= 0xFFFFFFFF else np.int64
+    return array.astype(dtype, copy=False)
+
 
 def write_trace_npz(trace: Trace, handle: BinaryIO) -> None:
     """Write *trace* to *handle* in the ``repro/trace`` ``.npz``
-    layout (compressed, program embedded as JSON)."""
+    layout (program embedded as JSON).
+
+    The event arrays, non-negative by :class:`Trace`'s checks, are
+    stored in their narrowest unsigned dtype at deflate level 1;
+    :func:`read_trace_npz` accepts any integer dtype, so the decoded
+    trace is the same whatever dtype an archive holds.
+    """
     write_npz(
         handle,
         "repro/trace",
@@ -298,10 +329,11 @@ def write_trace_npz(trace: Trace, handle: BinaryIO) -> None:
             "program": np.array(
                 json.dumps(program_to_dict(trace.program))
             ),
-            "procs": np.asarray(trace.proc_indices),
-            "starts": np.asarray(trace.extent_starts),
-            "lengths": np.asarray(trace.extent_lengths),
+            "procs": _narrowest(trace.proc_indices),
+            "starts": _narrowest(trace.extent_starts),
+            "lengths": _narrowest(trace.extent_lengths),
         },
+        level=_TRACE_LEVEL,
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 from repro.cache.config import PAPER_CACHE
 from repro.errors import ReproError
 from repro.eval.experiment import build_context
-from repro.io import SerializationError, write_npz
+from repro.io import SerializationError, program_to_dict, write_npz
 from repro.profiles.graph import FrozenGraph, WeightedGraph
 from repro.profiles.trg import TRGBuildStats, TRGPair, build_trgs
 from repro.program.procedure import ChunkId
-from repro.store import ArtifactStore
+from repro.program.program import Program
+from repro.store import ArtifactStore, trace_content_fingerprint
 from repro.store.codecs import (
     CODECS,
     decode_trace,
@@ -30,6 +32,8 @@ from repro.store.codecs import (
     encode_trace,
     encode_trgs,
 )
+from repro.trace.events import TraceEvent
+from repro.trace.trace import Trace
 from repro.workloads.suite import by_name
 
 REPO = Path(__file__).resolve().parents[2]
@@ -55,15 +59,84 @@ def trace():
     return suite_module.by_name("m88ksim").scaled(0.02).trace("train")
 
 
+def assert_same_trace(restored, trace) -> None:
+    assert restored.program == trace.program
+    assert np.array_equal(restored.proc_indices, trace.proc_indices)
+    assert np.array_equal(restored.extent_starts, trace.extent_starts)
+    assert np.array_equal(restored.extent_lengths, trace.extent_lengths)
+    assert trace_content_fingerprint(restored) == trace_content_fingerprint(
+        trace
+    )
+
+
+def _boundary_trace(top: int) -> Trace:
+    """A trace whose largest start and largest length are both *top*."""
+    program = Program.from_sizes({"small": 8, "big": top + 1})
+    return Trace(
+        program,
+        [
+            TraceEvent("small", 0, 8),
+            TraceEvent("big", top, 1),
+            TraceEvent("big", 0, top),
+        ],
+    )
+
+
+#: Traces on either side of each dtype boundary (named by their
+#: largest start and length) → the dtype the trace codec stores their
+#: ``starts`` and ``lengths`` in; ``procs`` is uint8 in all of them.
+DTYPE_CASES = {
+    "empty": (lambda: Trace(Program.from_sizes({"a": 8}), []), np.uint8),
+    **{
+        str(top): (lambda top=top: _boundary_trace(top), dtype)
+        for top, dtype in (
+            (255, np.uint8),
+            (256, np.uint16),
+            (65_535, np.uint16),
+            (65_536, np.uint32),
+            (2**32 - 1, np.uint32),
+            (2**32, np.int64),
+        )
+    },
+}
+
+
+def _parent_blob(trace: Trace) -> bytes:
+    """*trace* as blobs were written before the event arrays were
+    narrowed: ``np.savez_compressed`` of the trace's own arrays, with
+    int64 ``starts`` and ``lengths``."""
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer,
+        format=np.array("repro/trace"),
+        version=np.array(1),
+        program=np.array(json.dumps(program_to_dict(trace.program))),
+        procs=np.asarray(trace.proc_indices),
+        starts=np.asarray(trace.extent_starts),
+        lengths=np.asarray(trace.extent_lengths),
+    )
+    return buffer.getvalue()
+
+
 class TestTraceCodec:
     def test_round_trip(self, trace):
         restored = decode_trace(encode_trace(trace))
-        assert restored.program == trace.program
-        assert np.array_equal(restored.proc_indices, trace.proc_indices)
-        assert np.array_equal(restored.extent_starts, trace.extent_starts)
-        assert np.array_equal(
-            restored.extent_lengths, trace.extent_lengths
-        )
+        assert_same_trace(restored, trace)
+
+    @pytest.mark.parametrize("case", list(DTYPE_CASES))
+    def test_dtype_boundaries_round_trip(self, case):
+        build, dtype = DTYPE_CASES[case]
+        trace = build()
+        data = encode_trace(trace)
+        members = _arrays(data)
+        assert members["procs"].dtype == np.uint8
+        assert members["starts"].dtype == members["lengths"].dtype == dtype
+        assert_same_trace(decode_trace(data), trace)
+
+    def test_parent_int64_blob_decodes(self, trace):
+        data = _parent_blob(trace)
+        assert _arrays(data)["starts"].dtype == np.int64
+        assert_same_trace(decode_trace(data), trace)
 
     def test_truncated_blob_raises(self, trace):
         data = encode_trace(trace)

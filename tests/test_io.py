@@ -130,6 +130,39 @@ class TestTraceRoundtrip:
         with pytest.raises(SerializationError):
             load_trace(path)
 
+    def test_file_is_the_store_blob(self, program, tmp_path):
+        """``save_trace`` and the store's trace codec share one
+        encoder, so a trace file is byte-for-byte its store blob."""
+        from repro.store.codecs import encode_trace
+
+        trace = Trace(program, [TraceEvent("b", 50, 100)])
+        path = tmp_path / "trace.npz"
+        save_trace(trace, path)
+        assert path.read_bytes() == encode_trace(trace)
+
+    def test_default_level_is_savez_compressed(self):
+        """At the default deflate level ``write_npz`` writes the bytes
+        ``np.savez_compressed`` does."""
+        from repro.io import write_npz
+
+        arrays = {
+            "program": np.array('{"procedures": []}'),
+            "procs": np.arange(300, dtype=np.int32),
+            "weights": np.linspace(0.0, 1.0, 7),
+            "grid": np.eye(3, dtype=np.uint16),
+            "empty": np.zeros(0, dtype=np.int64),
+        }
+        ours = io.BytesIO()
+        write_npz(ours, "repro/test", 3, arrays)
+        theirs = io.BytesIO()
+        np.savez_compressed(
+            theirs,
+            format=np.array("repro/test"),
+            version=np.array(3),
+            **arrays,
+        )
+        assert ours.getvalue() == theirs.getvalue()
+
 
 def _trace_blob(program: Program, **arrays) -> bytes:
     """A ``repro/trace`` archive of one event of ``a``, with arrays
@@ -155,6 +188,16 @@ MALFORMED_TRACE_ARRAYS = {
     "float-lengths": {"lengths": [4.7]},
     "procs-2d": {"procs": [[0]]},
     "bool-procs": {"procs": [True]},
+    "bool-starts": {"starts": [False]},
+    "starts-2d": {"starts": [[0]]},
+    "starts-uint64-past-int64": {
+        "starts": np.array([2**63], dtype=np.uint64)
+    },
+    "starts-uint64-max": {"starts": np.array([2**64 - 1], dtype=np.uint64)},
+    "lengths-uint64-past-int64": {
+        "lengths": np.array([2**63], dtype=np.uint64)
+    },
+    "procs-uint64-past-program": {"procs": np.array([2], dtype=np.uint64)},
 }
 
 
@@ -182,6 +225,22 @@ class TestMalformedTraceArrays:
                 PlacementService(store).upload_trace(data)
         assert status_for(caught.value) == 400
         assert store.stats()["entries"] == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_ARRAYS))
+    def test_simulate_exits_2(self, program, tmp_path, capsys, case):
+        from repro.cli import main
+
+        layout = tmp_path / "layout.json"
+        trace = tmp_path / "trace.npz"
+        save_layout(Layout.default(program), layout)
+        trace.write_bytes(
+            _trace_blob(program, **MALFORMED_TRACE_ARRAYS[case])
+        )
+        assert main(["simulate", str(layout), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestGraphRoundtrip:
