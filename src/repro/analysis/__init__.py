@@ -32,10 +32,7 @@ Both are wired into the CLI (``repro-layout check`` / ``repro-layout
 lint``) and into CI via ``tests/analysis``.
 """
 
-from repro.analysis.checkpoint_audit import (
-    audit_checkpoint,
-    is_checkpoint_journal,
-)
+from repro.analysis.checkpoint_audit import audit_checkpoint
 from repro.analysis.findings import (
     Finding,
     Location,
@@ -45,11 +42,7 @@ from repro.analysis.findings import (
     sort_findings,
 )
 from repro.analysis.layout_audit import audit_layout, audit_layout_payload
-from repro.analysis.manifest_audit import (
-    audit_manifest,
-    audit_run_path,
-    load_run_manifest,
-)
+from repro.analysis.manifest_audit import audit_manifest, audit_run_path
 from repro.analysis.imports import ImportEdge, ImportGraph, build_import_graph
 from repro.analysis.linter import (
     LintRule,
@@ -90,7 +83,7 @@ from repro.analysis.crash_audit import (
     find_stale_tmp,
 )
 from repro.analysis.perf_audit import PERF_RULES, audit_perf_history
-from repro.analysis.store_audit import audit_store, is_store_dir
+from repro.analysis.store_audit import audit_store
 
 __all__ = [
     "CHAOS_RULES",
@@ -129,11 +122,8 @@ __all__ = [
     "findings_to_sarif",
     "format_findings",
     "format_stats",
-    "is_checkpoint_journal",
-    "is_store_dir",
     "lint_file",
     "lint_source",
-    "load_run_manifest",
     "register_rule",
     "render_sarif",
     "require_clean",

@@ -59,30 +59,6 @@ def _finding(
     )
 
 
-def is_checkpoint_journal(path: str | Path) -> bool:
-    """Cheap sniff: does this file look like a checkpoint journal?
-
-    True for the canonical filename, or when the first line parses as
-    a ``repro/checkpoint`` batch header.
-    """
-    target = Path(path)
-    if target.name == JOURNAL_NAME:
-        return True
-    try:
-        with target.open(encoding="utf-8") as handle:
-            first = handle.readline()
-    except (OSError, UnicodeDecodeError):
-        return False
-    try:
-        record = json.loads(first)
-    except json.JSONDecodeError:
-        return False
-    return (
-        isinstance(record, dict)
-        and record.get("format") == CHECKPOINT_FORMAT
-    )
-
-
 def _audit_header(
     header: dict[str, Any] | None, file: str, findings: list[Finding]
 ) -> int | None:
@@ -263,10 +239,11 @@ def audit_checkpoint(path: str | Path) -> list[Finding]:
                 file=file,
             )
         ]
-    findings: list[Finding] = []
+    from repro.obs.sinks import read_jsonl
+
     try:
-        text = journal_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
+        lines = read_jsonl(journal_path).last_line_torn()
+    except OSError as error:
         return [
             _finding(
                 "checkpoint/parse",
@@ -274,9 +251,8 @@ def audit_checkpoint(path: str | Path) -> list[Finding]:
                 file=file,
             )
         ]
-    lines = text.split("\n")
-    complete, tail = lines[:-1], lines[-1]
-    if tail.strip():
+    findings: list[Finding] = []
+    if lines.torn:
         findings.append(
             _finding(
                 "checkpoint/truncated",
@@ -286,54 +262,26 @@ def audit_checkpoint(path: str | Path) -> list[Finding]:
                 file=file,
             )
         )
+    for number, problem in lines.defects:
+        findings.append(
+            _finding(
+                "checkpoint/parse",
+                f"line {number} is {problem}",
+                file=file,
+            )
+        )
     header: dict[str, Any] | None = None
     completed_keys: list[str] = []
-    directory = journal_path.parent
     task_findings: list[Finding] = []
-    for number, line in enumerate(complete, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if number == len(complete) and not tail.strip():
-                findings.append(
-                    _finding(
-                        "checkpoint/truncated",
-                        "journal ends in a torn line (killed "
-                        "mid-append); replay drops it",
-                        severity=Severity.WARNING,
-                        file=file,
-                    )
-                )
-            else:
-                findings.append(
-                    _finding(
-                        "checkpoint/parse",
-                        f"line {number} is not valid JSON: "
-                        f"{error.msg}",
-                        file=file,
-                    )
-                )
-            continue
-        if not isinstance(record, dict):
-            findings.append(
-                _finding(
-                    "checkpoint/parse",
-                    f"line {number} is not a JSON object",
-                    file=file,
-                )
-            )
-            continue
+    for number, record in lines.records:
         if record.get("type") == "batch":
             if header is None:
                 header = record
-            continue
-        if record.get("type") == "task":
+        elif record.get("type") == "task":
             _audit_task_record(
                 record,
                 number,
-                directory,
+                journal_path.parent,
                 file,
                 task_findings,
                 completed_keys,

@@ -40,10 +40,11 @@ RAW_WRITE_ALLOWLIST: dict[str, str] = {
         "home of the atomic writers themselves",
     "repro.runner.journal":
         "append-only fsync-per-record journal; torn tails are "
-        "detected and dropped on replay",
+        "dropped on replay and cut off before a resumed append",
     "repro.obs.sinks":
-        "streaming JSONL span sink; one line per finished span, "
-        "terminated by the manifest record",
+        "streaming JSONL span sink, one line per finished span, "
+        "terminated by the manifest record; and cut_torn_tail, which "
+        "truncates a record file after its last newline in place",
     "repro.obs.perf.history":
         "append-only benchmark ledger; rewriting the file would "
         "falsify history, and the obs layer may not import repro.io",

@@ -24,7 +24,6 @@ flow through the ordinary findings formatters and SARIF export.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.analysis.findings import Finding, Location, Severity
@@ -105,58 +104,35 @@ def _audit_store_scene(store_root: Path) -> list[Finding]:
 
 
 def _audit_run_file(run_file: Path) -> list[Finding]:
+    from repro.obs.sinks import read_jsonl
+
     if not run_file.exists():
         return []
-    location = Location(file=str(run_file))
     try:
-        text = run_file.read_text(encoding="utf-8", errors="replace")
+        # A torn write may or may not get its newline out; everything
+        # before it must still parse as one JSON object per line.
+        lines = read_jsonl(run_file).last_line_torn()
     except OSError as error:
         return [
             Finding(
                 rule="chaos/manifest-parse",
                 severity=Severity.ERROR,
                 message=f"run file unreadable after crash: {error}",
-                location=location,
+                location=Location(file=str(run_file)),
             )
         ]
-    findings = []
-    lines = text.split("\n")
-    # A torn final write has no newline; everything before the last
-    # separator must still parse as one JSON object per line.
-    complete = lines[:-1]
-    for number, line in enumerate(complete, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(complete):
-                # Torn line that still got its newline out.
-                continue
-            findings.append(
-                Finding(
-                    rule="chaos/manifest-parse",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"run file line {number} is not JSON after "
-                        "crash (corruption before the torn tail)"
-                    ),
-                    location=Location(file=str(run_file), line=number),
-                )
-            )
-            continue
-        if not isinstance(record, dict):
-            findings.append(
-                Finding(
-                    rule="chaos/manifest-parse",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"run file line {number} is not an object"
-                    ),
-                    location=Location(file=str(run_file), line=number),
-                )
-            )
-    return findings
+    return [
+        Finding(
+            rule="chaos/manifest-parse",
+            severity=Severity.ERROR,
+            message=(
+                f"run file line {number} is {problem} after crash "
+                "(corruption before the torn tail)"
+            ),
+            location=Location(file=str(run_file), line=number),
+        )
+        for number, problem in lines.defects
+    ]
 
 
 def audit_crash_scene(

@@ -17,14 +17,18 @@ can be found — the structured answer to "this run left no record".
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.analysis.findings import Finding, Location, Severity
-from repro.errors import AnalysisError
-from repro.obs.sinks import MANIFEST_FORMAT, MANIFEST_VERSION
+from repro.errors import AnalysisError, ManifestMissingError
+from repro.obs.sinks import (
+    MANIFEST_FORMAT,
+    MANIFEST_VERSION,
+    load_run_manifest,
+    sniff_format,
+)
 
 #: Relative slack when comparing summed child durations to the parent:
 #: the parent's own bookkeeping takes time, children cannot exceed it
@@ -263,82 +267,48 @@ def audit_manifest(
     return findings
 
 
-def _read_manifest_line(path: Path) -> Mapping[str, Any] | None:
-    """The last manifest object in a JSONL run file, or ``None``."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        raise AnalysisError(f"cannot read {path}: {error}") from error
-    manifest: Mapping[str, Any] | None = None
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise AnalysisError(
-                f"{path}:{number}: invalid JSON: {error.msg}"
-            ) from error
-        if (
-            isinstance(event, dict)
-            and event.get("format") == MANIFEST_FORMAT
-        ):
-            manifest = event
-    return manifest
-
-
-def load_run_manifest(path: str | Path) -> dict[str, Any]:
-    """Load the manifest terminating a JSONL run file.
-
-    Raises :class:`AnalysisError` when the file has no manifest line —
-    callers that want a finding instead use :func:`audit_run_path`.
-    """
-    manifest = _read_manifest_line(Path(path))
-    if manifest is None:
-        raise AnalysisError(
-            f"{path} contains no run manifest; was the run finished "
-            "with --metrics-out?"
-        )
-    return dict(manifest)
-
-
 def audit_run_path(path: str | Path) -> list[Finding]:
     """Audit a run file, or every ``*.jsonl`` run file in a directory.
 
     A missing or manifest-less run is a ``manifest/missing`` finding,
     not an exception: a run directory with no record is exactly the
-    situation ``check`` exists to report.
+    situation ``check`` exists to report.  A torn tail is dropped, so a
+    run killed mid-emit is manifest-less too.
 
-    Batch-runner checkpoint journals (``checkpoint.jsonl`` /
-    format ``repro/checkpoint``) are recognised and routed to
+    Other record files route by their canonical filename or their
+    :func:`~repro.obs.sinks.sniff_format` stamp: checkpoint journals
+    (``checkpoint.jsonl`` / ``repro/checkpoint``) to
     :func:`~repro.analysis.checkpoint_audit.audit_checkpoint`, so
     ``repro-layout check CKPT/`` audits checkpoint directories with no
-    extra flags.  Artifact-store directories — the target itself, or
-    any immediate subdirectory holding a store index — are likewise
-    routed to :func:`~repro.analysis.store_audit.audit_store`, so a
-    run directory with an embedded ``--cache`` store gets the
-    ``cache/*`` rules applied in the same ``check`` invocation.
-    Benchmark history ledgers (format ``repro/perf-history``) are
-    routed to :func:`~repro.analysis.perf_audit.audit_perf_history`
-    (the ``perf/*`` rules).
+    extra flags; benchmark history ledgers (``HISTORY.jsonl`` /
+    ``repro/perf-history``) to
+    :func:`~repro.analysis.perf_audit.audit_perf_history` (the
+    ``perf/*`` rules).  Artifact-store directories — the target
+    itself, or any immediate subdirectory whose index is stamped
+    ``repro/store-index`` — route to
+    :func:`~repro.analysis.store_audit.audit_store`, so a run directory
+    with an embedded ``--cache`` store gets the ``cache/*`` rules
+    applied in the same ``check`` invocation.
     """
-    from repro.analysis.checkpoint_audit import (
-        audit_checkpoint,
-        is_checkpoint_journal,
-    )
+    from repro.analysis.checkpoint_audit import audit_checkpoint
     from repro.analysis.perf_audit import audit_perf_history
-    from repro.analysis.store_audit import audit_store, is_store_dir
-    from repro.obs.perf.history import is_history_file
+    from repro.analysis.store_audit import audit_store
+    from repro.obs.perf.history import HISTORY_FORMAT, HISTORY_NAME
+    from repro.runner.journal import CHECKPOINT_FORMAT, JOURNAL_NAME
+    from repro.store import INDEX_NAME, STORE_FORMAT
+
+    def is_store(directory: Path) -> bool:
+        return sniff_format(directory / INDEX_NAME) == STORE_FORMAT
 
     target = Path(path)
     if target.is_dir():
-        if is_store_dir(target):
+        if is_store(target):
             return audit_store(target)
         findings: list[Finding] = []
         store_children = [
             child
             for child in sorted(target.iterdir())
-            if child.is_dir() and is_store_dir(child)
+            if child.is_dir() and is_store(child)
         ]
         for child in store_children:
             findings.extend(audit_store(child))
@@ -355,10 +325,6 @@ def audit_run_path(path: str | Path) -> list[Finding]:
         for run in runs:
             findings.extend(audit_run_path(run))
         return findings
-    if target.exists() and is_checkpoint_journal(target):
-        return audit_checkpoint(target)
-    if target.exists() and is_history_file(target):
-        return audit_perf_history(target)
     if not target.exists():
         return [
             _finding(
@@ -367,8 +333,14 @@ def audit_run_path(path: str | Path) -> list[Finding]:
                 file=str(target),
             )
         ]
-    manifest = _read_manifest_line(target)
-    if manifest is None:
+    stamp = sniff_format(target)
+    if target.name == JOURNAL_NAME or stamp == CHECKPOINT_FORMAT:
+        return audit_checkpoint(target)
+    if target.name == HISTORY_NAME or stamp == HISTORY_FORMAT:
+        return audit_perf_history(target)
+    try:
+        manifest = load_run_manifest(target)
+    except ManifestMissingError:
         return [
             _finding(
                 "manifest/missing",

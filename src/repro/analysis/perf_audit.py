@@ -10,7 +10,10 @@ checks what regression gating depends on:
 ``perf/history-parse``
     A ledger line is not JSON, not an object, or carries the wrong
     format/version stamp; or a record lacks a bench id / numeric
-    metrics.  Error severity: gating cannot trust such a ledger.
+    metrics.  Error severity: gating cannot trust such a ledger.  A
+    torn tail (a crash mid-append, which the strict reader drops and
+    the next append cuts off) and a ledger with no valid records are
+    warnings.
 ``perf/host-mismatch``
     Consecutive records of the same bench were taken on different host
     fingerprints (cpu count / platform / python).  Warning severity:
@@ -23,14 +26,14 @@ checks what regression gating depends on:
     (warning — an unguarded bench can regress invisibly).
 
 Routing: ``repro-layout check`` recognises ledgers among ``.jsonl``
-artifacts via :func:`repro.obs.perf.history.is_history_file`;
+artifacts by name (``HISTORY.jsonl``) or by their format stamp
+(:func:`repro.obs.sinks.sniff_format`);
 ``repro-layout perf check`` calls this directly with the baselines
 path and layers tolerance gating on top.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
@@ -69,90 +72,63 @@ def _parse_ledger(
     path: Path, findings: list[Finding]
 ) -> list[dict[str, Any]]:
     """Lenient line-by-line parse; defects become findings."""
+    from repro.obs.sinks import read_jsonl
+
     file = str(path)
-    records: list[dict[str, Any]] = []
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
+        lines = read_jsonl(path)
+    except OSError as error:
         raise AnalysisError(f"cannot read {path}: {error}") from error
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            findings.append(
-                _finding(
-                    "perf/history-parse",
-                    f"unparseable ledger line: {error.msg}",
-                    file=file,
-                    line=lineno,
-                )
+    if lines.torn:
+        findings.append(
+            _finding(
+                "perf/history-parse",
+                "ledger ends in a torn line (killed mid-append); "
+                "reads drop it",
+                severity=Severity.WARNING,
+                file=file,
             )
-            continue
-        if not isinstance(record, dict):
-            findings.append(
-                _finding(
-                    "perf/history-parse",
-                    "ledger record is not an object",
-                    file=file,
-                    line=lineno,
-                )
+        )
+
+    def defect(lineno: int, problem: str, obj: str | None = None) -> None:
+        findings.append(
+            _finding(
+                "perf/history-parse", problem, file=file, line=lineno, obj=obj
             )
-            continue
-        if record.get("format") != HISTORY_FORMAT:
-            findings.append(
-                _finding(
-                    "perf/history-parse",
-                    f"unexpected format {record.get('format')!r} "
-                    f"(want {HISTORY_FORMAT!r})",
-                    file=file,
-                    line=lineno,
-                )
-            )
-            continue
-        if record.get("version") != HISTORY_VERSION:
-            findings.append(
-                _finding(
-                    "perf/history-parse",
-                    f"unsupported ledger version "
-                    f"{record.get('version')!r}",
-                    file=file,
-                    line=lineno,
-                )
-            )
-            continue
+        )
+
+    for lineno, problem in lines.defects:
+        defect(lineno, f"unparseable ledger line: {problem}")
+    records: list[dict[str, Any]] = []
+    for lineno, record in lines.records:
         bench = record.get("bench")
-        if not isinstance(bench, str) or not bench:
-            findings.append(
-                _finding(
-                    "perf/history-parse",
-                    "record has no bench id",
-                    file=file,
-                    line=lineno,
-                )
-            )
-            continue
         metrics = record.get("metrics")
-        numeric = isinstance(metrics, dict) and all(
+        if record.get("format") != HISTORY_FORMAT:
+            defect(
+                lineno,
+                f"unexpected format {record.get('format')!r} "
+                f"(want {HISTORY_FORMAT!r})",
+            )
+        elif record.get("version") != HISTORY_VERSION:
+            defect(
+                lineno,
+                f"unsupported ledger version {record.get('version')!r}",
+            )
+        elif not isinstance(bench, str) or not bench:
+            defect(lineno, "record has no bench id")
+        elif not metrics or not isinstance(metrics, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in metrics.values()
-        )
-        if not numeric or not metrics:
-            findings.append(
-                _finding(
-                    "perf/history-parse",
-                    f"record for bench {bench!r} has no flat numeric "
-                    "metrics map",
-                    file=file,
-                    line=lineno,
-                    obj=bench,
-                )
+        ):
+            defect(
+                lineno,
+                f"record for bench {bench!r} has no flat numeric "
+                "metrics map",
+                obj=bench,
             )
-            continue
-        record["_lineno"] = lineno
-        records.append(record)
+        else:
+            record["_lineno"] = lineno
+            records.append(record)
     return records
 
 

@@ -24,12 +24,10 @@ run directories containing one) and ``repro-layout cache verify``.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
-from typing import Any
 
 from repro.analysis.findings import Finding, Location, Severity
-from repro.store import ENTRY_FIELDS, INDEX_NAME, STORE_FORMAT, STORE_VERSION
+from repro.store import ENTRY_FIELDS, INDEX_NAME, read_index
 from repro.store.store import QUARANTINE_DIR
 
 
@@ -48,69 +46,10 @@ def _finding(
     )
 
 
-def is_store_dir(path: str | Path) -> bool:
-    """True when *path* looks like an artifact-store directory.
-
-    Deliberately shallow (the index file exists and claims the store
-    format) so routing stays cheap; :func:`audit_store` does the real
-    validation.
-    """
-    index = Path(path) / INDEX_NAME
-    if not index.is_file():
-        return False
-    try:
-        data = json.loads(index.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return isinstance(data, dict) and data.get("format") == STORE_FORMAT
-
-
-def _load_entries(
-    index: Path, findings: list[Finding]
-) -> dict[str, Any]:
-    try:
-        data = json.loads(index.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-        findings.append(
-            _finding(
-                "cache/index-parse",
-                f"store index does not parse: {error}",
-                file=str(index),
-            )
-        )
-        return {}
-    if (
-        not isinstance(data, dict)
-        or data.get("format") != STORE_FORMAT
-        or data.get("version") != STORE_VERSION
-    ):
-        findings.append(
-            _finding(
-                "cache/index-parse",
-                f"not a {STORE_FORMAT} v{STORE_VERSION} index "
-                f"(format={data.get('format')!r} "
-                f"version={data.get('version')!r})"
-                if isinstance(data, dict)
-                else "index is not a JSON object",
-                file=str(index),
-            )
-        )
-        return {}
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        findings.append(
-            _finding(
-                "cache/index-parse",
-                "index has no entries table",
-                file=str(index),
-            )
-        )
-        return {}
-    return entries
-
-
 def audit_store(path: str | Path) -> list[Finding]:
     """Audit one store directory; returns sorted ``cache/*`` findings."""
+    from repro.errors import StoreError
+
     root = Path(path)
     index = root / INDEX_NAME
     findings: list[Finding] = []
@@ -124,7 +63,13 @@ def audit_store(path: str | Path) -> list[Finding]:
         )
         return findings
 
-    entries = _load_entries(index, findings)
+    try:
+        entries = read_index(index)
+    except StoreError as error:
+        findings.append(
+            _finding("cache/index-parse", str(error), file=str(index))
+        )
+        entries = {}
     referenced: set[str] = set()
     for digest in sorted(entries):
         entry = entries[digest]

@@ -14,8 +14,8 @@ the contract:
 * the durable surfaces still parse (:func:`audit_crash_scene`);
 * a ``resume`` run completes and reproduces the uninterrupted
   baseline report **byte for byte**;
-* after ``gc``, no stranded temp files or error-severity store
-  findings survive.
+* after ``gc``, no stranded temp files, error-severity store findings
+  or unreadable journal (a resume that corrupts it) survive.
 
 Violations become :class:`~repro.analysis.findings.Finding` objects
 (the ``chaos/*`` family), so campaign results flow through the same
@@ -422,7 +422,9 @@ def run_campaign(
                 )
             )
         findings.extend(
-            _tag_scene_findings(audit_crash_scene(store=store_dir), cp)
+            _tag_scene_findings(
+                audit_crash_scene(checkpoint=ckpt, store=store_dir), cp
+            )
         )
         if not keep:
             best_effort(shutil.rmtree, point_dir)

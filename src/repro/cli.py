@@ -721,8 +721,8 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import load_run_manifest
     from repro.eval.reporting import format_manifest_report
+    from repro.obs import load_run_manifest
 
     manifest = load_run_manifest(args.run)
     print(format_manifest_report(manifest, width=args.width))
@@ -824,7 +824,7 @@ def cmd_perf_diff(args: argparse.Namespace) -> int:
             "perf diff takes exactly two run files "
             "(or --history PATH for ledger records)"
         )
-    from repro.analysis import load_run_manifest
+    from repro.obs import load_run_manifest
     from repro.obs.perf import diff_manifests, format_diff
 
     diff = diff_manifests(
@@ -840,7 +840,11 @@ def cmd_perf_diff(args: argparse.Namespace) -> int:
 def cmd_perf_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis import audit_perf_history, format_findings
+    from repro.analysis import (
+        Severity,
+        audit_perf_history,
+        format_findings,
+    )
     from repro.obs.perf import (
         check_records,
         format_checks,
@@ -855,11 +859,14 @@ def cmd_perf_check(args: argparse.Namespace) -> int:
     if findings:
         print(format_findings(findings))
     parse_broken = any(
-        f.rule == "perf/history-parse" for f in findings
+        f.rule == "perf/history-parse" and f.severity is Severity.ERROR
+        for f in findings
     )
     if parse_broken or not baselines_path.is_file():
         # Either the ledger cannot be trusted line by line or there is
-        # nothing to gate against; the findings above say which.
+        # nothing to gate against; the findings above say which.  A
+        # torn tail is only a warning: the gate reads the records
+        # before it.
         return 1 if findings else 0
     checks = check_records(
         load_baselines(baselines_path),

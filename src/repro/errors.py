@@ -48,6 +48,10 @@ class AnalysisError(ReproError):
     (unauditable artifact, missing program model, unknown lint rule)."""
 
 
+class ManifestMissingError(AnalysisError):
+    """A run file holds no manifest line: the run never finished."""
+
+
 class AuditFailure(AnalysisError):
     """An artifact audit reported error-severity findings.
 

@@ -14,7 +14,11 @@ on per run:
   (config echo, git describe, phase-timing tree, metric snapshot) that
   ``repro-layout report`` renders and ``repro.analysis`` audits;
 * :func:`self_times` — the per-stage self-time fold of a manifest's
-  timing tree, the program's one stage-timing table.
+  timing tree, the program's one stage-timing table;
+* :func:`read_jsonl` — the one reader of every append-only record file
+  (run files, the checkpoint journal, the benchmark ledger), with
+  :func:`cut_torn_tail` for their writers, :func:`load_run_manifest`
+  and the :func:`sniff_format` router.
 
 Instrumentation must only *watch* the pipeline: with observability on
 or off, every layout, miss count and report is byte-identical.
@@ -54,9 +58,14 @@ from repro.obs.session import RunSession, format_duration, git_revision
 from repro.obs.sinks import (
     MANIFEST_FORMAT,
     MANIFEST_VERSION,
+    JsonlLines,
     JsonlSink,
     build_manifest,
+    cut_torn_tail,
+    load_run_manifest,
+    read_jsonl,
     self_times,
+    sniff_format,
     span_event,
 )
 from repro.obs.tracer import SpanRecord, Tracer
@@ -65,6 +74,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "JsonlLines",
     "JsonlSink",
     "MANIFEST_FORMAT",
     "MANIFEST_VERSION",
@@ -75,18 +85,22 @@ __all__ = [
     "Tracer",
     "build_manifest",
     "current",
+    "cut_torn_tail",
     "disable",
     "enable",
     "format_duration",
     "git_revision",
     "inc",
     "is_enabled",
+    "load_run_manifest",
     "merge_snapshot",
     "monotonic",
     "observe",
+    "read_jsonl",
     "restore",
     "self_times",
     "set_gauge",
+    "sniff_format",
     "span",
     "span_event",
     "wall_time",

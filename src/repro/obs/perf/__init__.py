@@ -52,7 +52,6 @@ from repro.obs.perf.history import (
     bench_record,
     flatten_metrics,
     host_fingerprint,
-    is_history_file,
     latest_records,
     read_history,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "format_diff",
     "format_record_diff",
     "host_fingerprint",
-    "is_history_file",
     "latest_records",
     "load_baselines",
     "read_history",

@@ -117,17 +117,23 @@ def append_record(path: Path, record: Mapping[str, Any]) -> None:
     """Append one record to the ledger at *path*, creating it if new.
 
     One ``json.dumps(sort_keys=True)`` line per record, flushed before
-    close; the file is never rewritten (append-only by contract).
+    close; the file is never rewritten (append-only by contract), but
+    a torn tail left by an earlier crash is cut off first
+    (:func:`repro.obs.sinks.cut_torn_tail`), so the new record starts
+    on a line of its own.
     """
     if record.get("format") != HISTORY_FORMAT:
         raise PerfError(
             f"refusing to append non-ledger record to {path}: "
             f"format={record.get('format')!r}"
         )
+    from repro.obs.sinks import cut_torn_tail
+
     line = json.dumps(record, sort_keys=True) + "\n"
     try:
         _chaos_fire("perf.history", "before")
         path.parent.mkdir(parents=True, exist_ok=True)
+        cut_torn_tail(path)
         with open(path, "a", encoding="utf-8") as handle:
             _chaos_fire(
                 "perf.history", "data", handle=handle, payload=line
@@ -147,40 +153,37 @@ def read_history(path: Path) -> list[dict[str, Any]]:
     Raises :class:`~repro.errors.PerfError` on a missing file, a line
     that is not JSON, a record that is not an object, or a record with
     the wrong format/version stamp — a ledger you cannot trust line by
-    line is not a ledger.  (The ``perf/history-parse`` audit rule
-    reports the same defects as findings instead of raising.)
+    line is not a ledger.  A torn tail (a crash mid-append) is dropped,
+    as the journal replay drops one.  (The ``perf/history-parse`` audit
+    rule reports the same defects as findings instead of raising.)
     """
+    from repro.obs.sinks import read_jsonl
+
     if not path.is_file():
         raise PerfError(f"history ledger not found: {path}")
-    records: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PerfError(
-                    f"{path}:{lineno}: unparseable ledger line: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise PerfError(
-                    f"{path}:{lineno}: ledger record is not an object"
-                )
-            if record.get("format") != HISTORY_FORMAT:
-                raise PerfError(
-                    f"{path}:{lineno}: unexpected format "
-                    f"{record.get('format')!r} "
-                    f"(want {HISTORY_FORMAT!r})"
-                )
-            if record.get("version") != HISTORY_VERSION:
-                raise PerfError(
-                    f"{path}:{lineno}: unsupported ledger version "
-                    f"{record.get('version')!r}"
-                )
-            records.append(record)
-    return records
+    try:
+        lines = read_jsonl(path)
+    except OSError as error:
+        raise PerfError(
+            f"cannot read history ledger {path}: {error}"
+        ) from error
+    if lines.defects:
+        lineno, problem = lines.defects[0]
+        raise PerfError(
+            f"{path}:{lineno}: unparseable ledger line: {problem}"
+        )
+    for lineno, record in lines.records:
+        if record.get("format") != HISTORY_FORMAT:
+            raise PerfError(
+                f"{path}:{lineno}: unexpected format "
+                f"{record.get('format')!r} (want {HISTORY_FORMAT!r})"
+            )
+        if record.get("version") != HISTORY_VERSION:
+            raise PerfError(
+                f"{path}:{lineno}: unsupported ledger version "
+                f"{record.get('version')!r}"
+            )
+    return [record for _, record in lines.records]
 
 
 def latest_records(
@@ -198,31 +201,3 @@ def latest_records(
         if isinstance(bench, str) and bench:
             latest[bench] = dict(record)
     return latest
-
-
-def is_history_file(path: Path) -> bool:
-    """Cheap detection: does *path* look like a perf-history ledger?
-
-    Used by audit routing to distinguish ledgers from run manifests
-    (both are ``.jsonl``).  Reads only the first non-blank line and
-    never raises — unreadable files are simply "not a ledger" here and
-    get diagnosed by the full audit instead.
-    """
-    if path.name == HISTORY_NAME:
-        return True
-    if not path.is_file():
-        return False
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                return (
-                    isinstance(record, dict)
-                    and record.get("format") == HISTORY_FORMAT
-                )
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return False

@@ -7,7 +7,8 @@ by one *task record* per completed or failed task.  Every record is
 flushed **and fsynced** before the runner moves on, so the journal
 survives ``SIGKILL`` at any instant with at most one torn trailing
 line — which :func:`load_journal` detects and drops, exactly as a
-database log replay would.
+database log replay would, and which a resumed run cuts off before
+its first append.
 
 Records::
 
@@ -44,7 +45,8 @@ class CheckpointJournal:
 
     The file is opened lazily in append mode on the first record, so
     constructing a journal never touches the filesystem, and reopening
-    an existing journal for resume simply appends.
+    an existing journal for resume first cuts off a torn tail
+    (:func:`repro.obs.sinks.cut_torn_tail`), then appends.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -69,7 +71,10 @@ class CheckpointJournal:
         try:
             _chaos_fire("runner.journal", "before")
             if self._handle is None:
+                from repro.obs.sinks import cut_torn_tail
+
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                cut_torn_tail(self.path)
                 self._handle = self.path.open("a", encoding="utf-8")
             _chaos_fire(
                 "runner.journal", "data",
@@ -138,46 +143,29 @@ def load_journal(path: str | Path) -> JournalState:
     means the file is not a journal this code wrote, and raises
     :class:`~repro.errors.RunnerError`.
     """
+    from repro.obs.sinks import read_jsonl
+
     journal_path = Path(path)
     try:
-        text = journal_path.read_text(encoding="utf-8")
+        lines = read_jsonl(journal_path).last_line_torn()
     except OSError as error:
         raise RunnerError(
             f"cannot read checkpoint journal {journal_path}: {error}"
         ) from error
-    lines = text.split("\n")
-    # A clean journal ends with "\n", leaving one empty trailing piece.
-    complete, tail = lines[:-1], lines[-1]
-    truncated = tail.strip() != ""
-    records: list[dict[str, Any]] = []
-    for number, line in enumerate(complete, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if number == len(complete) and not truncated:
-                # Torn write that still got its newline out.
-                truncated = True
-                continue
-            raise RunnerError(
-                f"{journal_path}:{number}: corrupt checkpoint journal "
-                f"line: {error.msg}"
-            ) from error
-        if not isinstance(record, dict):
-            raise RunnerError(
-                f"{journal_path}:{number}: journal record is not an "
-                "object"
-            )
-        records.append(record)
+    if lines.defects:
+        number, problem = lines.defects[0]
+        raise RunnerError(
+            f"{journal_path}:{number}: corrupt checkpoint journal "
+            f"line: {problem}"
+        )
     header: dict[str, Any] | None = None
     entries: list[dict[str, Any]] = []
-    for record in records:
+    for _, record in lines.records:
         if record.get("type") == "batch":
             if header is None:
                 header = record
         elif record.get("type") == "task":
             entries.append(record)
     return JournalState(
-        header=header, entries=tuple(entries), truncated=truncated
+        header=header, entries=tuple(entries), truncated=lines.torn
     )

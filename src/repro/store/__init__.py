@@ -17,7 +17,8 @@ Three modules:
 * :mod:`repro.store.codecs` — per-kind byte encoders/decoders reusing
   the :mod:`repro.io` formats;
 * :mod:`repro.store.store` — the store itself (index, blobs,
-  ``get_or_build``, ``stats``, ``gc``).
+  ``get_or_build``, ``stats``, ``gc``) and :func:`read_index`, the
+  one parser of the index file.
 
 See ``docs/caching.md`` for the user-facing contract.
 """
@@ -46,6 +47,7 @@ from repro.store.store import (
     STORE_VERSION,
     ArtifactStore,
     blob_relpath,
+    read_index,
 )
 
 __all__ = [
@@ -66,6 +68,7 @@ __all__ = [
     "encode_trace",
     "encode_trgs",
     "fingerprint",
+    "read_index",
     "trace_content_fingerprint",
     "trg_key",
 ]

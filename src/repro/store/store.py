@@ -64,6 +64,37 @@ STORE_VERSION = 1
 ENTRY_FIELDS = ("kind", "sha256", "file", "bytes", "seq")
 
 
+def read_index(path: str | Path) -> dict[str, dict[str, Any]]:
+    """The entries table of the store index at *path*; ``{}`` when the
+    file is absent.
+
+    Raises :class:`~repro.errors.StoreError` when the index cannot be
+    read, is not JSON, or is not a ``repro/store-index`` v1 object
+    with an entries table.
+    """
+    index = Path(path)
+    if not index.exists():
+        return {}
+    try:
+        data = json.loads(index.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as error:
+        raise StoreError(
+            f"unreadable store index {index}: {error}"
+        ) from error
+    if (
+        not isinstance(data, dict)
+        or data.get("format") != STORE_FORMAT
+        or data.get("version") != STORE_VERSION
+    ):
+        raise StoreError(
+            f"{index} is not a {STORE_FORMAT} v{STORE_VERSION} index"
+        )
+    entries = data.get("entries")
+    if not isinstance(entries, dict):
+        raise StoreError(f"{index} has no entries table")
+    return entries
+
+
 def blob_relpath(digest: str) -> str:
     """Blob location relative to the store root (2-char fan-out)."""
     return f"objects/{digest[:2]}/{digest}"
@@ -89,7 +120,7 @@ class ArtifactStore:
             raise StoreError(f"store root {self.root} is not a directory")
         self._readonly = bool(readonly)
         self._owner_pid = os.getpid()
-        self._index: dict[str, dict[str, Any]] = self._read_index()
+        self._index: dict[str, dict[str, Any]] = read_index(self.index_path)
         self._corrupt_reads = Degradation(limit=QUARANTINE_STRIKES)
         self.hits = 0
         self.misses = 0
@@ -100,27 +131,6 @@ class ArtifactStore:
     def index_path(self) -> Path:
         """Path of the store's JSON index file."""
         return self.root / INDEX_NAME
-
-    def _read_index(self) -> dict[str, dict[str, Any]]:
-        path = self.index_path
-        if not path.exists():
-            return {}
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise StoreError(
-                f"unreadable store index {path}: {error}"
-            ) from error
-        if (
-            not isinstance(data, dict)
-            or data.get("format") != STORE_FORMAT
-            or data.get("version") != STORE_VERSION
-        ):
-            raise StoreError(f"{path} is not a {STORE_FORMAT} index")
-        entries = data.get("entries")
-        if not isinstance(entries, dict):
-            raise StoreError(f"{path} has a malformed entries table")
-        return entries
 
     def _write_index(self) -> None:
         payload = {
@@ -143,7 +153,7 @@ class ArtifactStore:
         hard failure.
         """
         try:
-            disk = self._read_index()
+            disk = read_index(self.index_path)
         except StoreError:
             return
         disk.update(self._index)

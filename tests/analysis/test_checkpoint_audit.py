@@ -10,8 +10,8 @@ from repro.analysis import (
     Severity,
     audit_checkpoint,
     audit_run_path,
-    is_checkpoint_journal,
 )
+from repro.obs import sniff_format
 from repro.runner import (
     Batch,
     BatchRunner,
@@ -241,8 +241,14 @@ class TestDamage:
 
 
 class TestDispatch:
-    def test_sniff_by_name(self, checkpoint):
-        assert is_checkpoint_journal(checkpoint / JOURNAL_NAME)
+    """``audit_run_path`` routes a journal by its canonical filename or
+    by its ``repro/checkpoint`` stamp, and nothing else."""
+
+    def test_sniff_by_name(self, tmp_path):
+        path = tmp_path / JOURNAL_NAME
+        path.write_text('{"type": "span", "name": "x"}\n')
+        assert sniff_format(path) is None
+        assert rules(audit_run_path(path)) == {"checkpoint/header"}
 
     def test_sniff_by_header(self, tmp_path):
         path = tmp_path / "renamed.jsonl"
@@ -258,12 +264,13 @@ class TestDispatch:
             )
             + "\n"
         )
-        assert is_checkpoint_journal(path)
+        assert sniff_format(path) == CHECKPOINT_FORMAT
+        assert audit_run_path(path) == []
 
     def test_run_file_is_not_a_journal(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text('{"type": "span", "name": "x"}\n')
-        assert not is_checkpoint_journal(path)
+        assert rules(audit_run_path(path)) == {"manifest/missing"}
 
     def test_audit_run_path_delegates(self, checkpoint):
         assert audit_run_path(checkpoint / JOURNAL_NAME) == []

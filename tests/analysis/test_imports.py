@@ -90,9 +90,10 @@ GOLDEN_STATIC = {
 #: Golden package-level lazy (function-local) edges.  Every upward
 #: entry here is carried by a LAZY_ALLOWLIST justification.
 GOLDEN_LAZY = {
-    "analysis": {"io", "obs"},
+    "analysis": {"errors", "io", "obs", "runner", "store"},
     "cli": {"analysis", "chaos", "errors", "eval", "io", "obs",
             "serve", "store", "workloads"},
+    "runner": {"obs"},
     "service": {"io", "placement"},
     "workloads": {"io"},
 }

@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from repro.analysis import audit_manifest, audit_run_path, load_run_manifest
+from repro.analysis import audit_manifest, audit_run_path
 from repro.cli import main
 from repro.errors import AnalysisError
-from repro.obs import MANIFEST_FORMAT, MANIFEST_VERSION
+from repro.obs import MANIFEST_FORMAT, MANIFEST_VERSION, load_run_manifest
 
 
 def clean_manifest() -> dict:
@@ -163,6 +163,34 @@ class TestCheckCommand:
         assert main(["check", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "manifest/missing" in out
+
+    def test_check_torn_run_file_is_manifest_less(self, tmp_path, capsys):
+        run = tmp_path / "run.jsonl"
+        run.write_text('{"type": "span", "name": "a"}\n{"type": "man')
+        assert main(["check", str(run)]) == 1
+        assert "manifest/missing" in capsys.readouterr().out
+
+    def test_check_corruption_before_tail_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run.jsonl"
+        run.write_text('{bad\n' + json.dumps(clean_manifest()) + "\n")
+        assert main(["check", str(run)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_check_run_dir_with_torn_run_file_reports_store(
+        self, tmp_path, capsys
+    ):
+        from repro.store import ArtifactStore, artifact_digest
+
+        store = ArtifactStore(tmp_path / "store")
+        store.put(artifact_digest("trace", {"trace": "a"}), "trace", b"x")
+        orphan = store.root / "objects" / "ab" / ("ab" + "0" * 62)
+        orphan.parent.mkdir(parents=True, exist_ok=True)
+        orphan.write_bytes(b"orphan")
+        (tmp_path / "run.jsonl").write_text('{"type": "span"}\n{"ty')
+        assert main(["check", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "manifest/missing" in out
+        assert "cache/orphan-blob" in out
 
     def test_check_corrupt_run_file_exits_1(self, tmp_path, capsys):
         manifest = clean_manifest()

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import PERF_RULES, audit_perf_history, audit_run_path
+from repro.analysis import (
+    PERF_RULES,
+    Severity,
+    audit_perf_history,
+    audit_run_path,
+)
 from repro.errors import AnalysisError
 from repro.obs.perf import (
     BASELINES_FORMAT,
@@ -86,6 +91,15 @@ class TestHistoryParse:
         assert len(parse) == 1
         assert fragment in parse[0].message
         assert parse[0].location.line == 2
+
+    def test_torn_tail_is_a_warning(self, tmp_path):
+        ledger = write_ledger(tmp_path, bench_record("b", {"x": 1.0}))
+        with ledger.open("a") as handle:
+            handle.write('{"format": "repro/perf-hi')
+        (finding,) = audit_perf_history(ledger)
+        assert finding.rule == "perf/history-parse"
+        assert finding.severity is Severity.WARNING
+        assert "torn" in finding.message
 
     def test_parsing_continues_past_defects(self, tmp_path):
         ledger = tmp_path / "HISTORY.jsonl"

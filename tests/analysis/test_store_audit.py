@@ -6,11 +6,13 @@ import json
 
 import pytest
 
-from repro.analysis import audit_run_path, audit_store, is_store_dir
+from repro.analysis import audit_run_path, audit_store
 from repro.analysis.findings import Severity
+from repro.obs import sniff_format
 from repro.store import (
     ArtifactStore,
     INDEX_NAME,
+    STORE_FORMAT,
     artifact_digest,
     blob_relpath,
 )
@@ -28,15 +30,21 @@ def rules(findings):
 
 
 class TestIsStoreDir:
+    """``audit_run_path`` routes a directory to the store audit when its
+    index is stamped ``repro/store-index``, and nothing else."""
+
     def test_recognises_a_store(self, store):
-        assert is_store_dir(store.root)
+        assert sniff_format(store.root / INDEX_NAME) == STORE_FORMAT
+        assert audit_run_path(store.root) == []
 
     def test_rejects_other_directories(self, tmp_path):
-        assert not is_store_dir(tmp_path)
+        assert rules(audit_run_path(tmp_path)) == ["manifest/missing"]
         (tmp_path / INDEX_NAME).write_text("{bad")
-        assert not is_store_dir(tmp_path)
+        assert sniff_format(tmp_path / INDEX_NAME) is None
+        assert rules(audit_run_path(tmp_path)) == ["manifest/missing"]
         (tmp_path / INDEX_NAME).write_text(json.dumps({"format": "x"}))
-        assert not is_store_dir(tmp_path)
+        assert sniff_format(tmp_path / INDEX_NAME) == "x"
+        assert rules(audit_run_path(tmp_path)) == ["manifest/missing"]
 
 
 class TestAuditStore:

@@ -209,6 +209,18 @@ class TestReportCommand:
         assert main(["report", str(run)]) == 2
         assert "no run manifest" in capsys.readouterr().err
 
+    def test_torn_tail_is_dropped_as_manifest_less(self, tmp_path, capsys):
+        run = tmp_path / "run.jsonl"
+        run.write_text('{"type": "span", "name": "a"}\n{"type": "man')
+        assert main(["report", str(run)]) == 2
+        assert "no run manifest" in capsys.readouterr().err
+
+    def test_corruption_before_the_tail_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run.jsonl"
+        run.write_text('{"type": "span"}\n{bad\n{"type": "span"}\n')
+        assert main(["report", str(run)]) == 2
+        assert f"{run}:2: not valid JSON" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err

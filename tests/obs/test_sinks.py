@@ -3,19 +3,101 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.analysis import audit_manifest, audit_run_path, load_run_manifest
+from repro.analysis import audit_manifest, audit_run_path
 from repro.errors import ObservabilityError
 from repro.obs import (
     MANIFEST_FORMAT,
     MANIFEST_VERSION,
     JsonlSink,
     RunSession,
+    cut_torn_tail,
+    load_run_manifest,
+    read_jsonl,
     runtime,
 )
+
+JSON_OBJECTS = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=8)
+    ),
+    max_size=3,
+)
+
+
+class TestReadJsonl:
+    @given(
+        records=st.lists(JSON_OBJECTS, max_size=6),
+        extra=JSON_OBJECTS,
+        data=st.data(),
+    )
+    def test_cut_anywhere_then_append(self, records, extra, data):
+        """Cut a clean file at any byte: the reader returns exactly the
+        records whose whole line precedes the cut, never a defect, and
+        flags a torn tail exactly when the cut falls inside a line.
+        After the tail cut, one append reads back cleanly."""
+        lines = [
+            (json.dumps(r, ensure_ascii=False) + "\n").encode("utf-8")
+            for r in records
+        ]
+        blob = b"".join(lines)
+        cut = data.draw(st.integers(0, len(blob)), label="cut")
+        ends = [sum(map(len, lines[: i + 1])) for i in range(len(lines))]
+        whole = [
+            (i + 1, record)
+            for i, record in enumerate(records)
+            if ends[i] <= cut
+        ]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "records.jsonl"
+            path.write_bytes(blob[:cut])
+            read = read_jsonl(path)
+            assert read.records == whole
+            assert read.defects == []
+            assert read.torn == (cut not in [0, *ends])
+            cut_torn_tail(path)
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps(extra) + "\n")
+            read = read_jsonl(path)
+            assert [r for _, r in read.records] == [
+                r for _, r in whole
+            ] + [extra]
+            assert read.defects == []
+            assert not read.torn
+
+    def test_defects_carry_line_numbers(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n[1]\n{bad\n\xff\n{"b": 2}\n')
+        read = read_jsonl(path)
+        assert read.records == [(1, {"a": 1}), (6, {"b": 2})]
+        assert [number for number, _ in read.defects] == [3, 4, 5]
+        assert not read.torn
+
+    def test_last_line_torn_counts_a_final_defect_as_torn(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": 1}\n{bad\n')
+        read = read_jsonl(path).last_line_torn()
+        assert read.records == [(1, {"a": 1})]
+        assert read.defects == []
+        assert read.torn
+        path.write_text('{bad\n{"a": 1}\n')
+        assert read_jsonl(path).last_line_torn().defects == [
+            (1, "not valid JSON: Expecting property name enclosed in "
+                "double quotes")
+        ]
+
+    def test_cut_torn_tail_ignores_a_missing_file(self, tmp_path):
+        cut_torn_tail(tmp_path / "absent.jsonl")
+        assert not (tmp_path / "absent.jsonl").exists()
+
 
 
 class TestJsonlSink:

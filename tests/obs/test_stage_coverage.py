@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import load_run_manifest
 from repro.cli import main
-from repro.obs import self_times
+from repro.obs import load_run_manifest, self_times
 from tests.conftest import cold_process_caches
 
 #: Stages a compare run must show, with or without a store, from cold

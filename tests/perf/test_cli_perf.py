@@ -188,6 +188,20 @@ class TestPerfCheck:
         ]) == 1
         assert "perf/baseline-missing" in capsys.readouterr().out
 
+    def test_torn_ledger_tail_warns_and_still_gates(
+        self, tmp_path, ledger, capsys
+    ):
+        with ledger.open("a") as handle:
+            handle.write('{"format": "repro/perf-hi')
+        baselines = write_baselines(tmp_path, 0.040, tolerance=0.05)
+        assert main([
+            "perf", "check", "--history", str(ledger),
+            "--baselines", str(baselines),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "warning [perf/history-parse]" in out
+        assert "OK: 1 gated metrics within tolerance" in out
+
     def test_corrupt_ledger_exits_1_via_findings(self, tmp_path, capsys):
         history = tmp_path / "HISTORY.jsonl"
         history.write_text("{not json\n")

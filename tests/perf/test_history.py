@@ -6,7 +6,11 @@ import json
 
 import pytest
 
-from repro.errors import PerfError
+from repro.analysis import audit_run_path
+from repro.chaos import sites
+from repro.chaos.plan import FaultPlan, Injection
+from repro.errors import PerfError, SimulatedCrash
+from repro.obs import read_jsonl, sniff_format
 from repro.obs.perf import (
     HISTORY_FORMAT,
     HISTORY_NAME,
@@ -15,7 +19,6 @@ from repro.obs.perf import (
     bench_record,
     flatten_metrics,
     host_fingerprint,
-    is_history_file,
     latest_records,
     read_history,
 )
@@ -103,6 +106,33 @@ class TestLedgerRoundTrip:
         with pytest.raises(PerfError, match=message):
             read_history(path)
 
+    def test_torn_tail_is_dropped(self, tmp_path):
+        path = tmp_path / HISTORY_NAME
+        record = bench_record("b", {"x": 1.0})
+        append_record(path, record)
+        with path.open("a") as handle:
+            handle.write('{"format": "repro/perf-hi')
+        assert read_history(path) == [record]
+
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        """A crash mid-append leaves a torn tail; the next append cuts
+        it off instead of gluing its record onto the fragment."""
+        path = tmp_path / HISTORY_NAME
+        first = bench_record("b", {"x": 1.0})
+        second = bench_record("b", {"x": 2.0})
+        append_record(path, first)
+        with sites.installed(
+            FaultPlan(
+                [Injection(site="perf.history", point="data", error="torn")]
+            )
+        ):
+            with pytest.raises(SimulatedCrash):
+                append_record(path, bench_record("b", {"x": 9.0}))
+        assert read_jsonl(path).torn
+        append_record(path, second)
+        assert read_history(path) == [first, second]
+        assert not read_jsonl(path).torn
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / HISTORY_NAME
         append_record(path, bench_record("b", {"x": 1.0}))
@@ -126,20 +156,34 @@ class TestLatestRecords:
 
 
 class TestIsHistoryFile:
+    """``audit_run_path`` routes a ledger by its canonical filename or
+    by its ``repro/perf-history`` stamp, and nothing else."""
+
     def test_canonical_name_matches(self, tmp_path):
-        assert is_history_file(tmp_path / HISTORY_NAME)
+        path = tmp_path / HISTORY_NAME
+        path.write_text('{"type": "span", "name": "a"}\n')
+        assert sniff_format(path) is None
+        assert {f.rule for f in audit_run_path(path)} == {
+            "perf/history-parse"
+        }
 
     def test_content_sniffing(self, tmp_path):
         path = tmp_path / "other.jsonl"
         append_record(path, bench_record("b", {"x": 1.0}))
-        assert is_history_file(path)
+        assert sniff_format(path) == HISTORY_FORMAT
+        assert audit_run_path(path) == []
 
     def test_run_manifest_is_not_a_ledger(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text('{"format": "repro/manifest", "type": "span"}\n')
-        assert not is_history_file(path)
+        assert sniff_format(path) == "repro/manifest"
+        rules = {f.rule for f in audit_run_path(path)}
+        assert rules and not any(r.startswith("perf/") for r in rules)
 
     def test_garbage_never_raises(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_bytes(b"\xff\xfe{not json")
-        assert not is_history_file(path)
+        assert sniff_format(path) is None
+        assert {f.rule for f in audit_run_path(path)} == {
+            "manifest/missing"
+        }

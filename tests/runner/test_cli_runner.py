@@ -18,8 +18,7 @@ from collections import Counter
 import pytest
 
 from repro import cli, service
-from repro.analysis import load_run_manifest
-from repro.obs import self_times
+from repro.obs import load_run_manifest, self_times
 from repro.errors import RunnerError
 from repro.runner import (
     FAULTPLAN_FORMAT,

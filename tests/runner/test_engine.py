@@ -404,6 +404,13 @@ class TestIoFaultPlan:
         ).run()
         assert resumed.ok
         assert resumed.report == reference.report
+        # The resume cut the torn tail before appending, so its own
+        # records are intact and a second resume replays every task.
+        assert not load_journal(tmp_path / "ck" / "checkpoint.jsonl").truncated
+        again = runner(make_batch(), tmp_path / "ck", resume=True).run()
+        assert again.ok
+        assert again.cached == 3
+        assert again.report == reference.report
 
     def test_torn_journal_header_resumes_fresh(self, tmp_path):
         plan = FaultPlan(
