@@ -1,10 +1,11 @@
-"""Auditing batch-runner checkpoints: journal + artifacts.
+"""Auditing batch-runner checkpoint journals.
 
 A checkpoint directory is only worth resuming if its journal can be
 trusted: every line must parse (except at most one torn tail, the
 legitimate residue of a kill mid-append), the batch header must pin a
-grid, and every completed-task record must reference an artifact that
-exists and parses cleanly.  :func:`audit_checkpoint` verifies all of
+grid, and every completed-task record must carry its payload inline
+(legacy journals instead reference an artifact file, which must exist
+and parse cleanly).  :func:`audit_checkpoint` verifies all of
 this **without executing anything**, reporting structured
 :class:`~repro.analysis.findings.Finding` objects on the same pipeline
 as the layout/graph/manifest auditors, so ``repro-layout check CKPT/``
@@ -20,8 +21,8 @@ Rules::
                            malformed worker id (error; journals
                            from the removed parallel runner carry
                            one per task, and resume still reads them)
-    checkpoint/artifact    completed task's artifact missing or
-                           unparseable (error)
+    checkpoint/artifact    legacy completed task's artifact missing
+                           or unparseable (error)
     checkpoint/duplicate   task completed more than once (warning —
                            replay is last-wins, but double work means
                            an artifact was repaired or a journal

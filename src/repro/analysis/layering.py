@@ -17,11 +17,10 @@ them.  ``chaos.plan``/``chaos.sites`` use the same trick: the fault
 hook must sit *below* every writer it instruments (``io``, ``obs``,
 ``store``, ``runner``), while the campaign driver in the ``chaos``
 package proper sits near the top, above ``runner`` and ``analysis``
-which it orchestrates.  ``resilience`` (pure policy over ``errors``)
-shares the bottom utility rank.  ``service`` (the library-level
-placement API) sits directly above ``runner``, whose grids and task
-guard it reuses, and ``serve`` (the HTTP frontend) directly above
-``service``, below the ``analysis``/``chaos`` tooling and the CLI.
+which it orchestrates.  ``service`` (the library-level placement API)
+sits directly above ``runner``, whose grids it runs, and ``serve``
+(the HTTP frontend) directly above ``service``, below the
+``analysis``/``chaos`` tooling and the CLI.
 
 Lazy (function-local) imports are the sanctioned escape hatch for the
 few documented upward references, each carried by an explicit
@@ -53,7 +52,6 @@ LAYERS: tuple[tuple[str, ...], ...] = (
         "obs",
         "fastpath",
         "cache.config",
-        "resilience",
         "chaos.plan",
         "chaos.sites",
     ),

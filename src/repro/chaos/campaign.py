@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 import random as _random
@@ -38,7 +39,6 @@ from repro.chaos import sites
 from repro.chaos.plan import ERROR_KINDS, FaultPlan, Injection
 from repro.errors import ChaosError, ReproError, SimulatedKill
 from repro.io import atomic_write_text
-from repro.resilience import best_effort, null_sleep
 from repro.runner import BatchRunner
 from repro.store import ArtifactStore
 from repro.workloads.spec import clear_trace_memo
@@ -246,7 +246,6 @@ def run_campaign(
         batch_factory(store),
         baseline_dir / "ckpt",
         store=store,
-        sleep=null_sleep,
     )
     say(f"chaos: baseline {command} run (fault-free, recording)")
     # Every campaign run models a fresh process: the in-process trace
@@ -301,7 +300,6 @@ def run_campaign(
             batch_factory(point_store),
             ckpt,
             store=point_store,
-            sleep=null_sleep,
         )
         outcome_word = "clean"
         clear_trace_memo()
@@ -373,7 +371,6 @@ def run_campaign(
             ckpt,
             resume=True,
             store=resume_store,
-            sleep=null_sleep,
         )
         clear_trace_memo()
         try:
@@ -416,7 +413,7 @@ def run_campaign(
             findings.append(
                 _point_finding(
                     "chaos/temp-orphan",
-                    "temp file survives resume sweep and gc: "
+                    "temp file survives gc: "
                     f"{stale.relative_to(point_dir).as_posix()}",
                     cp,
                 )
@@ -427,9 +424,11 @@ def run_campaign(
             )
         )
         if not keep:
-            best_effort(shutil.rmtree, point_dir)
+            with suppress(OSError):
+                shutil.rmtree(point_dir)
     if not keep:
-        best_effort(shutil.rmtree, baseline_dir)
+        with suppress(OSError):
+            shutil.rmtree(baseline_dir)
 
     return CampaignResult(
         command=command,

@@ -26,9 +26,9 @@ Write sites follow the atomic-write protocol; streaming writers
     writer never observed).
 
 The batch runner's ``runner.task`` site has two more points, ``start``
-(attempt entry) and ``finish`` (the body returned, before the artifact
-write).  It fires with the task key, which an injection's *task* glob
-filters on.
+(attempt entry) and ``finish`` (the body returned, before the task is
+journaled).  It fires with the task key, which an injection's *task*
+glob filters on.
 
 Error kinds: ``transient`` raises
 :class:`~repro.errors.TransientTaskError` (the guard retries it),
@@ -42,8 +42,8 @@ streaming writers, a truncated temp file for atomic ones — and then
 crashes.
 
 The JSON form has two entry shapes.  Version 1 lists ``injections``
-addressed by task key glob at a task point (``start``, ``finish`` or
-``artifact``; see :data:`TASK_POINTS` for the site each one fires at).
+addressed by task key glob at a task point (``start`` or ``finish``;
+see :data:`TASK_POINTS` for the site each one fires at).
 Version 2 adds an ``io`` array addressed by site.  Both load into the
 same :class:`Injection`, and :meth:`FaultPlan.to_dict` writes each
 back in the shape it came from, so plan files round-trip byte for
@@ -82,7 +82,6 @@ POINTS = ("before", "data", "fsync", "replace", "after", "start", "finish")
 TASK_POINTS: dict[str, tuple[str, str]] = {
     "start": ("runner.task", "start"),
     "finish": ("runner.task", "finish"),
-    "artifact": ("runner.artifact", "data"),
 }
 
 _TASK_POINT_NAMES = {target: name for name, target in TASK_POINTS.items()}
@@ -264,8 +263,8 @@ class FaultPlan:
         """Raise the first matching scheduled fault, if any.
 
         Called by :func:`repro.chaos.sites.fire` at every site event.
-        *key* is the task key of ``runner.task``/``runner.artifact``
-        firings; *handle*/*payload* give ``torn`` something to tear.
+        *key* is the task key of ``runner.task`` firings;
+        *handle*/*payload* give ``torn`` something to tear.
         """
         for index, spec in enumerate(self.injections):
             if self._remaining[index] <= 0:

@@ -36,7 +36,6 @@ WRITE_SITES: dict[str, str] = {
     "io.trace": "compressed trace npz written by repro.io.save_trace",
     "obs.sink": "JSONL event/manifest lines streamed by repro.obs sinks",
     "perf.history": "perf history ledger appends (benchmarks/results)",
-    "runner.artifact": "per-task JSON artifacts in the checkpoint directory",
     "runner.journal": "checkpoint journal appends (fsync per record)",
     "store.blob": "content-addressed blob writes under objects/",
     "store.index": "the store's index.json atomic replace",

@@ -37,8 +37,8 @@ Static verification (:mod:`repro.analysis`)::
 
 Fault-tolerant batches (:mod:`repro.runner`): ``compare`` and
 ``table1`` always run as a task grid; ``--checkpoint DIR`` runs it
-through the batch runner — every grid cell is journaled and its
-artifact written atomically, so an interrupted run (Ctrl-C, crash,
+through the batch runner — every grid cell's result is journaled
+(one fsynced record per task), so an interrupted run (Ctrl-C, crash,
 kill) resumes with ``--resume`` and reproduces the uninterrupted
 report byte for byte::
 

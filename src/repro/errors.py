@@ -75,18 +75,19 @@ class RunnerError(ReproError):
 class TransientTaskError(RunnerError):
     """A task failed in a way expected to succeed on retry.
 
-    Task bodies (and the fault-injection harness) raise this to mark a
-    failure as retryable; :class:`repro.runner.TaskGuard` applies
-    bounded retry with deterministic backoff before giving up.
+    The fault-injection harness's ``transient`` kind raises this;
+    :class:`repro.runner.TaskGuard` re-runs the task at once, up to
+    its retry bound, before recording a failure.
     """
 
 
 class TaskTimeout(RunnerError):
-    """A task exceeded its soft deadline.
+    """A placement request exceeded its soft deadline.
 
-    The runner is single-threaded, so deadlines are *soft*: a runaway
-    task is detected when it completes, its result is discarded, and
-    the overrun is recorded as a structured failure.  Never retried.
+    Deadlines are *soft*: :func:`repro.service.run_placement` detects
+    the overrun when the request completes and discards its result.
+    The batch runner records one (e.g. the fault harness's ``timeout``
+    kind) as a permanent failure.  Never retried.
     """
 
 

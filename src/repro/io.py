@@ -37,7 +37,7 @@ import os
 import tempfile
 import zipfile
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
@@ -46,7 +46,6 @@ import numpy as np
 from repro.chaos.sites import fire as _chaos_fire
 from repro.errors import ReproError, SimulatedCrash
 from repro.profiles.graph import ProfileGraph, WeightedGraph
-from repro.resilience import best_effort
 from repro.program.layout import Layout
 from repro.program.procedure import ChunkId
 from repro.program.program import Program
@@ -69,7 +68,6 @@ def atomic_writer(
     path: str | Path,
     mode: str = "w",
     site: str = "io.atomic_writer",
-    key: str | None = None,
 ) -> Iterator[Any]:
     """Write a file atomically: temp file, fsync, then ``os.replace``.
 
@@ -83,12 +81,11 @@ def atomic_writer(
     deliberate exception is :class:`~repro.errors.SimulatedCrash`,
     which models a power cut: cleanup is skipped so the ``*.tmp``
     file is stranded exactly as a real ``SIGKILL`` would leave it
-    (``cache gc`` and the runner's resume sweep reclaim those).
+    (``cache gc`` reclaims those).
 
     *site* is the chaos write-site id this write fires under; callers
     owning a registered surface pass their own id (lint-enforced, see
-    ``conc/unregistered-write-site``).  *key* (a batch task key) is
-    passed to the hook with every point, for task-filtered injections.
+    ``conc/unregistered-write-site``).
     """
     if mode not in ("w", "wb"):
         raise SerializationError(
@@ -96,7 +93,7 @@ def atomic_writer(
         )
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    _chaos_fire(site, "before", key=key)
+    _chaos_fire(site, "before")
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
     )
@@ -105,17 +102,18 @@ def atomic_writer(
             fd, mode, encoding="utf-8" if mode == "w" else None
         ) as handle:
             yield handle
-            _chaos_fire(site, "data", handle=handle, key=key)
+            _chaos_fire(site, "data", handle=handle)
             handle.flush()
-            _chaos_fire(site, "fsync", key=key)
+            _chaos_fire(site, "fsync")
             os.fsync(handle.fileno())
-        _chaos_fire(site, "replace", key=key)
+        _chaos_fire(site, "replace")
         os.replace(tmp_name, target)
     except BaseException as error:
         if not isinstance(error, SimulatedCrash):
-            best_effort(os.unlink, tmp_name)
+            with suppress(OSError):
+                os.unlink(tmp_name)
         raise
-    _chaos_fire(site, "after", key=key)
+    _chaos_fire(site, "after")
 
 
 def atomic_write_text(

@@ -10,10 +10,10 @@ zero:
 * :mod:`~repro.runner.journal` — a crash-safe (fsync-per-record,
   torn-tail-tolerant) JSONL checkpoint journal;
 * :mod:`~repro.runner.guard` — per-task failure boundary: structured
-  :class:`TaskFailure` records, bounded deterministic retry for
-  transient errors, soft deadlines;
+  :class:`TaskFailure` records, bounded immediate retry for transient
+  errors;
 * :mod:`~repro.runner.engine` — :class:`BatchRunner`: executes a
-  batch, checkpoints each task, resumes idempotently
+  batch, journals each task's payload, resumes idempotently
   (``--resume``) and finishes in degraded mode with a failure table;
   it installs a :class:`~repro.chaos.plan.FaultPlan` (re-exported
   here) for the run, whose task injections fire at the
@@ -51,12 +51,10 @@ from repro.runner.grids import (
     table1_batch,
 )
 from repro.runner.guard import (
-    DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     TaskFailure,
     TaskGuard,
     TaskOutcome,
-    null_sleep,
 )
 from repro.runner.journal import (
     CHECKPOINT_FORMAT,
@@ -80,7 +78,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "CheckpointJournal",
-    "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
     "ERROR_KINDS",
     "FAULTPLAN_FORMAT",
@@ -101,7 +98,6 @@ __all__ = [
     "grid_fingerprint",
     "load_journal",
     "load_plan",
-    "null_sleep",
     "run_in_process",
     "table1_batch",
 ]

@@ -4,12 +4,11 @@
 through to a report the way a database drives a transaction log:
 
 * every completed task is **journaled** (fsync per record) to
-  ``checkpoint.jsonl`` and its payload persisted as an **atomic**
-  JSON artifact in the checkpoint directory;
-* ``resume=True`` replays the journal, loads completed payloads from
-  their artifacts (a missing or corrupt artifact simply re-runs the
-  task), verifies the grid fingerprint, and executes only what is
-  left — reproducing the uninterrupted run's report byte for byte;
+  ``checkpoint.jsonl`` with its payload inline — the one durable
+  write per task;
+* ``resume=True`` replays the journal, verifies the grid fingerprint,
+  and executes only what is left — reproducing the uninterrupted
+  run's report byte for byte;
 * failures are data, not crashes: each task runs under a
   :class:`~repro.runner.guard.TaskGuard`, so the batch finishes in
   degraded mode with a failure table, and previously-failed tasks are
@@ -25,13 +24,14 @@ Tasks run one after another in batch order, so journal records and
 the failure table — and therefore the report — are deterministic.
 
 :func:`run_in_process` runs the same tasks with no checkpoint
-directory: no journal, no artifacts, no guard, and a task's error
+directory: no journal, no guard, and a task's error
 propagates.  Both render the report with ``Batch.render``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -40,16 +40,8 @@ from repro import obs
 from repro.chaos import sites
 from repro.chaos.plan import FaultPlan
 from repro.errors import RunnerError
-from repro.io import atomic_writer
 from repro.obs.clock import wall_time
-from repro.resilience import best_effort
-from repro.runner.guard import (
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
-    TaskFailure,
-    TaskGuard,
-    null_sleep,
-)
+from repro.runner.guard import TaskFailure, TaskGuard
 from repro.runner.journal import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -134,10 +126,6 @@ class BatchRunner:
         resume: bool = False,
         max_failures: int | None = None,
         plan: FaultPlan | None = None,
-        retries: int = DEFAULT_RETRIES,
-        backoff_base: float = DEFAULT_BACKOFF,
-        deadline: float | None = None,
-        sleep: Callable[[float], None] | None = None,
         echo: Callable[[str], None] | None = None,
         store: Any = None,
     ) -> None:
@@ -154,15 +142,6 @@ class BatchRunner:
         self.resume = resume
         self.max_failures = max_failures
         self.plan = plan
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.deadline = deadline
-        if sleep is None and plan is not None:
-            # Injected faults are simulations; burning real wall time
-            # on their retry backoff buys nothing.  The schedule and
-            # the journaled retry counts are unchanged.
-            sleep = null_sleep
-        self._sleep = sleep
         self._echo = echo
 
     # ------------------------------------------------------------------
@@ -178,9 +157,9 @@ class BatchRunner:
 
         Raises when the journal belongs to a *different* grid — a
         checkpoint must never be silently replayed against other
-        parameters.  Journal entries whose artifact is missing or
-        unreadable are dropped (the task re-runs), which is the
-        self-healing answer to a partially-deleted checkpoint dir.
+        parameters.  Records carry their payload inline; a legacy
+        record that points at an ``artifact`` file instead is dropped
+        (the task re-runs) when that file is missing or unreadable.
         """
         state: JournalState = load_journal(self.journal_path)
         header = state.header
@@ -206,20 +185,17 @@ class BatchRunner:
         for key, entry in state.completed().items():
             if key not in known:
                 continue
+            payload = entry.get("payload")
             artifact = entry.get("artifact")
-            if artifact is None:
-                payload = entry.get("payload")
-                if isinstance(payload, dict):
-                    payloads[key] = payload
-                continue
-            try:
-                payload = json.loads(
-                    (self.directory / artifact).read_text(
-                        encoding="utf-8"
+            if artifact is not None:
+                try:
+                    payload = json.loads(
+                        (self.directory / artifact).read_text(
+                            encoding="utf-8"
+                        )
                     )
-                )
-            except (OSError, UnicodeDecodeError, ValueError):
-                continue
+                except (OSError, UnicodeDecodeError, ValueError):
+                    continue
             if isinstance(payload, dict):
                 payloads[key] = payload
         return payloads
@@ -227,30 +203,6 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def _write_artifact(
-        self, spec: TaskSpec, payload: dict[str, Any]
-    ) -> None:
-        """Atomically persist a task payload under the task's key, so a
-        task-filtered ``runner.artifact`` injection fires *inside* the
-        write — a kill there leaves partial bytes only in the doomed
-        temp file."""
-        path = self.directory / spec.artifact
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        with atomic_writer(
-            path, "w", site="runner.artifact", key=spec.key
-        ) as handle:
-            handle.write(text)
-            handle.write("\n")
-
-    def _attempt(self, spec: TaskSpec, env: RunnerEnv):
-        def attempt_fn(attempt: int) -> dict[str, Any]:
-            payload = spec.execute(env)
-            if spec.artifact is not None:
-                self._write_artifact(spec, payload)
-            return payload
-
-        return attempt_fn
 
     def _say(self, line: str) -> None:
         if self._echo is not None:
@@ -269,19 +221,17 @@ class BatchRunner:
         retries: int,
         results: dict[str, dict[str, Any]],
     ) -> None:
-        record: dict[str, Any] = {
-            "type": "task",
-            "key": spec.key,
-            "kind": spec.kind,
-            "status": "ok",
-            "elapsed": elapsed,
-            "retries": retries,
-        }
-        if spec.artifact is not None:
-            record["artifact"] = spec.artifact
-        else:
-            record["payload"] = value
-        journal.append(record)
+        journal.append(
+            {
+                "type": "task",
+                "key": spec.key,
+                "kind": spec.kind,
+                "status": "ok",
+                "elapsed": elapsed,
+                "retries": retries,
+                "payload": value,
+            }
+        )
         results[spec.key] = value
         obs.inc("runner.task.completed")
         self._say(f"[runner] ok      {spec.key}")
@@ -301,23 +251,6 @@ class BatchRunner:
         self._say(
             f"[runner] failed  {spec.key}: "
             f"{failure.error_class}: {failure.message}"
-        )
-
-    def _task_guard(self, spec: TaskSpec) -> TaskGuard:
-        return TaskGuard(
-            spec.key,
-            retries=(
-                spec.retries
-                if spec.retries is not None
-                else self.retries
-            ),
-            backoff_base=self.backoff_base,
-            deadline=(
-                spec.deadline
-                if spec.deadline is not None
-                else self.deadline
-            ),
-            sleep=self._sleep,
         )
 
     def _run_tasks(
@@ -344,11 +277,12 @@ class BatchRunner:
             ):
                 pending.append(spec.key)
                 continue
-            guard = self._task_guard(spec)
             with obs.span(
                 "runner.task", key=spec.key, kind=spec.kind
             ):
-                outcome = guard.run(self._attempt(spec, env))
+                outcome = TaskGuard(spec.key).run(
+                    lambda _attempt: spec.execute(env)
+                )
             executed += 1
             if outcome.retries:
                 obs.inc("runner.task.retries", outcome.retries)
@@ -389,16 +323,11 @@ class BatchRunner:
                 # only a torn (or empty) tail; appending a header after
                 # it would corrupt the file, so drop the husk and
                 # resume as a fresh run.
-                best_effort(self.journal_path.unlink)
+                with suppress(OSError):
+                    self.journal_path.unlink()
                 fresh = True
             else:
                 completed = self._load_checkpoint()
-            swept = 0
-            for stale in sorted(self.directory.rglob("*.tmp")):
-                if best_effort(stale.unlink):
-                    swept += 1
-            if swept:
-                obs.inc("runner.resume.tmp_swept", swept)
         results: dict[str, dict[str, Any]] = {}
         failures: list[TaskFailure] = []
         pending: list[str] = []

@@ -135,7 +135,6 @@ def compare_batch(
             key=profile_key,
             kind="profile",
             run=profile_run,
-            artifact=f"profile-{workload.name}.json",
         )
     )
 
@@ -165,12 +164,10 @@ def compare_batch(
                 "fetches": stats.fetches,
             }
 
-        tag = _cell_tag(seed)
         return TaskSpec(
-            key=f"cell:{workload.name}:{algorithm.name}:{tag}",
+            key=f"cell:{workload.name}:{algorithm.name}:{_cell_tag(seed)}",
             kind="cell",
             run=cell_run,
-            artifact=f"cell-{workload.name}-{algorithm.name}-{tag}.json",
         )
 
     for algorithm in algorithms:
@@ -279,7 +276,6 @@ def table1_batch(
             key=f"row:{workload.name}",
             kind="row",
             run=row_run,
-            artifact=f"row-{workload.name}.json",
         )
 
     for workload in workloads:

@@ -14,9 +14,10 @@ Records::
 
     {"type": "batch", "format": "repro/checkpoint", "version": 1,
      "command": "compare", "grid": "<sha256>", "tasks": 13, ...}
-    {"type": "task", "key": "cell:perl:gbsc:p000", "status": "ok",
-     "kind": "cell", "artifact": "cell-perl-gbsc-p000.json",
-     "elapsed": 0.41, "retries": 0}
+    {"type": "task", "key": "cell:perl:GBSC:p000", "status": "ok",
+     "kind": "cell", "elapsed": 0.41, "retries": 0,
+     "payload": {"algorithm": "GBSC", "fetches": 20480,
+                 "miss_rate": 0.0312, "misses": 639, "seed": 0}}
     {"type": "task", "key": "...", "status": "failed",
      "error": "RunnerError", "message": "...", "transient": false,
      "elapsed": 0.02, "retries": 2}
@@ -45,8 +46,8 @@ class CheckpointJournal:
 
     The file is opened lazily in append mode on the first record, so
     constructing a journal never touches the filesystem, and reopening
-    an existing journal for resume first cuts off a torn tail
-    (:func:`repro.obs.sinks.cut_torn_tail`), then appends.
+    an existing journal for resume first cuts it back to the lines
+    :func:`load_journal` keeps (:func:`_cut_to_kept_lines`), then appends.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -71,10 +72,8 @@ class CheckpointJournal:
         try:
             _chaos_fire("runner.journal", "before")
             if self._handle is None:
-                from repro.obs.sinks import cut_torn_tail
-
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                cut_torn_tail(self.path)
+                _cut_to_kept_lines(self.path)
                 self._handle = self.path.open("a", encoding="utf-8")
             _chaos_fire(
                 "runner.journal", "data",
@@ -103,6 +102,31 @@ class CheckpointJournal:
     def __exit__(self, *exc_info: object) -> bool:
         self.close()
         return False
+
+
+def _cut_to_kept_lines(path: Path) -> None:
+    """Truncate *path* after the last line :func:`load_journal` keeps.
+
+    Besides the bytes after the last newline, that drops a defective
+    last line that did get its newline out: left in place, it would
+    sit mid-file after the next append and make the journal corrupt.
+    """
+    from repro.obs.sinks import read_jsonl
+
+    try:
+        lines = read_jsonl(path)
+    except FileNotFoundError:
+        return
+    with open(path, "r+b") as handle:
+        data = handle.read()
+        keep = data.rfind(b"\n") + 1
+        if lines.last_line_torn().defects != lines.defects:
+            # Keep only the lines before the defective one.
+            keep = 0
+            for _ in range(lines.defects[-1][0] - 1):
+                keep = data.index(b"\n", keep) + 1
+        if keep < len(data):
+            handle.truncate(keep)
 
 
 @dataclass(frozen=True)

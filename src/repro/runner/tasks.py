@@ -1,9 +1,9 @@
 """Task model for the batch runner: addressable units of a grid.
 
 A batch is a *deterministically ordered* tuple of :class:`TaskSpec`s,
-each naming a stable task **key** (the unit of checkpointing), the
-callable that computes its JSON-able payload, and the artifact file
-the payload is persisted to inside the checkpoint directory.  Task
+each naming a stable task **key** (the unit of checkpointing) and the
+callable that computes its JSON-able payload, which the checkpoint
+journal records inline.  Task
 bodies receive a :class:`RunnerEnv` — a process-local memo of shared
 expensive state (profiled contexts, loaded traces) that is *not*
 checkpointed: it is deterministic derived data, rebuilt lazily on
@@ -42,9 +42,6 @@ class TaskSpec:
     key: str
     kind: str
     run: Callable[[RunnerEnv], dict[str, Any]]
-    artifact: str | None = None
-    retries: int | None = None
-    deadline: float | None = None
 
     def execute(self, env: RunnerEnv) -> dict[str, Any]:
         """One attempt at the task body, between the ``runner.task``

@@ -10,10 +10,8 @@ drive one implementation.  A layout produced here is byte-identical
 (via :func:`repro.io.save_layout`) to one produced by the pre-service
 CLI path.
 
-Deadlines ride on the existing failure boundary: the body runs under a
-zero-retry :class:`~repro.runner.TaskGuard` whose
-:class:`~repro.resilience.DeadlinePolicy` is *soft* — an overrunning
-request is detected when it completes, its layout is discarded and a
+Deadlines are *soft*: an overrunning request is detected when it
+completes, its layout is discarded and a
 :class:`~repro.errors.TaskTimeout` raised instead (the HTTP frontend
 maps that to a 504-style status).
 """
@@ -27,9 +25,9 @@ from repro import obs
 from repro.cache.stats import MissStats
 from repro.errors import TaskTimeout
 from repro.eval.experiment import build_context, place_and_simulate
+from repro.obs.clock import monotonic
 from repro.placement.base import PlacementContext
 from repro.program.layout import Layout
-from repro.runner import TaskGuard
 from repro.service.requests import PlacementRequest, make_algorithm
 from repro.trace.trace import Trace
 
@@ -74,35 +72,13 @@ def run_placement(request: PlacementRequest) -> PlacementResult:
     (all :class:`~repro.errors.ReproError` subclasses) otherwise.
     """
     request.validate()
-    guard = TaskGuard(
-        key=f"service:place:{request.algorithm}",
-        retries=0,
-        deadline=request.deadline,
-    )
-    captured: dict[str, Any] = {}
-
-    def _attempt(_index: int) -> dict[str, Any]:
-        try:
-            captured["value"] = _place_once(request)
-        except BaseException as error:
-            captured["error"] = error
-            raise
-        return {"ok": True}
-
-    outcome = guard.run(_attempt)
-    if outcome.failure is not None:
-        error = captured.get("error")
-        if error is not None:
-            # The guard converted a pipeline exception to structured
-            # data; the library contract is to raise it unchanged.
-            raise error
-        raise TaskTimeout(outcome.failure.message)
-    value = captured["value"]
-    return PlacementResult(
-        algorithm=value["algorithm"],
-        layout=value["layout"],
-        context=value["context"],
-        trace=value["trace"],
-        train_stats=value["train_stats"],
-        elapsed=outcome.elapsed,
-    )
+    started = monotonic()
+    value = _place_once(request)
+    elapsed = monotonic() - started
+    if request.deadline is not None and elapsed > request.deadline:
+        raise TaskTimeout(
+            f"task service:place:{request.algorithm} took "
+            f"{elapsed:.3f}s, over its soft deadline of "
+            f"{request.deadline:.3f}s"
+        )
+    return PlacementResult(**value, elapsed=elapsed)

@@ -32,13 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
 from repro.errors import ReproError, StoreError
 from repro.io import atomic_write_bytes, atomic_write_text
-from repro.resilience import Degradation, best_effort
 from repro.store.codecs import CODECS
 from repro.store.fingerprint import artifact_digest
 
@@ -121,7 +121,8 @@ class ArtifactStore:
         self._readonly = bool(readonly)
         self._owner_pid = os.getpid()
         self._index: dict[str, dict[str, Any]] = read_index(self.index_path)
-        self._corrupt_reads = Degradation(limit=QUARANTINE_STRIKES)
+        #: Content-hash failures per digest since its last quarantine.
+        self._corrupt_reads: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -202,7 +203,9 @@ class ArtifactStore:
             return None
         if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
             obs.inc("store.corrupt")
-            if self._corrupt_reads.record(digest) and self.writable:
+            strikes = self._corrupt_reads.get(digest, 0) + 1
+            self._corrupt_reads[digest] = strikes
+            if strikes >= QUARANTINE_STRIKES and self.writable:
                 self._quarantine(digest)
             return None
         return data
@@ -223,17 +226,19 @@ class ArtifactStore:
         except OSError:
             return
         obs.inc("store.quarantined")
-        self._corrupt_reads.reset(digest)
+        self._corrupt_reads.pop(digest, None)
         if digest in self._index:
             del self._index[digest]
-            best_effort(self._write_index)
+            with suppress(OSError):
+                self._write_index()
         held = sorted(
             path
             for path in self.quarantine_path.iterdir()
             if path.is_file()
         )
         for stale in held[: max(0, len(held) - QUARANTINE_KEEP)]:
-            best_effort(stale.unlink)
+            with suppress(OSError):
+                stale.unlink()
 
     def put(
         self,
@@ -446,8 +451,11 @@ class ArtifactStore:
         tmp_swept = 0
         if self.root.is_dir():
             for stale in sorted(self.root.rglob("*.tmp")):
-                if best_effort(stale.unlink):
-                    tmp_swept += 1
+                try:
+                    stale.unlink()
+                except OSError:
+                    continue
+                tmp_swept += 1
         if tmp_swept:
             obs.inc("store.gc.tmp_swept", tmp_swept)
 

@@ -33,7 +33,6 @@ def make_batch(n: int = 2, grid: str = "grid-a") -> Batch:
             key=f"t:{index}",
             kind="unit",
             run=lambda env, index=index: {"value": index},
-            artifact=f"t{index}.json",
         )
         for index in range(1, n + 1)
     )
@@ -50,6 +49,24 @@ def checkpoint(tmp_path):
     """A healthy checkpoint directory produced by a real run."""
     BatchRunner(make_batch(), tmp_path / "ck").run()
     return tmp_path / "ck"
+
+
+@pytest.fixture
+def legacy_checkpoint(checkpoint):
+    """*checkpoint* rewritten as runners that kept one JSON artifact
+    file per task left it: ok records name ``t<i>.json``."""
+    journal = checkpoint / JOURNAL_NAME
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    for record in records:
+        if record.get("status") == "ok":
+            artifact = f"t{record['key'].split(':')[1]}.json"
+            payload = record.pop("payload")
+            (checkpoint / artifact).write_text(json.dumps(payload))
+            record["artifact"] = artifact
+    journal.write_text(
+        "".join(json.dumps(record) + "\n" for record in records)
+    )
+    return checkpoint
 
 
 def rules(findings) -> set[str]:
@@ -100,21 +117,21 @@ class TestDamage:
         findings = audit_checkpoint(tmp_path)
         assert rules(findings) == {"checkpoint/missing"}
 
-    def test_missing_artifact(self, checkpoint):
-        (checkpoint / "t1.json").unlink()
-        findings = audit_checkpoint(checkpoint)
+    def test_missing_artifact(self, legacy_checkpoint):
+        (legacy_checkpoint / "t1.json").unlink()
+        findings = audit_checkpoint(legacy_checkpoint)
         assert rules(findings) == {"checkpoint/artifact"}
         assert "t1.json" in findings[0].message
 
-    def test_corrupt_artifact(self, checkpoint):
-        (checkpoint / "t2.json").write_text("{ torn bytes")
-        findings = audit_checkpoint(checkpoint)
+    def test_corrupt_artifact(self, legacy_checkpoint):
+        (legacy_checkpoint / "t2.json").write_text("{ torn bytes")
+        findings = audit_checkpoint(legacy_checkpoint)
         assert rules(findings) == {"checkpoint/artifact"}
         assert "does not parse" in findings[0].message
 
-    def test_non_object_artifact(self, checkpoint):
-        (checkpoint / "t2.json").write_text("[1, 2]")
-        findings = audit_checkpoint(checkpoint)
+    def test_non_object_artifact(self, legacy_checkpoint):
+        (legacy_checkpoint / "t2.json").write_text("[1, 2]")
+        findings = audit_checkpoint(legacy_checkpoint)
         assert rules(findings) == {"checkpoint/artifact"}
 
     def test_torn_tail_is_warning_only(self, checkpoint):
@@ -272,10 +289,10 @@ class TestDispatch:
         path.write_text('{"type": "span", "name": "x"}\n')
         assert rules(audit_run_path(path)) == {"manifest/missing"}
 
-    def test_audit_run_path_delegates(self, checkpoint):
-        assert audit_run_path(checkpoint / JOURNAL_NAME) == []
-        (checkpoint / "t1.json").unlink()
-        findings = audit_run_path(checkpoint / JOURNAL_NAME)
+    def test_audit_run_path_delegates(self, legacy_checkpoint):
+        assert audit_run_path(legacy_checkpoint / JOURNAL_NAME) == []
+        (legacy_checkpoint / "t1.json").unlink()
+        findings = audit_run_path(legacy_checkpoint / JOURNAL_NAME)
         assert rules(findings) == {"checkpoint/artifact"}
 
     def test_cli_check_on_checkpoint_dir(self, checkpoint, capsys):
@@ -284,9 +301,9 @@ class TestDispatch:
         assert main(["check", str(checkpoint)]) == 0
         assert "no findings" in capsys.readouterr().out
 
-    def test_cli_check_reports_damage(self, checkpoint, capsys):
+    def test_cli_check_reports_damage(self, legacy_checkpoint, capsys):
         from repro.cli import main
 
-        (checkpoint / "t1.json").write_text("{")
-        assert main(["check", str(checkpoint)]) == 1
+        (legacy_checkpoint / "t1.json").write_text("{")
+        assert main(["check", str(legacy_checkpoint)]) == 1
         assert "checkpoint/artifact" in capsys.readouterr().out

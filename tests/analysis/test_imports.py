@@ -59,8 +59,8 @@ GOLDEN_STATIC = {
                  "profiles", "program", "runner", "store"},
     "blocks": {"errors", "profiles", "program", "trace"},
     "cache": {"errors", "fastpath", "obs", "program", "trace"},
-    "chaos": {"analysis", "errors", "io", "obs", "resilience",
-              "runner", "store", "workloads"},
+    "chaos": {"analysis", "errors", "io", "obs", "runner", "store",
+              "workloads"},
     "cli": {"cache", "core", "errors", "eval", "obs", "service",
             "workloads"},
     "core": {"cache", "errors", "fastpath", "obs", "placement",
@@ -68,21 +68,19 @@ GOLDEN_STATIC = {
     "eval": {"cache", "core", "errors", "obs", "placement", "profiles",
              "program", "store", "trace", "workloads"},
     "fastpath": {"errors"},
-    "io": {"chaos", "errors", "profiles", "program", "resilience",
-           "trace"},
+    "io": {"chaos", "errors", "profiles", "program", "trace"},
     "obs": {"chaos", "errors"},
     "placement": {"cache", "core", "errors", "obs", "profiles",
                   "program"},
     "profiles": {"cache", "errors", "fastpath", "obs", "program", "trace"},
     "program": {"cache", "errors"},
-    "resilience": {"errors"},
-    "runner": {"cache", "chaos", "core", "errors", "eval", "io", "obs",
-               "placement", "profiles", "resilience", "workloads"},
+    "runner": {"cache", "chaos", "core", "errors", "eval", "obs",
+               "placement", "profiles", "workloads"},
     "serve": {"cache", "errors", "io", "obs", "service", "store"},
     "service": {"cache", "core", "errors", "eval", "obs", "placement",
                 "program", "runner", "store", "trace", "workloads"},
     "store": {"cache", "errors", "io", "obs", "profiles", "program",
-              "resilience", "trace"},
+              "trace"},
     "trace": {"errors", "obs", "program"},
     "workloads": {"errors", "program", "trace"},
 }

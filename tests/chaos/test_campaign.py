@@ -32,7 +32,7 @@ def clean_hook():
 
 
 def batch_factory(store: ArtifactStore) -> Batch:
-    """Three tasks that exercise the store, artifacts and journal."""
+    """Three tasks that exercise the store and the journal."""
     tasks = []
     for index in range(1, 4):
         def body(env, index=index, store=store):
@@ -44,14 +44,7 @@ def batch_factory(store: ArtifactStore) -> Batch:
             store.put(f"{index:064x}", "trace", b"x" * index)
             return build()
 
-        tasks.append(
-            TaskSpec(
-                key=f"t:{index}",
-                kind="unit",
-                run=body,
-                artifact=f"t{index}.json",
-            )
-        )
+        tasks.append(TaskSpec(key=f"t:{index}", kind="unit", run=body))
 
     def render(results):
         return "\n".join(

@@ -332,8 +332,16 @@ def test_example_plans_roundtrip_byte_identically(name):
     assert json.dumps(plan.to_dict(), indent=2) + "\n" == text
 
 
-def test_v1_artifact_point_is_the_artifact_write_site():
-    spec = load_plan(EXAMPLES / "faultplan_transient.json").injections[1]
-    assert (spec.site, spec.point, spec.task) == (
-        "runner.artifact", "data", "cell:*:PH:clean"
-    )
+def test_v1_artifact_point_is_rejected():
+    """Task payloads go in the journal; there is no artifact write to
+    address any more."""
+    with pytest.raises(ChaosError, match="unknown task point 'artifact'"):
+        FaultPlan.from_dict(
+            {
+                "format": "repro/faultplan",
+                "version": 1,
+                "injections": [
+                    {"task": "cell:*", "point": "artifact"}
+                ],
+            }
+        )

@@ -27,10 +27,12 @@ class TestRegistry:
     def test_known_surfaces_registered(self):
         expected = {
             "io.atomic_writer", "store.blob", "store.index",
-            "runner.journal", "runner.artifact", "obs.sink",
-            "perf.history",
+            "runner.journal", "obs.sink", "perf.history",
         }
         assert expected <= set(sites.WRITE_SITES)
+        # Task payloads are journaled inline; no per-task file is
+        # written.
+        assert "runner.artifact" not in sites.WRITE_SITES
 
 
 class TestInstall:

@@ -94,6 +94,15 @@ class TestCleanBatch:
         assert cli.main(["check", str(tmp_path / "ck")]) == 0
         assert "no findings" in capsys.readouterr().out
 
+    def test_checkpoint_dir_holds_only_the_journal(
+        self, tiny_workload, tmp_path, capsys
+    ):
+        """Each task's journal record is its one durable write."""
+        assert cli.main(compare_argv(tmp_path / "ck")) == 0
+        assert [p.name for p in (tmp_path / "ck").iterdir()] == [
+            "checkpoint.jsonl"
+        ]
+
 
 #: Commands of the stdout matrix, and the task an injected interrupt
 #: stops each at in the matrix's "resumed" cells.
@@ -201,6 +210,21 @@ class TestInterruptAndResume:
         assert cached == journaled
         assert cached + completed == COMPARE_TASKS
 
+    def test_torn_line_with_newline_survives_two_resumes(
+        self, tiny_workload, tmp_path, capsys
+    ):
+        """A torn last record that kept its newline is cut before the
+        first resume appends, so the second resume still parses."""
+        assert cli.main(compare_argv(tmp_path / "ck")) == 0
+        reference = capsys.readouterr().out
+        journal = tmp_path / "ck" / "checkpoint.jsonl"
+        header, first, *_ = journal.read_text().splitlines(keepends=True)
+        journal.write_text(header + first + '{"type": "task", "ke\n')
+        for _ in range(2):
+            assert cli.main(compare_argv(tmp_path / "ck", "--resume")) == 0
+            assert capsys.readouterr().out == reference
+        assert cli.main(["check", str(tmp_path / "ck")]) == 0
+
     def test_simulated_kill_exits_137_then_resumes(
         self, tiny_workload, tmp_path, capsys
     ):
@@ -303,6 +327,28 @@ class TestParallelCli:
         shutil.copytree(POOL_CHECKPOINT, tmp_path / "ck")
         assert cli.main(compare_argv(tmp_path / "ck", "--resume")) == 0
         capsys.readouterr()
+        assert cli.main(["check", str(tmp_path / "ck")]) == 0
+        assert "no findings" in capsys.readouterr().out
+
+    def test_mixed_legacy_and_inline_journal(
+        self, tiny_workload, tmp_path, capsys
+    ):
+        """Legacy artifact records followed by inline-payload records
+        resume to the plain run's report and pass ``check``."""
+        assert cli.main(["compare", "m88ksim", "--runs", "1"]) == 0
+        plain = capsys.readouterr().out
+        shutil.copytree(POOL_CHECKPOINT, tmp_path / "ck")
+        assert cli.main(compare_argv(tmp_path / "ck", "--resume")) == 0
+        assert capsys.readouterr().out == plain
+        entries = load_journal(tmp_path / "ck" / "checkpoint.jsonl").entries
+        assert [("artifact" in e, "payload" in e) for e in entries] == [
+            (True, False)
+        ] * 3 + [(False, True)] * (COMPARE_TASKS - 3)
+        assert cli.main(compare_argv(tmp_path / "ck", "--resume")) == 0
+        assert capsys.readouterr().out == plain
+        assert len(
+            load_journal(tmp_path / "ck" / "checkpoint.jsonl").entries
+        ) == COMPARE_TASKS
         assert cli.main(["check", str(tmp_path / "ck")]) == 0
         assert "no findings" in capsys.readouterr().out
 

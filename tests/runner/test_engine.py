@@ -14,6 +14,9 @@ from repro.chaos.plan import Injection
 from repro.errors import RunnerError, SimulatedCrash
 from repro.obs import RunSession
 from repro.runner import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
+    JOURNAL_NAME,
     Batch,
     BatchRunner,
     FaultPlan,
@@ -21,7 +24,6 @@ from repro.runner import (
     SimulatedKill,
     TaskSpec,
     load_journal,
-    null_sleep,
     run_in_process,
 )
 from repro.service import execute_batch
@@ -37,14 +39,7 @@ def make_batch(
                 calls.append(f"t:{index}")
             return {"value": index * 10}
 
-        tasks.append(
-            TaskSpec(
-                key=f"t:{index}",
-                kind="unit",
-                run=body,
-                artifact=f"t{index}.json",
-            )
-        )
+        tasks.append(TaskSpec(key=f"t:{index}", kind="unit", run=body))
 
     def render(results):
         if not results:
@@ -62,38 +57,60 @@ def make_batch(
     )
 
 
-def runner(batch: Batch, directory, **kwargs) -> BatchRunner:
-    kwargs.setdefault("sleep", lambda seconds: None)
-    return BatchRunner(batch, directory, **kwargs)
+def legacy_checkpoint(directory) -> None:
+    """A journal of :func:`make_batch`'s tasks as runners that wrote
+    one JSON artifact per task left it: each ok record names its
+    artifact file instead of carrying the payload."""
+    directory.mkdir(parents=True, exist_ok=True)
+    lines = [
+        {"type": "batch", "format": CHECKPOINT_FORMAT,
+         "version": CHECKPOINT_VERSION, "command": "test",
+         "grid": "grid-a", "tasks": 3, "metadata": {"n": 3}},
+    ]
+    for index in (1, 2, 3):
+        artifact = f"t{index}.json"
+        (directory / artifact).write_text(
+            json.dumps({"value": index * 10}, indent=2) + "\n"
+        )
+        lines.append(
+            {"type": "task", "key": f"t:{index}", "kind": "unit",
+             "status": "ok", "elapsed": 0.0, "retries": 0,
+             "artifact": artifact}
+        )
+    (directory / JOURNAL_NAME).write_text(
+        "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    )
 
 
 class TestCleanRun:
     def test_all_tasks_complete(self, tmp_path):
-        outcome = runner(make_batch(), tmp_path).run()
+        outcome = BatchRunner(make_batch(), tmp_path).run()
         assert outcome.ok
         assert outcome.exit_code == 0
         assert outcome.executed == 3
         assert outcome.cached == 0
         assert outcome.report == "t:1=10\nt:2=20\nt:3=30"
 
-    def test_artifacts_written(self, tmp_path):
-        runner(make_batch(), tmp_path).run()
-        for name in ("t1.json", "t2.json", "t3.json"):
-            payload = json.loads((tmp_path / name).read_text())
-            assert "value" in payload
+    def test_payloads_journaled_inline(self, tmp_path):
+        BatchRunner(make_batch(), tmp_path).run()
+        assert [path.name for path in tmp_path.iterdir()] == [JOURNAL_NAME]
+        state = load_journal(tmp_path / JOURNAL_NAME)
+        assert {
+            key: entry["payload"] for key, entry in state.completed().items()
+        } == {"t:1": {"value": 10}, "t:2": {"value": 20}, "t:3": {"value": 30}}
 
     def test_journal_records(self, tmp_path):
         batch = make_batch()
-        runner(batch, tmp_path).run()
+        BatchRunner(batch, tmp_path).run()
         state = load_journal(tmp_path / "checkpoint.jsonl")
         assert state.header["grid"] == "grid-a"
         assert state.header["tasks"] == 3
         assert set(state.completed()) == {"t:1", "t:2", "t:3"}
 
     def test_existing_journal_without_resume_raises(self, tmp_path):
-        runner(make_batch(), tmp_path).run()
+        BatchRunner(make_batch(), tmp_path).run()
         with pytest.raises(RunnerError, match="--resume"):
-            runner(make_batch(), tmp_path).run()
+            BatchRunner(make_batch(), tmp_path).run()
 
     def test_workers_is_not_a_parameter(self, tmp_path):
         """Grids run serially; there is no process pool to size."""
@@ -114,7 +131,7 @@ class TestCleanRun:
             tasks=(*batch.tasks, bad),
             render=batch.render,
         )
-        outcome = runner(batch, tmp_path).run()
+        outcome = BatchRunner(batch, tmp_path).run()
         assert outcome.exit_code == 1
         (failure,) = outcome.failures
         assert failure.key == "t:bad"
@@ -144,7 +161,7 @@ class TestInProcess:
         assert outcome.ok
         assert (outcome.executed, outcome.cached) == (3, 0)
         assert list(tmp_path.iterdir()) == []
-        journaled = runner(make_batch(), tmp_path / "ck").run()
+        journaled = BatchRunner(make_batch(), tmp_path / "ck").run()
         assert outcome.report == journaled.report
         assert outcome.results == journaled.results
 
@@ -170,7 +187,7 @@ class TestInProcess:
         trees = []
         for run in (
             lambda: run_in_process(make_batch()),
-            lambda: runner(make_batch(), tmp_path).run(),
+            lambda: BatchRunner(make_batch(), tmp_path).run(),
         ):
             session = RunSession("test", with_git=False)
             run()
@@ -186,9 +203,9 @@ class TestInProcess:
 class TestResume:
     def test_full_resume_is_all_cached(self, tmp_path):
         batch = make_batch()
-        first = runner(batch, tmp_path).run()
+        first = BatchRunner(batch, tmp_path).run()
         calls: list[str] = []
-        second = runner(
+        second = BatchRunner(
             make_batch(calls=calls), tmp_path, resume=True
         ).run()
         assert second.cached == 3
@@ -197,17 +214,17 @@ class TestResume:
         assert second.report == first.report
 
     def test_grid_mismatch_raises(self, tmp_path):
-        runner(make_batch(grid="grid-a"), tmp_path).run()
+        BatchRunner(make_batch(grid="grid-a"), tmp_path).run()
         with pytest.raises(RunnerError, match="fresh checkpoint"):
-            runner(
+            BatchRunner(
                 make_batch(grid="grid-b"), tmp_path, resume=True
             ).run()
 
     def test_missing_artifact_reruns_task(self, tmp_path):
-        runner(make_batch(), tmp_path).run()
+        legacy_checkpoint(tmp_path)
         (tmp_path / "t2.json").unlink()
         calls: list[str] = []
-        outcome = runner(
+        outcome = BatchRunner(
             make_batch(calls=calls), tmp_path, resume=True
         ).run()
         assert calls == ["t:2"]
@@ -215,10 +232,10 @@ class TestResume:
         assert outcome.report == "t:1=10\nt:2=20\nt:3=30"
 
     def test_corrupt_artifact_reruns_task(self, tmp_path):
-        runner(make_batch(), tmp_path).run()
+        legacy_checkpoint(tmp_path)
         (tmp_path / "t3.json").write_text("{ torn")
         calls: list[str] = []
-        outcome = runner(
+        outcome = BatchRunner(
             make_batch(calls=calls), tmp_path, resume=True
         ).run()
         assert calls == ["t:3"]
@@ -228,7 +245,7 @@ class TestResume:
 class TestFaults:
     def test_transient_fault_is_retried(self, tmp_path):
         plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:2")])
-        outcome = runner(make_batch(), tmp_path, plan=plan).run()
+        outcome = BatchRunner(make_batch(), tmp_path, plan=plan).run()
         assert outcome.ok
         assert plan.exhausted
         state = load_journal(tmp_path / "checkpoint.jsonl")
@@ -243,7 +260,7 @@ class TestFaults:
                 )
             ]
         )
-        outcome = runner(make_batch(), tmp_path, plan=plan).run()
+        outcome = BatchRunner(make_batch(), tmp_path, plan=plan).run()
         assert outcome.exit_code == 1
         (failure,) = outcome.failures
         assert failure.key == "t:2"
@@ -257,13 +274,13 @@ class TestFaults:
 
     def test_failed_task_reruns_on_resume(self, tmp_path):
         plan = FaultPlan([Injection("runner.task", "start", "permanent", task="t:2")])
-        degraded = runner(make_batch(), tmp_path, plan=plan).run()
+        degraded = BatchRunner(make_batch(), tmp_path, plan=plan).run()
         assert degraded.exit_code == 1
-        clean = runner(make_batch(), tmp_path, resume=True).run()
+        clean = BatchRunner(make_batch(), tmp_path, resume=True).run()
         assert clean.ok
         assert clean.cached == 2
         assert clean.executed == 1
-        reference = runner(make_batch(), tmp_path / "ref").run()
+        reference = BatchRunner(make_batch(), tmp_path / "ref").run()
         assert clean.report == reference.report
 
     def test_retry_budget_exhaustion_is_transient_failure(
@@ -272,16 +289,14 @@ class TestFaults:
         plan = FaultPlan(
             [Injection("runner.task", "start", "transient", times=10, task="t:1")]
         )
-        outcome = runner(
-            make_batch(), tmp_path, plan=plan, retries=2
-        ).run()
+        outcome = BatchRunner(make_batch(), tmp_path, plan=plan).run()
         (failure,) = outcome.failures
         assert failure.transient
         assert failure.retries == 2
 
     def test_max_failures_aborts_batch(self, tmp_path):
         plan = FaultPlan([Injection("runner.task", "start", "permanent", task="t:1")])
-        outcome = runner(
+        outcome = BatchRunner(
             make_batch(), tmp_path, plan=plan, max_failures=0
         ).run()
         assert outcome.exit_code == 1
@@ -289,37 +304,15 @@ class TestFaults:
         assert "not attempted" in outcome.report
 
 
-class TestSleeperDefaults:
-    def test_fault_plan_defaults_to_null_sleep(self, tmp_path):
-        """Injected faults are simulations; their retry backoff must
-        not burn real wall time unless a sleeper is passed in."""
-        plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:1")])
-        engine = BatchRunner(make_batch(), tmp_path, plan=plan)
-        assert engine._sleep is null_sleep
-
-    def test_no_plan_keeps_real_backoff(self, tmp_path):
-        engine = BatchRunner(make_batch(), tmp_path)
-        assert engine._sleep is None
-
-    def test_explicit_sleeper_wins_over_plan_default(self, tmp_path):
-        plan = FaultPlan([Injection("runner.task", "start", "transient", task="t:1")])
-        sleeps: list[float] = []
-        outcome = BatchRunner(
-            make_batch(), tmp_path, plan=plan, sleep=sleeps.append
-        ).run()
-        assert outcome.ok
-        assert sleeps  # the injected sleeper observed the backoff
-
-
 class TestKillAndResume:
     def test_kill_mid_batch_then_resume_byte_identical(self, tmp_path):
-        reference = runner(make_batch(), tmp_path / "ref").run()
+        reference = BatchRunner(make_batch(), tmp_path / "ref").run()
         plan = FaultPlan([Injection("runner.task", "start", "kill", task="t:2")])
         with pytest.raises(SimulatedKill):
-            runner(make_batch(), tmp_path / "ck", plan=plan).run()
+            BatchRunner(make_batch(), tmp_path / "ck", plan=plan).run()
         state = load_journal(tmp_path / "ck" / "checkpoint.jsonl")
         assert set(state.completed()) == {"t:1"}
-        resumed = runner(
+        resumed = BatchRunner(
             make_batch(), tmp_path / "ck", resume=True
         ).run()
         assert resumed.cached == 1
@@ -329,77 +322,38 @@ class TestKillAndResume:
     def test_interrupt_propagates(self, tmp_path):
         plan = FaultPlan([Injection("runner.task", "start", "interrupt", task="t:3")])
         with pytest.raises(KeyboardInterrupt):
-            runner(make_batch(), tmp_path, plan=plan).run()
+            BatchRunner(make_batch(), tmp_path, plan=plan).run()
         # Everything before the interrupt is durable.
         state = load_journal(tmp_path / "checkpoint.jsonl")
         assert set(state.completed()) == {"t:1", "t:2"}
 
-    def test_kill_during_artifact_write_leaves_no_partial(
-        self, tmp_path
-    ):
+    def test_kill_at_finish_journals_nothing_for_the_task(self, tmp_path):
         plan = FaultPlan(
-            [Injection("runner.artifact", error="kill", task="t:1")]
+            [Injection("runner.task", "finish", "kill", task="t:1")]
         )
         with pytest.raises(SimulatedKill):
-            runner(make_batch(), tmp_path, plan=plan).run()
-        assert not (tmp_path / "t1.json").exists()
-        assert not list(tmp_path.glob("*.tmp"))
-        state = load_journal(tmp_path / "checkpoint.jsonl")
+            BatchRunner(make_batch(), tmp_path, plan=plan).run()
+        state = load_journal(tmp_path / JOURNAL_NAME)
         assert state.completed() == {}
-        resumed = runner(make_batch(), tmp_path, resume=True).run()
+        resumed = BatchRunner(make_batch(), tmp_path, resume=True).run()
         assert resumed.ok
-        assert (tmp_path / "t1.json").exists()
-
-    def test_transient_fault_during_artifact_write_is_retried(
-        self, tmp_path
-    ):
-        plan = FaultPlan(
-            [Injection("runner.artifact", error="transient", task="t:1")]
-        )
-        outcome = runner(make_batch(), tmp_path, plan=plan).run()
-        assert outcome.ok
-        assert plan.exhausted
-        state = load_journal(tmp_path / "checkpoint.jsonl")
-        assert state.completed()["t:1"]["retries"] == 1
-        payload = json.loads((tmp_path / "t1.json").read_text())
-        assert payload == {"value": 10}
+        assert resumed.executed == 3
 
 
 class TestIoFaultPlan:
     """Faultplan v2 ``io`` entries, installed for the run's duration."""
 
-    def test_crash_mid_artifact_write_then_resume_byte_identical(
-        self, tmp_path
-    ):
-        reference = runner(make_batch(), tmp_path / "ref").run()
-        plan = FaultPlan(
-            [Injection(site="runner.artifact", point="data",
-                            error="crash", skip=1)]
-        )
-        with pytest.raises(SimulatedCrash):
-            runner(make_batch(), tmp_path / "ck", plan=plan).run()
-        # The power cut stranded the second artifact's temp file.
-        assert list((tmp_path / "ck").glob("*.tmp"))
-        assert not (tmp_path / "ck" / "t2.json").exists()
-        resumed = runner(
-            make_batch(), tmp_path / "ck", resume=True
-        ).run()
-        assert resumed.ok
-        assert resumed.report == reference.report
-        # The resume sweep reclaimed the stranded temp.
-        assert not list((tmp_path / "ck").glob("*.tmp"))
-
     def test_torn_journal_tail_then_resume_byte_identical(
         self, tmp_path
     ):
-        reference = runner(make_batch(), tmp_path / "ref").run()
+        reference = BatchRunner(make_batch(), tmp_path / "ref").run()
         plan = FaultPlan(
             [Injection(site="runner.journal", point="data",
                             error="torn", skip=2)]
         )
         with pytest.raises(SimulatedCrash):
-            runner(make_batch(), tmp_path / "ck", plan=plan).run()
-        resumed = runner(
+            BatchRunner(make_batch(), tmp_path / "ck", plan=plan).run()
+        resumed = BatchRunner(
             make_batch(), tmp_path / "ck", resume=True
         ).run()
         assert resumed.ok
@@ -407,7 +361,7 @@ class TestIoFaultPlan:
         # The resume cut the torn tail before appending, so its own
         # records are intact and a second resume replays every task.
         assert not load_journal(tmp_path / "ck" / "checkpoint.jsonl").truncated
-        again = runner(make_batch(), tmp_path / "ck", resume=True).run()
+        again = BatchRunner(make_batch(), tmp_path / "ck", resume=True).run()
         assert again.ok
         assert again.cached == 3
         assert again.report == reference.report
@@ -418,10 +372,10 @@ class TestIoFaultPlan:
                             error="torn")]
         )
         with pytest.raises(SimulatedCrash):
-            runner(make_batch(), tmp_path, plan=plan).run()
+            BatchRunner(make_batch(), tmp_path, plan=plan).run()
         # The journal is a header-less husk: resume must drop it and
         # start fresh rather than append after a torn first line.
-        resumed = runner(make_batch(), tmp_path, resume=True).run()
+        resumed = BatchRunner(make_batch(), tmp_path, resume=True).run()
         assert resumed.ok
         assert resumed.cached == 0
         assert resumed.executed == 3
@@ -436,5 +390,5 @@ class TestIoFaultPlan:
             [Injection(site="runner.journal", error="torn")]
         )
         with pytest.raises(SimulatedCrash):
-            runner(make_batch(), tmp_path, plan=plan).run()
+            BatchRunner(make_batch(), tmp_path, plan=plan).run()
         assert sites.active() is None

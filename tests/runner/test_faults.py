@@ -122,13 +122,13 @@ class TestSerialisation:
         plan = FaultPlan(
             [
                 task_fault("t:1", point="finish", error="kill"),
-                task_fault("t:*", point="artifact", times=3, message="m"),
+                task_fault("t:*", point="start", times=3, message="m"),
             ]
         )
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.injections == plan.injections
-        assert plan.injections[1].site == "runner.artifact"
-        assert plan.to_dict()["injections"][1]["point"] == "artifact"
+        assert plan.injections[1].site == "runner.task"
+        assert plan.to_dict()["injections"][1]["point"] == "start"
 
     def test_load_plan(self, tmp_path):
         path = tmp_path / "plan.json"

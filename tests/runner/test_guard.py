@@ -1,34 +1,27 @@
-"""TaskGuard: retry schedules, failure conversion, deadline, and
-BaseException passthrough."""
-
-import time
+"""TaskGuard: transient retry, failure conversion, and BaseException
+passthrough."""
 
 import pytest
 
 from repro.errors import RunnerError, TaskTimeout, TransientTaskError
-from repro.runner import TaskGuard, null_sleep
+from repro.runner import DEFAULT_RETRIES, TaskGuard
 from repro.errors import SimulatedKill
 
 
-def make_guard(**kwargs) -> tuple[TaskGuard, list[float]]:
-    sleeps: list[float] = []
-    kwargs.setdefault("retries", 2)
-    kwargs.setdefault("backoff_base", 0.05)
-    guard = TaskGuard("t:1", sleep=sleeps.append, **kwargs)
-    return guard, sleeps
+def make_guard(retries: int = 2) -> TaskGuard:
+    return TaskGuard("t:1", retries=retries)
 
 
 class TestSuccess:
     def test_value_returned(self):
-        guard, sleeps = make_guard()
+        guard = make_guard()
         outcome = guard.run(lambda attempt: {"value": 42})
         assert outcome.ok
         assert outcome.value == {"value": 42}
         assert outcome.retries == 0
-        assert sleeps == []
 
     def test_attempt_index_passed(self):
-        guard, _ = make_guard()
+        guard = make_guard()
         seen: list[int] = []
 
         def body(attempt: int) -> dict:
@@ -41,7 +34,7 @@ class TestSuccess:
 
 class TestTransientRetry:
     def test_retried_until_success(self):
-        guard, sleeps = make_guard(retries=3)
+        guard = make_guard(retries=3)
         calls = []
 
         def body(attempt: int) -> dict:
@@ -55,46 +48,43 @@ class TestTransientRetry:
         assert outcome.retries == 2
         assert calls == [0, 1, 2]
 
-    def test_backoff_schedule_is_deterministic(self):
-        guard, sleeps = make_guard(retries=3, backoff_base=0.05)
-
-        def body(attempt: int) -> dict:
-            if attempt < 3:
-                raise TransientTaskError("flaky")
-            return {}
-
-        assert guard.run(body).ok
-        assert sleeps == [0.05, 0.1, 0.2]
-
     def test_budget_exhausted_is_transient_failure(self):
-        guard, sleeps = make_guard(retries=2)
+        guard = TaskGuard("t:1")
+        calls = []
 
         def body(attempt: int) -> dict:
+            calls.append(attempt)
             raise TransientTaskError("still flaky")
 
         outcome = guard.run(body)
         assert not outcome.ok
         assert outcome.failure.transient
         assert outcome.failure.error_class == "TransientTaskError"
-        assert outcome.retries == 2
-        assert len(sleeps) == 2
+        assert outcome.retries == DEFAULT_RETRIES == 2
+        assert calls == [0, 1, 2]
 
     def test_zero_retries_never_sleeps(self):
-        guard, sleeps = make_guard(retries=0)
+        """Retries are immediate; with none, one attempt is all."""
+        guard = make_guard(retries=0)
+        calls = []
 
         def body(attempt: int) -> dict:
+            calls.append(attempt)
             raise TransientTaskError("flaky")
 
         outcome = guard.run(body)
         assert not outcome.ok
-        assert sleeps == []
+        assert outcome.retries == 0
+        assert calls == [0]
 
 
 class TestPermanentFailure:
     def test_exception_becomes_failure(self):
-        guard, sleeps = make_guard()
+        guard = make_guard()
+        calls = []
 
         def body(attempt: int) -> dict:
+            calls.append(attempt)
             raise RunnerError("bad cell")
 
         outcome = guard.run(body)
@@ -103,21 +93,23 @@ class TestPermanentFailure:
         assert outcome.failure.error_class == "RunnerError"
         assert outcome.failure.message == "bad cell"
         assert outcome.failure.key == "t:1"
-        assert sleeps == []
+        assert calls == [0]
 
     def test_timeout_raised_by_body_not_retried(self):
-        guard, sleeps = make_guard()
+        guard = make_guard()
+        calls = []
 
         def body(attempt: int) -> dict:
+            calls.append(attempt)
             raise TaskTimeout("too slow")
 
         outcome = guard.run(body)
         assert not outcome.ok
         assert outcome.failure.error_class == "TaskTimeout"
-        assert sleeps == []
+        assert calls == [0]
 
     def test_failure_record_shape(self):
-        guard, _ = make_guard()
+        guard = make_guard()
         outcome = guard.run(
             lambda attempt: (_ for _ in ()).throw(ValueError("nan"))
         )
@@ -128,48 +120,9 @@ class TestPermanentFailure:
         assert record["transient"] is False
 
 
-class TestDeadline:
-    def test_overrunning_result_is_discarded(self):
-        guard, _ = make_guard(deadline=0.0)
-        outcome = guard.run(lambda attempt: {"value": 1})
-        assert not outcome.ok
-        assert outcome.value is None
-        assert outcome.failure.error_class == "TaskTimeout"
-        assert "soft deadline" in outcome.failure.message
-
-    def test_generous_deadline_passes(self):
-        guard, _ = make_guard(deadline=3600.0)
-        assert guard.run(lambda attempt: {"value": 1}).ok
-
-
-class TestNullSleep:
-    def test_returns_immediately(self):
-        start = time.monotonic()
-        null_sleep(60.0)
-        assert time.monotonic() - start < 1.0
-
-    def test_schedule_and_retries_unchanged(self):
-        """Skipping the wait must not change what is *recorded*: the
-        retry count matches a real-sleeper guard's."""
-        guard = TaskGuard(
-            "t:1", retries=2, backoff_base=0.05, sleep=null_sleep
-        )
-
-        def body(attempt: int) -> dict:
-            raise TransientTaskError("still flaky")
-
-        outcome = guard.run(body)
-        assert not outcome.ok
-        assert outcome.retries == 2
-
-    def test_default_sleep_is_real(self):
-        guard = TaskGuard("t:1")
-        assert guard._sleep is time.sleep
-
-
 class TestBaseExceptionPassthrough:
     def test_keyboard_interrupt_escapes(self):
-        guard, _ = make_guard()
+        guard = make_guard()
 
         def body(attempt: int) -> dict:
             raise KeyboardInterrupt
@@ -178,7 +131,7 @@ class TestBaseExceptionPassthrough:
             guard.run(body)
 
     def test_simulated_kill_escapes(self):
-        guard, _ = make_guard()
+        guard = make_guard()
 
         def body(attempt: int) -> dict:
             raise SimulatedKill("power loss")

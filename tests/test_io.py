@@ -337,33 +337,20 @@ class TestAtomicWrites:
     def test_save_layout_survives_injected_kill(self, program, tmp_path):
         """Killing an artifact save through the fault harness keeps
         the previous layout readable."""
-        from repro.runner import BatchRunner, FaultPlan, Injection
-        from repro.runner.tasks import Batch, TaskSpec
+        from repro.chaos import sites
+        from repro.chaos.plan import FaultPlan, Injection
+        from repro.errors import SimulatedKill
 
         old = Layout.default(program)
         path = tmp_path / "layout.json"
         save_layout(old, path)
-        plan = FaultPlan(
-            [Injection("runner.artifact", error="kill", task="t:1")]
-        )
-        batch = Batch(
-            command="test",
-            grid_id="g",
-            tasks=(
-                TaskSpec(
-                    key="t:1",
-                    kind="unit",
-                    run=lambda env: {"v": 1},
-                    artifact="layout.json",
-                ),
-            ),
-            render=lambda results: "",
-        )
-        from repro.errors import SimulatedKill
-
-        with pytest.raises(SimulatedKill):
-            BatchRunner(batch, tmp_path, plan=plan).run()
+        new = Layout.from_order(program, list(reversed(program.names)))
+        plan = FaultPlan([Injection("io.layout", error="kill")])
+        with sites.installed(plan), pytest.raises(SimulatedKill):
+            save_layout(new, path)
+        assert plan.exhausted
         assert load_layout(path) == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_unsupported_mode_rejected(self, tmp_path):
         with pytest.raises(SerializationError):
