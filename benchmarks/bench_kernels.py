@@ -19,11 +19,13 @@ bit-exact, with the timings recorded in
   of m88ksim on the 2-way paper cache, scored by the placement's
   :class:`~repro.core.setassoc.PairIndex` and by the scalar twin
   :func:`~repro.core.setassoc.sa_offset_costs_reference`.  The cost
-  vectors must agree to round-off.
+  vectors must be equal (every cost is an integer).  The index build
+  over the popular set is timed too, best of 5 calls.
 * **Section 6 pair database.**  Over every suite workload, the scalar
   twin :func:`~repro.profiles.pairdb.build_pair_database` against the
   array build :func:`~repro.profiles.fast.build_pair_database_fast`.
-  Blocks, every block's pairs in order, and the stats must be equal.
+  Blocks, the rows, every block's pairs in order, and the stats must
+  be equal.
 * **Placements, perturbation, the GBSC chunk index and trace
   generation.**  Best-of-5 wall seconds per call of PH, HKC, GBSC,
   :meth:`PlacementContext.perturbed` (each call on a fresh context,
@@ -266,7 +268,14 @@ def _measure_sa_merge(workload) -> dict:
     weights = ChunkWeights(
         trgs.place, program, config, context.popular, trgs.chunk_size
     )
-    pairs = PairIndex(pair_db, program, config, context.popular)
+    pairs, index_seconds = timed(
+        PairIndex,
+        pair_db,
+        program,
+        config,
+        context.popular,
+        repeats=PLACEMENT_REPEATS,
+    )
     merges = []
 
     def merge(n1, n2):
@@ -293,10 +302,11 @@ def _measure_sa_merge(workload) -> dict:
         lambda: [pairs.offset_costs(n1, n2) for n1, n2 in merges]
     )
     for fast_costs, reference_costs in zip(fast, reference):
-        assert np.allclose(fast_costs, reference_costs, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(fast_costs, reference_costs)
     return {
         "workload": workload.name,
         "merges": len(merges),
+        "index_seconds": index_seconds,
         "scalar_seconds": reference_seconds,
         "fast_seconds": fast_seconds,
         "speedup": reference_seconds / fast_seconds,
@@ -326,6 +336,12 @@ def _measure_pair_database(suite) -> dict:
         )
         fast_seconds += seconds
         assert fast.blocks == scalar.blocks
+        fast_rows, scalar_rows = fast.rows(), scalar.rows()
+        assert fast_rows.nodes == scalar_rows.nodes
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(fast_rows[1:], scalar_rows[1:])
+        )
         assert all(
             list(fast.pairs_for(block).items())
             == list(scalar.pairs_for(block).items())
@@ -524,7 +540,8 @@ def test_kernel_speedup():
             "merge": {"sa": {"speedup": merge_sa["speedup"]}},
             "pairdb": {"speedup": pairdb["speedup"]},
             "placement": {
-                name: placement[name] for name in PLACEMENT_CALLS
+                **{name: placement[name] for name in PLACEMENT_CALLS},
+                "pair_index": {"seconds": merge_sa["index_seconds"]},
             },
             "trace": {"generate": {"seconds": generation["seconds"]}},
             "store": {
@@ -570,6 +587,10 @@ def test_kernel_speedup():
         f"  {'sa':<12} {merge_sa['scalar_seconds']:7.2f}s scalar, "
         f"{merge_sa['fast_seconds']:6.3f}s fast  "
         f"({merge_sa['speedup']:5.1f}x)"
+    )
+    lines.append(
+        f"  {'pair index':<12} {merge_sa['index_seconds']:7.4f}s per build "
+        f"(best of {PLACEMENT_REPEATS})"
     )
     lines.append(
         "Section 6 pair database (summed over the suite; scalar twin vs "

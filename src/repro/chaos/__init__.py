@@ -24,6 +24,7 @@ from repro.chaos.plan import (
     ERROR_KINDS,
     POINTS,
     TASK_POINTS,
+    TASK_SITE,
     FaultPlan,
     Injection,
     load_plan,
@@ -45,6 +46,7 @@ __all__ = [
     "Injection",
     "POINTS",
     "TASK_POINTS",
+    "TASK_SITE",
     "TASK_SITES",
     "WRITE_SITES",
     "active",

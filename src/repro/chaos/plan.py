@@ -43,7 +43,7 @@ crashes.
 
 The JSON form has two entry shapes.  Version 1 lists ``injections``
 addressed by task key glob at a task point (``start`` or ``finish``;
-see :data:`TASK_POINTS` for the site each one fires at).
+both fire at :data:`TASK_SITE`).
 Version 2 adds an ``io`` array addressed by site.  Both load into the
 same :class:`Injection`, and :meth:`FaultPlan.to_dict` writes each
 back in the shape it came from, so plan files round-trip byte for
@@ -78,13 +78,10 @@ SUPPORTED_VERSIONS = (1, 2)
 #: ``runner.task`` site's.
 POINTS = ("before", "data", "fsync", "replace", "after", "start", "finish")
 
-#: Faultplan v1 task point -> the (site, point) it fires at.
-TASK_POINTS: dict[str, tuple[str, str]] = {
-    "start": ("runner.task", "start"),
-    "finish": ("runner.task", "finish"),
-}
-
-_TASK_POINT_NAMES = {target: name for name, target in TASK_POINTS.items()}
+#: The site a faultplan v1 task entry fires at, and its points (a v1
+#: entry names the point alone).
+TASK_SITE = "runner.task"
+TASK_POINTS = ("start", "finish")
 
 #: Injectable failure kinds.
 ERROR_KINDS = (
@@ -115,8 +112,8 @@ class Injection:
 
     *site* may be a literal site id or an ``fnmatch`` glob
     (``store.*``).  *task*, when given, is a task-key glob the firing
-    must also match; it applies only to the task points of
-    :data:`TASK_POINTS`.  *skip* passes over that many matching
+    must also match; it applies only to the :data:`TASK_POINTS` of
+    :data:`TASK_SITE`.  *skip* passes over that many matching
     firings before injecting; *times* injects on that many consecutive
     matches afterwards.
     """
@@ -158,7 +155,7 @@ class Injection:
                     "injection task must be a non-empty string: "
                     f"{self.task!r}"
                 )
-            if (self.site, self.point) not in _TASK_POINT_NAMES:
+            if self.site != TASK_SITE or self.point not in TASK_POINTS:
                 raise ChaosError(
                     f"a task filter needs a task point, not "
                     f"{self.site}/{self.point}"
@@ -199,8 +196,7 @@ class Injection:
                 f"malformed {section} entry {entry!r}: unknown task "
                 f"point {point!r} (expected one of {', '.join(TASK_POINTS)})"
             )
-        site, point = TASK_POINTS[point]
-        return cls(site=site, point=point, task=entry["task"], **fields)
+        return cls(site=TASK_SITE, point=point, task=entry["task"], **fields)
 
     def to_entry(self) -> dict[str, Any]:
         """The JSON entry :meth:`from_entry` reads back, in the shape
@@ -215,7 +211,7 @@ class Injection:
         else:
             entry = {
                 "task": self.task,
-                "point": _TASK_POINT_NAMES[(self.site, self.point)],
+                "point": self.point,
                 "error": self.error,
                 "times": self.times,
                 "message": self.message,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.chaos.plan import FaultPlan
+from repro.chaos.plan import TASK_SITE, FaultPlan
 from repro.errors import ChaosError
 
 #: Stable id -> human description of every registered write site.
@@ -44,7 +44,7 @@ WRITE_SITES: dict[str, str] = {
 
 #: Sites that are not writes, fired with the task key.
 TASK_SITES: dict[str, str] = {
-    "runner.task": "batch task attempt entry (start) and body exit (finish)",
+    TASK_SITE: "batch task attempt entry (start) and body exit (finish)",
 }
 
 _GLOB_CHARS = "*?["

@@ -63,24 +63,39 @@ def _set_mask(
     return mask
 
 
+def _csr_bounds(keys: np.ndarray, size: int) -> np.ndarray:
+    """CSR bounds of rows sorted by *keys* in ``[0, size)``."""
+    bounds = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=bounds[1:])
+    return bounds
+
+
+def _gather(bounds: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Every row number of the CSR runs of *keys*, run by run."""
+    starts = bounds[keys]
+    lengths = bounds[keys + 1] - starts
+    return np.repeat(starts, lengths) + _run_positions(lengths)
+
+
 class PairIndex:
     """One placement's pair database as arrays (Section 6).
 
-    Built once per placement from ``D(p, {r, s})``, the program, the
-    cache and the procedures that take part, it holds everything the
+    Built once per placement from the database's
+    :class:`~repro.profiles.pairdb.PairRows`, the program, the cache
+    and the procedures that take part, it holds everything the
     Section 6 cost needs:
 
     * one id per procedure, in sorted name order;
     * per procedure, its set mask at offset 0, a float 0/1 row by
       :func:`_set_mask`'s rule;
-    * the database in CSR form: procedure ``p`` owns a run of
-      ``(r id, s id, count)`` rows in the order
-      ``pair_db.pairs_for(p)`` iterates them.  One-member pairs and
-      pairs with a member outside the index are dropped, since
-      neither can match a merge.
+    * the database's ``(p, r, s, count)`` rows as ids, ``r < s``, in
+      CSR form keyed by ``p`` (a stable sort of the database's rows)
+      and a second CSR keyed by the lower member ``r``.  One-member
+      pairs and rows with a member outside the index are dropped,
+      since neither can match a merge.
 
     A node's masks are its procedures' base masks rotated by their
-    offsets, and a merge no longer walks the database.
+    offsets, and a merge reads only the rows it can score.
     """
 
     def __init__(
@@ -102,95 +117,71 @@ class PairIndex:
             np.arange(self.num_sets) < lines_spanned[:, None]
         ).astype(float)
 
-        bounds = [0]
-        members_r: list[int] = []
-        members_s: list[int] = []
-        counts: list[float] = []
-        for name in ordered:
-            for pair, count in pair_db.pairs_for(name).items():
-                members = tuple(pair)
-                if len(members) != 2:
-                    continue
-                r = self._id.get(members[0])
-                s = self._id.get(members[1])
-                if r is None or s is None:
-                    continue
-                members_r.append(r)
-                members_s.append(s)
-                counts.append(float(count))
-            bounds.append(len(counts))
-        self._bounds = np.asarray(bounds, dtype=np.int64)
-        self._r = np.asarray(members_r, dtype=np.int64)
-        self._s = np.asarray(members_s, dtype=np.int64)
-        self._counts = np.asarray(counts, dtype=float)
+        rows = pair_db.rows()
+        position = np.fromiter(
+            (self._id.get(node, -1) for node in rows.nodes),
+            dtype=np.int64,
+            count=len(rows.nodes),
+        )
+        p = position[rows.block]
+        a = position[rows.r]
+        b = position[rows.s]
+        kept = np.flatnonzero((p >= 0) & (a >= 0) & (b >= 0) & (a != b))
+        kept = kept[np.argsort(p[kept], kind="stable")]
+        self._p = p[kept]
+        self._r = np.minimum(a, b)[kept]
+        self._s = np.maximum(a, b)[kept]
+        self._counts = rows.count[kept].astype(float)
+        self._by_p = _csr_bounds(self._p, len(ordered))
+        self._r_order = np.argsort(self._r, kind="stable")
+        self._by_r = _csr_bounds(self._r, len(ordered))
 
-    def masks(self, node: MergeNode) -> tuple[np.ndarray, np.ndarray]:
-        """The node's procedure ids, in placement order, and their set
-        masks at their offsets (one row each, as :func:`_set_mask`)."""
+    def _ids(self, node: MergeNode) -> np.ndarray:
+        """The node's procedure ids, in placement order."""
         try:
-            ids = np.asarray(
+            return np.asarray(
                 [self._id[p.name] for p in node.placements], dtype=np.int64
             )
         except KeyError as error:
             raise PlacementError(
                 f"procedure {error.args[0]!r} is not in this pair index"
             ) from None
-        offsets = np.asarray([p.offset for p in node.placements])
+
+    def _rotated(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The base masks of *ids*, each rotated by its offset."""
         # Row k at offset o holds base[(j - o) mod num_sets] in set j.
         columns = (np.arange(self.num_sets) - offsets[:, None]) % self.num_sets
-        return ids, np.take_along_axis(self._masks[ids], columns, axis=1)
+        return self._masks[ids[:, None], columns]
 
-    def _side(
-        self,
-        ids: np.ndarray,
-        masks: np.ndarray,
-        other_ids: np.ndarray,
-        other_masks: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(p mask, r·s mask, count)`` rows of every recorded pair with
-        ``p`` in one node and ``r``, ``s`` both in the other, dropping
-        rows whose pair shares no set."""
-        starts = self._bounds[ids]
-        lengths = self._bounds[ids + 1] - starts
-        rows = np.repeat(starts, lengths) + _run_positions(lengths)
-        owner = np.repeat(np.arange(len(ids)), lengths)
-        position = np.full(len(self._id), -1)
-        position[other_ids] = np.arange(len(other_ids))
-        r = position[self._r[rows]]
-        s = position[self._s[rows]]
-        kept = (r >= 0) & (s >= 0)
-        common = other_masks[r[kept]] * other_masks[s[kept]]
-        linked = common.any(axis=1)
-        return (
-            masks[owner[kept][linked]],
-            common[linked],
-            self._counts[rows[kept][linked]],
-        )
+    def masks(self, node: MergeNode) -> tuple[np.ndarray, np.ndarray]:
+        """The node's procedure ids, in placement order, and their set
+        masks at their offsets (one row each, as :func:`_set_mask`)."""
+        ids = self._ids(node)
+        offsets = np.asarray([p.offset for p in node.placements])
+        return ids, self._rotated(ids, offsets)
 
-    def rows(
-        self, n1: MergeNode, n2: MergeNode
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cost's input rows: masks that stay in *n1*'s frame, masks
-        that shift with *n2*, and the association counts.
+    def _side(self, ids: np.ndarray, other_ids: np.ndarray) -> np.ndarray:
+        """Row numbers of every recorded pair with ``p`` among *ids* and
+        ``r``, ``s`` both among *other_ids*.
 
-        One row per recorded ``D(p, {r, s})`` with ``p`` in one node,
-        ``r`` and ``s`` both in the other and sharing a set: the ``p``
-        mask on its node's side, ``mask_r * mask_s`` on the other.  The
-        rows are the pairs of *n1*'s procedures and then of *n2*'s,
-        each node in placement order and each procedure's pairs in
-        ``pair_db.pairs_for`` order.  That exact order keeps the costs
-        bit-identical however large the index, which the tie-break of
-        :func:`merge_nodes_sa` relies on.
+        The rows come through ``p`` when *ids* is the smaller side and
+        through the lower member ``r`` otherwise, so a merge visits at
+        most the rows of its smaller node's procedures.
         """
-        ids1, masks1 = self.masks(n1)
-        ids2, masks2 = self.masks(n2)
-        p1, pairs2, counts1 = self._side(ids1, masks1, ids2, masks2)
-        p2, pairs1, counts2 = self._side(ids2, masks2, ids1, masks1)
-        return (
-            np.concatenate([p1, pairs1]),
-            np.concatenate([pairs2, p2]),
-            np.concatenate([counts1, counts2]),
-        )
+        if len(other_ids) < 2:
+            return np.empty(0, dtype=np.int64)
+        other = np.zeros(len(self._id), dtype=bool)
+        other[other_ids] = True
+        if len(ids) <= len(other_ids):
+            rows = _gather(self._by_p, ids)
+            keep = other[self._r[rows]]
+        else:
+            rows = self._r_order[_gather(self._by_r, other_ids)]
+            own = np.zeros(len(self._id), dtype=bool)
+            own[ids] = True
+            keep = own[self._p[rows]]
+        keep &= other[self._s[rows]]
+        return rows[keep]
 
     def offset_costs(self, n1: MergeNode, n2: MergeNode) -> np.ndarray:
         """Cost of each relative *set* offset of node *n2* against *n1*.
@@ -199,19 +190,44 @@ class PairIndex:
         ``D(p, {r, s})`` with ``p`` in one node and ``{r, s}`` both in
         the other, the association count weighted by the number of
         sets shared by all three procedures when *n2* is shifted by
-        ``i`` lines: a weighted circular cross-correlation of the
-        :meth:`rows`, computed with real FFTs of length ``num_sets``.
+        ``i`` lines: a weighted circular cross-correlation of the ``p``
+        mask with ``mask_r * mask_s``, computed with real FFTs of
+        length ``num_sets``.  Every cost is an integer, so the FFT
+        output is rounded to it: the result does not depend on the
+        order the rows are summed in.
         """
-        first, second, counts = self.rows(n1, n2)
-        if len(counts) == 0:
+        ids1 = self._ids(n1)
+        ids2 = self._ids(n2)
+        rows1 = self._side(ids1, ids2)
+        rows2 = self._side(ids2, ids1)
+        rows = np.concatenate([rows1, rows2])
+        if len(rows) == 0:
             return np.zeros(self.num_sets)
+        offsets = np.zeros(len(self._id), dtype=np.int64)
+        offsets[ids1] = [p.offset for p in n1.placements]
+        offsets[ids2] = [p.offset for p in n2.placements]
+        p = self._p[rows]
+        r = self._r[rows]
+        s = self._s[rows]
+        named = np.unique(np.concatenate([p, r, s]))
+        slot = np.zeros(len(self._id), dtype=np.int64)
+        slot[named] = np.arange(len(named))
+        masks = self._rotated(named, offsets[named])
+        p_masks = masks[slot[p]]
+        common = masks[slot[r]] * masks[slot[s]]
+        # Rows of rows1 keep p in n1's frame; rows of rows2 shift it.
+        split = len(rows1)
+        first = np.concatenate([p_masks[:split], common[split:]])
+        second = np.concatenate([common[:split], p_masks[split:]])
+        # A pair that shares no set costs nothing at any offset.
+        linked = common.any(axis=1)
         spectrum = (
-            np.fft.rfft(first, axis=1)
-            * np.conj(np.fft.rfft(second, axis=1))
-            * counts[:, None]
+            np.fft.rfft(first[linked], axis=1)
+            * np.conj(np.fft.rfft(second[linked], axis=1))
+            * self._counts[rows[linked]][:, None]
         ).sum(axis=0)
         costs = np.fft.irfft(spectrum, n=self.num_sets)
-        return np.maximum(costs, 0.0)
+        return np.rint(np.maximum(costs, 0.0))
 
 
 @fast_path(scalar="repro.core.setassoc.sa_offset_costs_reference")

@@ -15,7 +15,7 @@ from repro.profiles.graph import (
     freeze,
     structural_node_key,
 )
-from repro.profiles.pairdb import PairDatabase, build_pair_database
+from repro.profiles.pairdb import PairDatabase, PairRows, build_pair_database
 from repro.profiles.perturb import PAPER_SCALE, perturbed
 from repro.profiles.qset import WorkingSet
 from repro.profiles.trg import (
@@ -34,6 +34,7 @@ __all__ = [
     "FrozenGraph",
     "PAPER_SCALE",
     "PairDatabase",
+    "PairRows",
     "ProfileGraph",
     "TRGBuildStats",
     "TRGPair",

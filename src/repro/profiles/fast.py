@@ -44,7 +44,7 @@ from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.fastpath import fast_path
 from repro.profiles.graph import FrozenGraph
-from repro.profiles.pairdb import PairDatabase
+from repro.profiles.pairdb import PairDatabase, PairRows
 from repro.profiles.trg import (
     DEFAULT_Q_MULTIPLIER,
     TRGBuildStats,
@@ -602,26 +602,30 @@ def build_pair_database_fast(
     on ``procedure_refs(trace, popular)``.
 
     Runs the ``TRG_select`` kernel's prev/next arrays and ``Q`` sweep,
-    counts pair credits with :func:`_pair_credits`, and loads each
-    block's pairs in first-credit order, blocks in the order of their
-    first credit.  The database, its :meth:`~repro.profiles.pairdb
-    .PairDatabase.pairs_for` order and the stats equal the scalar
-    build's.
+    counts pair credits with :func:`_pair_credits`, and keeps them as
+    :class:`~repro.profiles.pairdb.PairRows`: the blocks in
+    first-reference order, one run per block, each run in first-credit
+    order.  The rows, the dict view (:meth:`~repro.profiles.pairdb
+    .PairDatabase.pairs_for` order included) and the stats equal the
+    scalar build's.
     """
     if capacity <= 0:
         raise ConfigError(f"capacity must be positive, got {capacity}")
     names = trace.program.names
     codes = procedure_ref_codes(trace, popular)
     n = len(codes)
-    database = PairDatabase()
+    empty = np.empty(0, dtype=np.int64)
+    rows = PairRows((), empty, empty, empty, empty)
     stats = TRGBuildStats(0, 0.0, 0)
     with obs.span("build_pair_db", q_capacity=capacity):
         if n:
             present, first_at, dense = np.unique(
                 codes, return_index=True, return_inverse=True
             )
-            for code in codes[np.sort(first_at)].tolist():
-                database.add_block(names[code])
+            # Table position of each dense code: first reference first.
+            by_reference = np.argsort(first_at)
+            position = np.empty(len(present), dtype=np.int64)
+            position[by_reference] = np.arange(len(present))
             prev, nxt = _prev_next(codes)
             hit, q_len_total, evictions = _sweep(
                 codes, prev, nxt, _proc_sizes(trace.program), capacity
@@ -630,21 +634,20 @@ def build_pair_database_fast(
             keys, first, counts = _pair_credits(
                 dense, prev, nxt, hit, num_codes
             )
-            order = np.argsort(first)
-            block, pair = np.divmod(keys[order], num_codes * num_codes)
-            lo, hi = np.divmod(pair, num_codes)
-            labels = [names[code] for code in present.tolist()]
-            rows: dict[int, dict[frozenset, int]] = {}
-            for p, r, s, count in zip(
-                block.tolist(), lo.tolist(), hi.tolist(), counts[order].tolist()
-            ):
-                row = rows.get(p)
-                if row is None:
-                    row = rows[p] = {}
-                row[frozenset((labels[r], labels[s]))] = count
-            for p, row in rows.items():
-                database.set_pairs(labels[p], row)
+            block, pair = np.divmod(keys, num_codes * num_codes)
+            block = position[block]
+            a, b = np.divmod(pair, num_codes)
+            a = position[a]
+            b = position[b]
+            order = np.lexsort((first, block))
+            rows = PairRows(
+                tuple(names[code] for code in present[by_reference].tolist()),
+                block[order],
+                np.minimum(a, b)[order],
+                np.maximum(a, b)[order],
+                counts[order],
+            )
             stats = TRGBuildStats(n, q_len_total / n, evictions)
     obs.inc("pairdb.refs_processed", n)
-    obs.inc("pairdb.records", database.total_records())
-    return database, stats
+    obs.inc("pairdb.records", int(rows.count.sum()))
+    return PairDatabase.from_rows(rows), stats

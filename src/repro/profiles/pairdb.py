@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, NamedTuple
+
+import numpy as np
 
 from repro import obs
 from repro.profiles.qset import WorkingSet
@@ -22,55 +24,123 @@ from repro.profiles.trg import TRGBuildStats
 Block = Hashable
 
 
+class PairRows(NamedTuple):
+    """``D(p, {r, s})`` as arrays over a node table.
+
+    Row ``k`` credits ``count[k]`` to block ``nodes[block[k]]`` and the
+    pair ``{nodes[r[k]], nodes[s[k]]}``, with ``r[k] <= s[k]`` (equal
+    only for a one-member pair).  The rows are grouped into one run per
+    block, runs in table order, and each run lists its block's pairs
+    in :meth:`PairDatabase.pairs_for` order (first credit first).
+    """
+
+    nodes: tuple[Block, ...]
+    block: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    count: np.ndarray
+
+
 class PairDatabase:
-    """Counts ``D(p, {r, s})`` keyed by block and unordered pair."""
+    """Counts ``D(p, {r, s})`` keyed by block and unordered pair.
+
+    The database has two equal views: :meth:`rows`, the arrays GBSC-SA
+    indexes, and the dict API (:meth:`count`, :meth:`pairs_for`).  One
+    built by :meth:`record` derives its rows on the first
+    :meth:`rows` read; one adopted from rows
+    (:meth:`from_rows`, the array builder's output) builds its
+    counters on the first dict-API read.
+    """
 
     def __init__(self) -> None:
         """Create an empty database."""
-        self._db: dict[Block, Counter[frozenset]] = {}
+        self._db: dict[Block, Counter[frozenset]] | None = {}
+        self._rows: PairRows | None = None
         self._blocks: set[Block] = set()
+        # Every block and pair member, in first-seen order: the table
+        # the rows are numbered by.
+        self._nodes: dict[Block, None] = {}
+
+    @classmethod
+    def from_rows(cls, rows: PairRows) -> "PairDatabase":
+        """The database of *rows*, every node of the table a block."""
+        database = cls()
+        database._db = None
+        database._rows = rows
+        database._nodes = dict.fromkeys(rows.nodes)
+        database._blocks = set(rows.nodes)
+        return database
+
+    def _counters(self) -> dict[Block, Counter[frozenset]]:
+        """The dict view, built from the rows on first read."""
+        if self._db is None:
+            rows = self._rows
+            nodes = rows.nodes
+            db: dict[Block, Counter[frozenset]] = {}
+            for p, r, s, count in zip(
+                rows.block.tolist(),
+                rows.r.tolist(),
+                rows.s.tolist(),
+                rows.count.tolist(),
+            ):
+                counter = db.get(p)
+                if counter is None:
+                    counter = db[p] = Counter()
+                counter[frozenset((nodes[r], nodes[s]))] = count
+            self._db = {nodes[p]: counter for p, counter in db.items()}
+        return self._db
 
     def add_block(self, block: Block) -> None:
         """Register *block* even if it never accumulates pair counts."""
-        self._blocks.add(block)
+        if block not in self._blocks:
+            self._counters()
+            self._rows = None
+            self._blocks.add(block)
+            self._nodes.setdefault(block)
 
     def record(self, block: Block, between: list[Block]) -> None:
         """Credit every 2-subset of *between* against *block*."""
         self.add_block(block)
         if len(between) < 2:
             return
-        counter = self._db.setdefault(block, Counter())
+        counters = self._counters()
+        self._rows = None
+        for member in between:
+            self._nodes.setdefault(member)
+        counter = counters.setdefault(block, Counter())
         for r, s in combinations(between, 2):
             counter[frozenset((r, s))] += 1
 
+    def rows(self) -> PairRows:
+        """The database as :class:`PairRows` over the node table."""
+        if self._rows is None:
+            nodes = tuple(self._nodes)
+            index = {node: k for k, node in enumerate(nodes)}
+            columns: list[list[int]] = [[], [], [], []]
+            block, r, s, counts = columns
+            for p in nodes:
+                for pair, count in self._db.get(p, {}).items():
+                    ids = sorted(index[member] for member in pair)
+                    block.append(index[p])
+                    r.append(ids[0])
+                    s.append(ids[-1])
+                    counts.append(count)
+            self._rows = PairRows(
+                nodes,
+                *(np.asarray(column, dtype=np.int64) for column in columns),
+            )
+        return self._rows
+
     def count(self, block: Block, r: Block, s: Block) -> int:
         """``D(p, {r, s})``; 0 when never observed."""
-        counter = self._db.get(block)
+        counter = self._counters().get(block)
         if counter is None:
             return 0
         return counter.get(frozenset((r, s)), 0)
 
-    def set_pair_count(
-        self, block: Block, r: Block, s: Block, count: int
-    ) -> None:
-        """Set ``D(p, {r, s})`` directly."""
-        self.set_pairs(block, {frozenset((r, s)): int(count)})
-
-    def set_pairs(self, block: Block, pairs: Mapping[frozenset, int]) -> None:
-        """Set ``D(p, pair)`` for every pair of *pairs* (keyed as
-        :meth:`pairs_for` returns them), in their order.
-
-        Used by the array builder
-        (:func:`~repro.profiles.fast.build_pair_database_fast`) to load
-        each block's counted pairs in first-credit order.
-        """
-        self.add_block(block)
-        if pairs:
-            dict.update(self._db.setdefault(block, Counter()), pairs)
-
     def pairs_for(self, block: Block) -> Counter:
         """All recorded pairs for *block* (empty counter when none)."""
-        return Counter(self._db.get(block, Counter()))
+        return Counter(self._counters().get(block, Counter()))
 
     @property
     def blocks(self) -> set[Block]:
@@ -79,6 +149,8 @@ class PairDatabase:
 
     def total_records(self) -> int:
         """Total credited pair observations across all blocks."""
+        if self._db is None:
+            return int(self._rows.count.sum())
         return sum(sum(c.values()) for c in self._db.values())
 
 

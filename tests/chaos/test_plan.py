@@ -18,10 +18,12 @@ from repro.chaos.plan import (
     ERROR_KINDS,
     POINTS,
     TASK_POINTS,
+    TASK_SITE,
     FaultPlan,
     Injection,
     load_plan,
 )
+from repro.chaos.sites import TASK_SITES
 from repro.errors import (
     ChaosError,
     RunnerError,
@@ -197,8 +199,8 @@ class TestConstants:
     def test_points_cover_write_protocol(self):
         assert POINTS[:5] == ("before", "data", "fsync", "replace", "after")
         assert set(POINTS[5:]) == {"start", "finish"}
-        for site, point in TASK_POINTS.values():
-            assert point in POINTS
+        assert set(TASK_POINTS) <= set(POINTS)
+        assert TASK_SITE in TASK_SITES
 
     def test_error_kinds(self):
         # The union of the task kinds and the write-failure kinds.
@@ -323,6 +325,7 @@ class TestEntryShapes:
     [
         "faultplan_degraded.json",
         "faultplan_torn_index.json",
+        "faultplan_torn_journal.json",
         "faultplan_transient.json",
     ],
 )

@@ -124,7 +124,8 @@ class GBSCMergeMachine(RuleBasedStateMachine):
                 label=f"pairs of {p}",
             )
             for r, s, count in recorded:
-                self.pair_db.set_pair_count(p, r, s, count)
+                for _ in range(count):
+                    self.pair_db.record(p, [r, s])
         # Same size and lines, so the same offsets and chunk index.
         self.sa_config = replace(self.config, associativity=2)
         self.pairs = PairIndex(

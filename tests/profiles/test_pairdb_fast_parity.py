@@ -5,9 +5,8 @@ scalar Section 6 builder,
 :func:`repro.profiles.pairdb.build_pair_database` fed by
 :func:`~repro.profiles.trg.procedure_refs`: the same registered
 blocks, every block's pairs in the same (first-credit) order with the
-same counts, and the same :class:`~repro.profiles.trg.TRGBuildStats`.
-GBSC-SA's pair index reads ``pairs_for`` in that order, so the order
-is part of the contract.
+same counts, the same :class:`~repro.profiles.pairdb.PairRows` and the
+same :class:`~repro.profiles.trg.TRGBuildStats`.
 """
 
 import numpy as np
@@ -40,6 +39,15 @@ def assert_same_database(trace, popular, capacity):
         procedure_refs(trace, popular), trace.program.size_of, capacity
     )
     assert fast_db.blocks == scalar_db.blocks
+    # The rows GBSC-SA indexes: one table, and every block's run in
+    # pairs_for order.
+    fast_rows, scalar_rows = fast_db.rows(), scalar_db.rows()
+    assert fast_rows.nodes == scalar_rows.nodes
+    for name in ("block", "r", "s", "count"):
+        assert np.array_equal(
+            getattr(fast_rows, name), getattr(scalar_rows, name)
+        ), name
+    assert fast_db.total_records() == scalar_db.total_records()
     for block in scalar_db.blocks:
         assert list(fast_db.pairs_for(block).items()) == list(
             scalar_db.pairs_for(block).items()
